@@ -228,9 +228,25 @@ CRITERIA = [
 ]
 
 
+def _timed_row(cid: str, desc: str, budget: int, fn, echo) -> dict:
+    """Run one gate row, print its pass/fail line and return its record; a row
+    passes when fn reports ok inside the budget."""
+    t0 = time.time()
+    try:
+        ok, detail = fn()
+    except Exception as exc:  # a crash is a failed criterion, not a crash of the gate
+        ok, detail = False, f"exception: {exc!r}"
+    elapsed = time.time() - t0
+    passed = bool(ok and elapsed <= budget)
+    echo(f"{'PASS' if passed else 'FAIL'} {cid} [{elapsed:6.1f}s/{budget}s] {desc}: {detail}")
+    return {"id": cid, "description": desc, "pass": passed, "elapsed_s": round(elapsed, 2),
+            "budget_s": budget, "detail": detail}
+
+
 def run_all(seed: int = 20260808, prec: int = 256, threads: int = 1, profile: str = "small", echo=print) -> list[dict]:
     """Run every criterion, printing one pass/fail line each; the full profile
-    additionally builds the larger exceptional types as a smoke test."""
+    additionally builds the larger exceptional types as a smoke test and runs
+    timed extended lemma sweeps (the F+ rows)."""
     results = []
     if profile == "full":
         for label in ("E6", "E7", "E8", "F4", "B3", "C3", "D5"):
@@ -238,29 +254,10 @@ def run_all(seed: int = 20260808, prec: int = 256, threads: int = 1, profile: st
         for label, max_len in (("A2", 14), ("C2", 14)):
             rs = build_root_system_label(label)
             for lemma in ("lemma23", "lemma351"):
-                rep = ineq.verify(rs, lemma, max_len, 0, seed)
-                line = f"{'PASS' if rep.ok else 'FAIL'} F+ {lemma} {label} max_len={max_len}"
-                echo(line)
-                results.append({"id": f"F+{lemma}-{label}", "description": f"extended sweep {lemma} {label}",
-                                "pass": rep.ok, "elapsed_s": 0.0, "budget_s": 300, "detail": f"max_len={max_len}"})
+                def sweep(rs=rs, lemma=lemma, max_len=max_len):
+                    return ineq.verify(rs, lemma, max_len, 0, seed).ok, f"max_len={max_len}"
+
+                results.append(_timed_row(f"F+{lemma}-{label}", f"extended sweep {lemma} {label}", 300, sweep, echo))
     for cid, desc, fn, budget in CRITERIA:
-        t0 = time.time()
-        try:
-            ok, detail = fn(seed, prec, threads)
-        except Exception as exc:  # a crash is a failed criterion, not a crash of the gate
-            ok, detail = False, f"exception: {exc!r}"
-        elapsed = time.time() - t0
-        in_budget = elapsed <= budget
-        line = f"{'PASS' if ok and in_budget else 'FAIL'} {cid} [{elapsed:6.1f}s/{budget}s] {desc}: {detail}"
-        echo(line)
-        results.append(
-            {
-                "id": cid,
-                "description": desc,
-                "pass": bool(ok and in_budget),
-                "elapsed_s": round(elapsed, 2),
-                "budget_s": budget,
-                "detail": detail,
-            }
-        )
+        results.append(_timed_row(cid, desc, budget, lambda fn=fn: fn(seed, prec, threads), echo))
     return results

@@ -200,7 +200,7 @@ def cmd_weyl_census(args) -> Report:
 
 def cmd_verify(args) -> Report:
     rs = build_root_system_label(args.type_label)
-    rep = ineq.verify(rs, args.lemma, args.max_len, args.samples, args.seed, threads=args.threads)
+    rep = ineq.verify(rs, args.lemma, args.max_len, args.samples, args.seed, args.r, args.t, threads=args.threads)
     report = Report("verify", _config_echo(args), rep.to_results(), failures=list(rep.violations))
     return report
 

@@ -27,8 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import comb, gcd
+from operator import add, mul, sub
+from typing import NamedTuple
 
 from mpmath import mp
+from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 
 @dataclass(frozen=True)
@@ -435,52 +438,143 @@ def scaled_l1_norm_direct(n: int, c_scale: Q, precision_bits: int = 256):
 
 
 _OSC_ORDER = 16
+# exp_fixed(x, F) for x <= -1 is taken to be within this many units of 2^-F of
+# e^x.  mpmath's fixed-point exponential (a Taylor series with sqrt(F) guard
+# bits and repeated squaring) is off by a few units in practice; the tests
+# check it against mpf exp.  The figure enters the bound only multiplied by a
+# weight w h / 2 < 2^-12, so its generosity costs nothing.
+_EXP_FIXED_ULPS = 1 << 10
+# Every mpf -> int conversion below is within 2 units: 1 for int() itself and
+# at most 1 for the mpf's own rounding (the trigonometric values are evaluated
+# with _TRIG_GUARD extra bits, the nodes are exact, and the weights are
+# rounded far below a unit).
+_CONV_ULPS = 2
+_TRIG_GUARD = 20
+
+
+class _OscillationGrid(NamedTuple):
+    h: object  # mpf panel width 1/panels
+    offsets: tuple  # mpf Gauss-Legendre nodes t_j, j < 8, of the mirrored pairs
+    rows: tuple  # per panel: (G_j + G_{15-j}, G_j - G_{15-j}) for j < 8
+    mass: int  # sum of all entries
+    moment: int  # sum over panels p of p times the row's sum
+    entry_ulps: int  # bound on |entry - sigma(x) w h / 2| in units of 2^-F
 
 
 @lru_cache(maxsize=8)
-def _oscillation_grid(prec: int, panels: int):
+def _oscillation_grid(prec: int, panels: int) -> _OscillationGrid:
     """Composite Gauss-Legendre grid on [0, K*h] with sigma-times-weight
-    precomputed; h = 1/panels keeps the phase per panel under pi/2 for
-    r <= panels/4.  The uncovered sliver near 1 contributes ~ e^{-panels/6}."""
-    with mp.workprec(prec + 40):
-        h = mp.mpf(1) / panels
-        k_panels = panels - max(1, panels // 700)  # delta >= 1/700
+    precomputed in fixed point: each entry G is the integer sigma(x) w h / 2
+    scaled by 2^F, F = prec + 40.  h = 1/panels keeps the phase per panel
+    under pi/2 for r <= panels/4; the uncovered sliver near 1 contributes
+    ~ e^{-panels/6} (quadrature error, not counted in any bound here).
+
+    The nodes of a panel come in mirrored pairs (t_{15-j} = -t_j), whose
+    cosines agree and sines differ in sign, so each row keeps the 8 pair sums
+    and the 8 pair differences of its entries: one product per node per call.
+
+    An entry is built from the node x = (2p + 1 + t) / (2 panels), then
+    1 - x^2, then -1/(1 - x^2) by integer division, then exp_fixed, then the
+    product with the fixed-point weight w h / 2.  Against sigma at the exact
+    node it is off by at most entry_ulps units of 2^-F: 2 for the node
+    (|sigma'| < 0.8), 1 for the square, 1 for the division (|d/du e^{-1/u}|
+    <= 4/e^2 and e^{-1/u} < 1), _EXP_FIXED_ULPS for exp_fixed, all times the
+    weight, plus 2 for the weight's conversion and 1 for the final shift."""
+    f = prec + 40
+    one = 1 << f
+    k_panels = panels - max(1, panels // 700)  # delta >= 1/700
+    with mp.workprec(f):
         base = gauss_legendre(_OSC_ORDER, prec)
-        offsets = tuple(t for t, _ in base)
-        sig_w = []
-        for p in range(k_panels):
-            mid = (p + mp.mpf(1) / 2) * h
-            row = tuple(sigma_mp(mid + (h / 2) * t) * w * (h / 2) for t, w in base)
-            sig_w.append(row)
-        return h, k_panels, offsets, tuple(sig_w)
+        nodes = [int(mp.ldexp(t, f)) for t, _ in base]
+        weights = [int(mp.ldexp(w, f) / (2 * panels)) for _, w in base]
+        h = mp.mpf(1) / panels
+    half = _OSC_ORDER // 2
+    offsets = tuple(t for t, _ in base[:half])
+    ln2 = ln2_fixed(f)
+    rows = []
+    mass = moment = 0
+    for p in range(k_panels):
+        mid = (2 * p + 1) << f
+        row = []
+        for t, w in zip(nodes, weights):
+            x = (mid + t) // (2 * panels)
+            u = one - ((x * x) >> f)
+            row.append((exp_fixed(-((one << f) // u), f, ln2) * w) >> f)
+        left, right = row[:half], row[:half - 1:-1]
+        rows.append((tuple(map(add, left, right)), tuple(map(sub, left, right))))
+        row_mass = sum(row)
+        mass += row_mass
+        moment += p * row_mass
+    sigma_ulps = 2 + 1 + 1 + _EXP_FIXED_ULPS
+    entry_ulps = -((-sigma_ulps * max(weights)) >> f) + _CONV_ULPS + 1
+    return _OscillationGrid(h, offsets, tuple(rows), mass, moment, entry_ulps)
+
+
+def _sigma_hat_bounded(r, precision_bits: int) -> tuple:
+    """(value, bound): the grid sum 2 sum_p sum_j sigma(x) w h/2 cos(2 pi r x)
+    done in integers scaled by 2^F, F = precision_bits + 40, and an absolute
+    bound on how far fixed-point truncation moved it from the same sum in
+    exact arithmetic, for r as rounded to F bits (the quadrature error of
+    the grid is not included).
+
+    The phase offsets cos/sin(2 pi r t_j h/2), the panel rotation
+    cos/sin(2 pi r h) and its start cos/sin(pi r h) are converted once.  Per
+    panel the row is dotted with the offsets exactly (no shift), and the
+    phase (ct, st) advances by one rotation with one >> F per product.  The
+    bound, in units of 2^-F, counts 2 per converted value and 1 per shift:
+    the phase error starts at 2*2 and grows by 2*2 + 3 per panel, and enters
+    weighted by the row mass; every grid entry adds its entry_ulps (times
+    |cos| <= 2); the final >> 2F adds 1 and the factor 2 doubles it all."""
+    f = precision_bits + 40
+    with mp.workprec(f):
+        r = _to_mpf(r)
+        if abs(r) > 512:
+            raise ValueError("fixed oscillation grid only covers |r| <= 512")
+        grid = _oscillation_grid(precision_bits, 512 if abs(r) <= 128 else 2048)
+    with mp.workprec(f + _TRIG_GUARD):
+        half = mp.pi * r * grid.h  # phase advance over half a panel
+        cos_psi, sin_psi = [], []
+        for t in grid.offsets:
+            c, s = mp.cos_sin(half * t)
+            cos_psi.append(int(mp.ldexp(c, f)))
+            sin_psi.append(int(mp.ldexp(s, f)))
+        ct, st = (int(mp.ldexp(v, f)) for v in mp.cos_sin(half))
+        cd, sd = (int(mp.ldexp(v, f)) for v in mp.cos_sin(2 * half))
+    total = 0
+    for sums, diffs in grid.rows:
+        a = sum(map(mul, sums, cos_psi))
+        b = sum(map(mul, diffs, sin_psi))
+        total += ct * a - st * b
+        ct, st = (ct * cd - st * sd) >> f, (st * cd + ct * sd) >> f
+    value = total >> (2 * f)
+
+    # |(ct, st) - exact| <= e0 + p * step after p panels; each panel's value
+    # is off by 2 * 16 * entry_ulps plus its mass times 2 (|phase error| + c).
+    # The + 2 rounds the mass term up (its floor, and the mass summed from
+    # entries that may each sit entry_ulps low); the + 1 is the final shift.
+    c = _CONV_ULPS
+    e0, step = 2 * c, 2 * c + 3
+    phase = (2 * e0 + 2 * c) * grid.mass + 2 * step * grid.moment
+    ulps = 32 * grid.entry_ulps * len(grid.rows) + (phase >> f) + 2 + 1
+    with mp.workprec(f):
+        return mp.ldexp(2 * value, -f), mp.ldexp(2 * ulps, -f)
 
 
 def sigma_hat(r, precision_bits: int = 256):
     """Fourier transform, convention sigma_hat(r) = int sigma e^{-2 pi i r x} dx
-    (real and even here).  Uses a cached composite grid with the cosine
-    evaluated by phase-addition recurrences: about three multiplications per
-    node instead of a transcendental call."""
-    with mp.workprec(precision_bits + 40):
-        r = _to_mpf(r)
-        if abs(r) > 512:
-            raise ValueError("fixed oscillation grid only covers |r| <= 512")
-        n_panels = 512 if abs(r) <= 128 else 2048
-        h, k_panels, offsets, sig_w = _oscillation_grid(precision_bits, n_panels)
-        two_pi_r = 2 * mp.pi * r
-        cos_psi = [mp.cos(two_pi_r * (h / 2) * t) for t in offsets]
-        sin_psi = [mp.sin(two_pi_r * (h / 2) * t) for t in offsets]
-        delta = two_pi_r * h
-        cd, sd = mp.cos(delta), mp.sin(delta)
-        ct, st = mp.cos(two_pi_r * (h / 2)), mp.sin(two_pi_r * (h / 2))
-        total = mp.mpf(0)
-        for p in range(k_panels):
-            row = sig_w[p]
-            acc = mp.mpf(0)
-            for j in range(_OSC_ORDER):
-                acc += row[j] * (ct * cos_psi[j] - st * sin_psi[j])
-            total += acc
-            ct, st = ct * cd - st * sd, st * cd + ct * sd
-        return 2 * total
+    (real and even here), on a cached composite grid in fixed point.
+
+    The sum runs on Python integers scaled by 2^F, F = precision_bits + 40:
+    per panel two exact 8-term integer dot products of the mirrored node
+    pairs with the phase offsets and one fixed-point rotation of the panel
+    phase, so no mpf object is made per node.  The truncation error of that arithmetic is bounded explicitly
+    (see _sigma_hat_bounded; an absolute bound on the truncation only, not
+    on the quadrature error) and ArithmeticError is raised if it exceeds
+    2^-precision_bits."""
+    value, bound = _sigma_hat_bounded(r, precision_bits)
+    if bound > mp.ldexp(1, -precision_bits):
+        raise ArithmeticError(f"sigma_hat truncation bound {mp.nstr(bound, 3)} exceeds 2^-{precision_bits}")
+    return value
 
 
 def fourier_envelope(r, precision_bits: int = 256, scan: int = 5):

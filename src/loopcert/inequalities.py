@@ -543,8 +543,18 @@ def run_audit(
     return rep
 
 
-def verify(rs: FiniteRootSystem, lemma: str, max_len: int, samples: int, seed: int, threads: int = 1) -> InequalityReport:
-    """Dispatch for the CLI verify subcommand."""
+def verify(
+    rs: FiniteRootSystem,
+    lemma: str,
+    max_len: int,
+    samples: int,
+    seed: int,
+    r: Q = Q(1),
+    t: Q = Q(1, 2),
+    threads: int = 1,
+) -> InequalityReport:
+    """Dispatch for the CLI verify subcommand; r and t reach the audits
+    (thm32, cor34) only."""
     if lemma == "lemma22":
         return verify_lemma22(rs, max_len)
     if lemma == "lemma23":
@@ -552,7 +562,7 @@ def verify(rs: FiniteRootSystem, lemma: str, max_len: int, samples: int, seed: i
     if lemma == "lemma351":
         return verify_lemma351(rs, max_len)
     if lemma == "thm32":
-        return run_audit(rs, max_len, samples, max(1, samples // 10), seed, with_corollary=False, threads=threads)
+        return run_audit(rs, max_len, samples, max(1, samples // 10), seed, r, t, with_corollary=False, threads=threads)
     if lemma == "cor34":
-        return run_audit(rs, max_len, samples, max(1, samples // 10), seed, with_corollary=True, threads=threads)
+        return run_audit(rs, max_len, samples, max(1, samples // 10), seed, r, t, with_corollary=True, threads=threads)
     raise ValueError(f"unknown lemma {lemma!r}")

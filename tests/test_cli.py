@@ -175,3 +175,14 @@ def test_all_schemas_load():
 def test_validator_rejects_bad_document():
     with pytest.raises(ValueError):
         validate_report({"kind": "roots", "schema_version": 1, "config": {}, "failures": []})
+
+
+def test_verify_passes_r_and_t_to_the_audit(tmp_path):
+    out = tmp_path / "thm32.json"
+    argv = ["verify", "thm32", "--type", "A2", "--max-len", "3", "--samples", "10",
+            "--r", "2", "--t", "1/3", "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["config"]["r"], doc["config"]["t"]) == ("2", "1/3")
+    assert (doc["constants"]["r"], doc["constants"]["t"]) == ("2", "1/3")
+    assert doc["failures"] == []

@@ -1,11 +1,17 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as Q
 from math import comb
 
 import pytest
 from mpmath import mp
+from mpmath.libmp.libelefun import exp_fixed
 
 from loopcert import decay
+from loopcert.cli import main
+
+FOURIER_REPORT_SHA256 = "7602de549c0c5d43bbef4feaa66a4ffc411e6e9c98c6c7155a37e77833540819"
 
 
 def test_derivative_poly_base_cases():
@@ -129,6 +135,74 @@ def test_sigma_hat_zero_matches_l1():
 def test_sigma_hat_even():
     with mp.workprec(128):
         assert abs(decay.sigma_hat(Q(7, 2), 96) - decay.sigma_hat(Q(-7, 2), 96)) < mp.mpf("1e-25")
+
+
+def _grid_sum_reference(r: Q, precision_bits: int):
+    """sigma_hat's grid sum done in mpf at precision_bits + 100: the same
+    panels, Gauss-Legendre nodes and weights, with sigma and the cosine
+    evaluated directly at every node."""
+    panels = 512 if abs(r) <= 128 else 2048
+    k_panels = panels - max(1, panels // 700)
+    rule = decay.gauss_legendre(16, precision_bits)
+    with mp.workprec(precision_bits + 100):
+        omega = 2 * mp.pi * mp.mpf(r.numerator) / r.denominator
+        terms = []
+        for p in range(k_panels):
+            for t, w in rule:
+                x = (2 * p + 1 + t) / (2 * panels)
+                terms.append(mp.exp(-1 / (1 - x * x)) * w * mp.cos(omega * x))
+        return mp.fsum(terms) / panels
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("r", [Q(1201, 64), Q(10001, 64)])  # 512- and 2048-panel grids
+def test_sigma_hat_fixed_point_within_bound(r, bits):
+    value, bound = decay._sigma_hat_bounded(r, bits)
+    reference = _grid_sum_reference(r, bits)
+    with mp.workprec(bits + 100):
+        assert abs(value - reference) <= bound
+        assert bound <= mp.ldexp(1, -bits)
+        assert decay.sigma_hat(r, bits) == value
+
+
+def test_exp_fixed_error_under_assumed_ulps():
+    # the grid's entry bound assumes exp_fixed(v, F) is within
+    # _EXP_FIXED_ULPS units of 2^-F of e^v for v <= -1; in practice it is a
+    # few units, far inside the assumption
+    rng = random.Random(4)
+    for f in (168, 296):
+        worst = 0
+        for _ in range(400):
+            v = -rng.randrange(1 << f, 400 << f)
+            with mp.workprec(f + 80):
+                exact = mp.ldexp(mp.exp(mp.ldexp(v, -f)), f)
+            worst = max(worst, abs(exp_fixed(v, f) - exact))
+        assert worst <= 16 <= decay._EXP_FIXED_ULPS, (f, worst)
+
+
+def test_sigma_hat_rejects_unbounded_truncation(monkeypatch):
+    # with an absurd exp_fixed error the bound passes 2^-precision_bits and
+    # the value is refused instead of returned
+    decay._oscillation_grid.cache_clear()
+    monkeypatch.setattr(decay, "_EXP_FIXED_ULPS", 1 << 80)
+    try:
+        with pytest.raises(ArithmeticError):
+            decay.sigma_hat(Q(7, 2), 96)
+    finally:
+        decay._oscillation_grid.cache_clear()
+
+
+def test_fourier_report_unchanged(capsys):
+    # report bytes of `decay fourier --range 40,120 --samples 5 --prec 128`
+    # from the mpf implementation of sigma_hat; the fit crosses r = 128, so
+    # both oscillation grids are used
+    assert main(["decay", "fourier", "--range", "40,120", "--samples", "5", "--prec", "128"]) == 0
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    assert doc["exponent_coeff"] == "2.4129741520621136348"
+    assert doc["const"] == "1.4800371000516183353"
+    assert doc["residual"] == "0.091364"
+    assert hashlib.sha256(text.encode()).hexdigest() == FOURIER_REPORT_SHA256
 
 
 def test_fourier_fit_small_window():
