@@ -16,9 +16,17 @@ L1 norms are computed by panel quadrature: panels split at the sign changes
 of P_N (so the integrand is smooth per panel), subdivide geometrically toward
 the endpoints, and the last sliver (1-delta, 1) is bounded rigorously using
 |sigma^(N)| <= sum|coeffs| * (1-x)^(-2N) e^{-1/(2(1-x))}, whose integral is an
-incomplete gamma value.  An independent telescoping oracle (exact
+incomplete gamma value.  The reported error is an estimate (the GL48 - GL24
+differences) plus that tail bound.  An independent telescoping oracle (exact
 antiderivative evaluation between sign changes) cross-checks the quadrature
 for N >= 1.
+
+The hot loops run in fixed point, on Python integers scaled by 2^F: the
+Horner evaluation of P_N inside the integrand (F = working precision + 40,
+coefficients pre-shifted per (N, F)), the Newton iteration behind the
+Gauss-Legendre tables (F = prec + 60), and the sigma_hat grid and phase
+recurrence (F = precision_bits + 40).  Each docstring states its truncation
+error; values cross into mpf only at the ends.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from mpmath import mp
+from mpmath.libmp import to_fixed
 from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 
@@ -127,11 +136,45 @@ def sigma_mp(x):
     return mp.e ** (-1 / (1 - x * x))
 
 
+@lru_cache(maxsize=None)
+def _horner_table(n: int, f: int) -> tuple:
+    """The primitive coefficients of P_n, highest degree first, each shifted
+    left by f bits, and the scale of P_n as an mpf at f - 40 bits."""
+    poly = derivative_poly(n).poly
+    with mp.workprec(f - 40):
+        scale = mp.mpf(poly.scale.numerator) / poly.scale.denominator
+    return tuple(c << f for c in reversed(poly.coeffs)), scale
+
+
 def sigma_deriv_mp(n: int, x):
+    """sigma^(n)(x) = P_n(x) (1-x^2)^(-2n) e^{-1/(1-x^2)} at the working
+    precision.
+
+    P_n is evaluated by Horner on Python integers scaled by 2^F, F = working
+    precision + 40: x is floored to F fractional bits (exactly, whenever
+    |x| >= 2^-40) and each step is acc = ((acc * x) >> F) + c with the
+    primitive coefficients c pre-shifted by F.  Each shift floors by less
+    than one unit of 2^-F, and |x| < 1 keeps earlier errors from growing, so
+    the primitive polynomial is off by less than `degree` units of 2^-F, and
+    P_n by less than degree * |scale| * 2^-F, for x as floored.
+
+    u = 1 - x^2 and 1/u come from the same fixed-point x, each within a unit
+    of 2^-F, so e^{-1/u} gets an argument far more accurate than an mpf
+    1/u near x = 1 would give it.  u^(-2n), the exponential and the products
+    are mpf, which adds a relative error of a few units of 2^-precision."""
+    x = mp.mpf(x)
     if abs(x) >= 1:
         return mp.mpf(0)
-    rep = derivative_poly(n)
-    return rep.poly.eval_mpf(x) * (1 - x * x) ** (-2 * n) * sigma_mp(x)
+    f = mp.prec + 40
+    coeffs, scale = _horner_table(n, f)
+    xf = to_fixed(x._mpf_, f)
+    acc = 0
+    for c in coeffs:
+        acc = ((acc * xf) >> f) + c
+    one = 1 << f
+    u = one - ((xf * xf) >> f)
+    v = (one << f) // u  # 1/u
+    return mp.ldexp(acc, -f) * scale * mp.ldexp(u, -f) ** (-2 * n) * mp.exp(mp.ldexp(-v, -f))
 
 
 # ---------------------------------------------------------------------------
@@ -276,34 +319,51 @@ def _poly_deriv_mpf(poly: RationalPolynomial, x):
 # Gauss-Legendre panels
 
 
+def _legendre_fixed(n: int, x: int, f: int) -> tuple:
+    """(P_n(x), P_n'(x)) by the three-term recurrence on integers scaled by
+    2^f, for |x| < 1 in the same scaling."""
+    one = 1 << f
+    p0, p1 = one, x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * ((x * p1) >> f) - (j - 1) * p0) // j
+    return p1, (n * (((x * p1) >> f) - p0) << f) // (((x * x) >> f) - one)
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int, prec: int) -> tuple:
-    """Nodes and weights on [-1,1] by Newton iteration on P_n."""
+    """Nodes and weights on [-1,1], ascending, as mpf at prec + 40 bits.
+
+    Newton iteration on P_n from the starting guesses
+    cos(pi (k - 1/4) / (n + 1/2)), run on Python integers scaled by 2^F,
+    F = prec + 60: the recurrence for P_n and P_n' floors once per product
+    and quotient, so its values are off by O(n^2) units of 2^-F, far below
+    the 2^-(prec+20) step at which the iteration stops.  The weight
+    2 / ((1 - x^2) P_n'(x)^2) is taken at the final node."""
+    f = prec + 60
+    one = 1 << f
+    eps = 1 << (f - prec - 20)
+    with mp.workprec(f):
+        guesses = [to_fixed(mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))._mpf_, f)
+                   for k in range(1, n // 2 + 1)]
+
+    def node_weight(x):
+        _, dp = _legendre_fixed(n, x, f)
+        w = (2 << (4 * f)) // ((one - ((x * x) >> f)) * dp * dp)
+        return mp.ldexp(mp.mpf(x), -f), mp.ldexp(mp.mpf(w), -f)
+
+    nodes = []  # the positive half, descending
+    for x in guesses:
+        for _ in range(60):
+            p, dp = _legendre_fixed(n, x, f)
+            dx = (p << f) // dp
+            x -= dx
+            if abs(dx) < eps:
+                break
+        nodes.append(x)
     with mp.workprec(prec + 40):
-        nodes = []
-        for k in range(1, n // 2 + 1):
-            x = mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))
-            for _ in range(60):
-                p0, p1 = mp.mpf(1), x
-                for j in range(2, n + 1):
-                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-                dp = n * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < mp.mpf(2) ** (-(prec + 20)):
-                    break
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append((x, w))
-        out = [(-x, w) for x, w in nodes]
-        if n % 2 == 1:
-            x = mp.mpf(0)
-            p0, p1 = mp.mpf(1), x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            out.append((x, 2 / (dp * dp)))
-        out.extend((x, w) for x, w in reversed(nodes))
-        return tuple(out)
+        right = [node_weight(x) for x in nodes]
+        middle = [node_weight(0)] if n % 2 == 1 else []
+        return tuple([(-x, w) for x, w in right] + middle + right[::-1])
 
 
 def _panel_integral(f, a, b, order: int):
@@ -312,16 +372,48 @@ def _panel_integral(f, a, b, order: int):
     return half * mp.fsum(w * f(mid + half * x) for x, w in gauss_legendre(order, mp.prec))
 
 
-def _adaptive_panel(f, a, b, tol, order: int = 24, depth: int = 0):
-    coarse = _panel_integral(f, a, b, order)
+_MAX_DEPTH = 12
+
+
+def _adaptive_panel(f, a, b, tol, order: int = 24, depth: int = 0, coarse=None):
+    """(value, error estimate, depth-cap hits) of the integral of f over
+    [a, b]: GL(2 order) where it is within tol of GL(order), else bisected.
+    The estimate is the sum of |GL(2 order) - GL(order)| over the accepted
+    pieces, not a bound.  A piece still off by more than tol at depth
+    _MAX_DEPTH is accepted and counted as a cap hit.  `coarse` is GL(order)
+    on [a, b] when the caller has it already."""
+    if coarse is None:
+        coarse = _panel_integral(f, a, b, order)
     fine = _panel_integral(f, a, b, 2 * order)
     err = abs(fine - coarse)
-    if err <= tol or depth >= 12:
-        return fine, err
+    if err <= tol:
+        return fine, err, 0
+    if depth >= _MAX_DEPTH:
+        return fine, err, 1
     mid = (a + b) / 2
     left = _adaptive_panel(f, a, mid, tol / 2, order, depth + 1)
     right = _adaptive_panel(f, mid, b, tol / 2, order, depth + 1)
-    return left[0] + right[0], left[1] + right[1]
+    return left[0] + right[0], left[1] + right[1], left[2] + right[2]
+
+
+def _rough_pass(f, bounds) -> tuple:
+    """GL24 on each panel between consecutive bounds, and the sum of their
+    absolute values, which anchors the panel tolerances."""
+    coarse = [_panel_integral(f, a, b, 24) for a, b in zip(bounds, bounds[1:])]
+    return coarse, mp.fsum(abs(c) for c in coarse)
+
+
+def _adaptive_sum(f, bounds, coarse, tol) -> tuple:
+    """(sum of |integral|, error estimate, depth-cap hits) over the panels,
+    each refined from its rough-pass value."""
+    total = err = mp.mpf(0)
+    hits = 0
+    for a, b, c in zip(bounds, bounds[1:], coarse):
+        val, e, h = _adaptive_panel(f, a, b, tol, coarse=c)
+        total += abs(val)
+        err += e
+        hits += h
+    return total, err, hits
 
 
 def _endpoint_tail_bound(n: int, delta):
@@ -334,11 +426,14 @@ def _endpoint_tail_bound(n: int, delta):
 
 
 def l1_norm(n: int, precision_bits: int = 256) -> dict:
-    """ln of the L1 norm of sigma^(n) on (-1,1) plus a certified error field.
+    """ln of the L1 norm of sigma^(n) on (-1,1) plus an error estimate.
 
-    Returns {"ln": mpf, "norm": mpf, "abs_err": mpf}; raises ArithmeticError
-    if the requested relative accuracy 2^(-precision_bits/2) is unreachable.
-    """
+    Returns {"ln": mpf, "norm": mpf, "abs_err": mpf, "depth_cap_hits": int}.
+    abs_err is an estimate, not a bound: the sum over accepted panels of
+    |GL48 - GL24|, plus the rigorous endpoint-tail bound.  depth_cap_hits
+    counts panels accepted at the bisection cap with their estimate still
+    above tolerance.  Raises ArithmeticError if the estimated relative
+    accuracy misses 2^(-precision_bits/2)."""
     with mp.workprec(precision_bits + 60):
         # pick delta so the endpoint remainder is negligible at this precision
         delta = mp.mpf(1) / (2 * (precision_bits + 4 * n + 40))
@@ -361,24 +456,19 @@ def l1_norm(n: int, precision_bits: int = 256) -> dict:
         bounds.append(top)
 
         f = lambda x: sigma_deriv_mp(n, x)
-        # norms grow like (2n)^(2n); the certified error target is relative,
-        # so anchor the panel tolerances to a rough first-pass magnitude
-        rough = mp.fsum(abs(_panel_integral(f, a, b, 24)) for a, b in zip(bounds, bounds[1:]))
+        # norms grow like (2n)^(2n); the error target is relative, so anchor
+        # the panel tolerances to a rough first-pass magnitude
+        coarse, rough = _rough_pass(f, bounds)
         scale = max(rough, mp.mpf(2) ** (-precision_bits))
         tol = scale * target / (2 * len(bounds))
-        total = mp.mpf(0)
-        err = tail
-        for a, b in zip(bounds, bounds[1:]):
-            val, e = _adaptive_panel(f, a, b, tol)
-            total += abs(val)
-            err += e
+        total, err, hits = _adaptive_sum(f, bounds, coarse, tol)
         total = 2 * total + tail  # parity: |sigma^(n)| is even
-        err *= 2
+        err = 2 * (err + tail)
         if not total > 0:
             raise ArithmeticError("vanishing norm estimate")
         if err / total > mp.mpf(2) ** (-(precision_bits // 2)):
             raise ArithmeticError(f"requested precision unreachable at N={n}")
-        return {"ln": mp.log(total), "norm": total, "abs_err": err}
+        return {"ln": mp.log(total), "norm": total, "abs_err": err, "depth_cap_hits": hits}
 
 
 def l1_norm_extrema(n: int, precision_bits: int = 256):
@@ -424,12 +514,9 @@ def scaled_l1_norm_direct(n: int, c_scale: Q, precision_bits: int = 256):
         bounds.append(top)
         f = lambda x: c ** (-n) * sigma_deriv_mp(n, x / c)
         target = mp.mpf(2) ** (-(precision_bits // 2) - 10)
-        rough = mp.fsum(abs(_panel_integral(f, a, b, 24)) for a, b in zip(bounds, bounds[1:]))
+        coarse, rough = _rough_pass(f, bounds)
         tol = max(rough, mp.mpf(2) ** (-precision_bits)) * target / (2 * len(bounds))
-        total = mp.mpf(0)
-        for a, b in zip(bounds, bounds[1:]):
-            val, _ = _adaptive_panel(f, a, b, tol)
-            total += abs(val)
+        total, _, _ = _adaptive_sum(f, bounds, coarse, tol)
         return mp.log(2 * total + tail)
 
 
@@ -585,12 +672,14 @@ def fourier_envelope(r, precision_bits: int = 256, scan: int = 5):
     with mp.workprec(precision_bits + 40):
         r = mp.mpf(r)
         window = mp.sqrt(2 * mp.pi * r)
-        best_r, best = r, abs(sigma_hat(r, precision_bits))
+        at_r = abs(sigma_hat(r, precision_bits))
+        best_r, best = r, at_r
         for k in range(scan):
             rk = r - window / 2 + window * k / (scan - 1)
             if rk <= 0:
                 continue
-            v = abs(sigma_hat(rk, precision_bits))
+            # the middle of an odd scan lands on r itself
+            v = at_r if rk == r else abs(sigma_hat(rk, precision_bits))
             if v > best:
                 best_r, best = rk, v
         return best_r, best
@@ -664,12 +753,9 @@ def l2_norm(n: int, precision_bits: int = 256):
         g2 = lambda x: sigma_deriv_mp(n, x) ** 2
         delta = mp.mpf(1) / (2 * (precision_bits + 4 * n + 40))
         bounds = [mp.mpf(0), mp.mpf(1) / 2, mp.mpf(3) / 4, mp.mpf(7) / 8, 1 - delta]
-        rough = mp.fsum(abs(_panel_integral(g2, a, b, 24)) for a, b in zip(bounds, bounds[1:]))
+        coarse, rough = _rough_pass(g2, bounds)
         tol = max(rough, mp.mpf(2) ** (-precision_bits)) * mp.mpf(2) ** (-(precision_bits // 2) - 8) / 8
-        right = mp.mpf(0)
-        for a, b in zip(bounds, bounds[1:]):
-            val, _ = _adaptive_panel(g2, a, b, tol, order=24)
-            right += val
+        right, _, _ = _adaptive_sum(g2, bounds, coarse, tol)  # every panel value is positive
         return mp.sqrt(2 * right)
 
 

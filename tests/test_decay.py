@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 from mpmath import mp
+from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp.libelefun import exp_fixed
 
 from loopcert import decay
@@ -125,6 +126,111 @@ def test_scaled_norm_identity_and_direct_path():
         direct = decay.scaled_l1_norm_direct(3, Q(1, 4), 160)
         closed = decay.scaled_l1_norm(3, Q(1, 4), 160)
         assert abs(direct - closed) < mp.mpf("1e-24")
+
+
+L1_REPORT_VALUES = {
+    1: ("-0.306852819440054690582767878542", "5.0109e-47", "-0.306852819440054690582767878542"),
+    8: ("25.5625084918900867560708756466", "8.5202e-34", "25.5625084918900867560708756466"),
+    20: ("103.318308482906650632829165878", "5.9455", "103.318308482906650632829165878"),
+}
+L2_NORM_VALUES = (
+    "0.364809704976435997716113481344600690235543303866263742866249",
+    "0.639989891133266360572820057784998353141623517597929577639374",
+    "3.29154489736945037882720839300282925685832826925940942169631",
+    "56.5942953954945659090244728646635571259324111015183726687293",
+)
+
+
+def test_l1_l2_values_unchanged(capsys):
+    # strings of `decay l1 --n N` and l2_norm at 256 bits as computed by the
+    # mpf Horner integrand and mpf Gauss-Legendre tables
+    for n, expected in L1_REPORT_VALUES.items():
+        assert main(["decay", "l1", "--n", str(n)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["ln_norm"], doc["abs_err"], doc["ln_norm_telescoping"]) == expected, n
+    for n, expected in enumerate(L2_NORM_VALUES):
+        assert mp.nstr(decay.l2_norm(n, 256), 60) == expected, n
+
+
+@pytest.mark.parametrize("n, degree", [(24, 4), (48, 5)])
+def test_gauss_legendre_against_mpmath(n, degree):
+    # mpmath's own Gauss-Legendre rule of degree m has 3 * 2^(m-1) nodes
+    prec = 316
+    rule = decay.gauss_legendre(n, prec)
+    with mp.workprec(prec + 100):
+        ref = sorted(GaussLegendre(mp).calc_nodes(degree, prec + 40))
+        assert len(rule) == len(ref) == n
+        tol = mp.ldexp(1, -(prec + 30))
+        for (x, w), (rx, rw) in zip(rule, ref):
+            assert abs(x - rx) <= tol and abs(w - rw) <= tol, (x, rx)
+
+
+def test_gauss_legendre_exact_on_even_powers():
+    # a 16-node rule integrates every polynomial of degree <= 31 exactly
+    prec = 128
+    rule = decay.gauss_legendre(16, prec)
+    with mp.workprec(prec + 100):
+        for k in range(16):
+            total = mp.fsum(w * x ** (2 * k) for x, w in rule)
+            assert abs(total - mp.mpf(2) / (2 * k + 1)) <= mp.ldexp(1, -(prec + 30)), k
+
+
+def _sigma_deriv_reference(n: int, x: Q, prec: int):
+    """(sigma^(n)(x), (1-x^2)^(-2n) e^{-1/(1-x^2)}) at the dyadic x: P_n
+    exactly in rationals, the other factors in mpf at prec + 100."""
+    p = decay.derivative_poly(n).poly.eval_q(x)
+    u = 1 - x * x
+    with mp.workprec(prec + 100):
+        um = mp.mpf(u.numerator) / u.denominator
+        g = um ** (-2 * n) * mp.exp(-1 / um)
+        return mp.mpf(p.numerator) / p.denominator * g, g
+
+
+def test_sigma_deriv_fixed_point_within_horner_bound():
+    # near the sign changes of P_n the Horner truncation dominates; near
+    # 1 - delta the factors do.  Allowed: degree * |scale| units of 2^-F for
+    # P_n times the factors, plus 8 units of 2^-prec relative for the mpf part
+    prec = 316
+    f = prec + 40
+    for n in range(1, 21):
+        poly = decay.derivative_poly(n).poly
+        delta = Q(1, 2 * (256 + 4 * n + 40))
+        with mp.workprec(prec):
+            points = list(decay.sign_change_roots(n, 256)) + [1 - mp.mpf(delta.numerator) / delta.denominator]
+            dyadic = [Q(int(mp.ldexp(x, prec)), 1 << prec) for x in points]
+        for x in dyadic:
+            with mp.workprec(prec):
+                value = decay.sigma_deriv_mp(n, mp.mpf(x.numerator) / x.denominator)
+            ref, g = _sigma_deriv_reference(n, x, prec)
+            with mp.workprec(prec + 100):
+                horner = poly.degree * abs(mp.mpf(poly.scale.numerator) / poly.scale.denominator) * mp.ldexp(g, -f)
+                assert abs(value - ref) <= horner + 8 * mp.ldexp(abs(ref), -prec), (n, float(x))
+
+
+def test_l1_norm_reports_no_depth_cap_hits():
+    for n in (1, 10, 20):
+        assert decay.l1_norm(n, 256)["depth_cap_hits"] == 0, n
+
+
+def test_adaptive_panel_counts_depth_cap_hits(monkeypatch):
+    # with a tolerance no piece can meet, every piece at the cap is a hit
+    monkeypatch.setattr(decay, "_MAX_DEPTH", 3)
+    with mp.workprec(128):
+        _, _, hits = decay._adaptive_panel(mp.exp, mp.mpf(0), mp.mpf(1), mp.mpf(-1))
+    assert hits == 2**3
+
+
+def test_fourier_envelope_evaluates_each_scan_point_once(monkeypatch):
+    calls = []
+    real = decay.sigma_hat
+
+    def counting(r, bits):
+        calls.append(r)
+        return real(r, bits)
+
+    monkeypatch.setattr(decay, "sigma_hat", counting)
+    decay.fourier_envelope(50, 128)
+    assert len(calls) == len(set(calls)) == 5
 
 
 def test_sigma_hat_zero_matches_l1():
