@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction as Q
+from functools import lru_cache
 
 from mpmath import mp
 
@@ -34,7 +35,7 @@ def _enumerated(label: str, max_len: int):
     return rs, weyl.enumerate_by_length(rs, max_len)
 
 
-def criterion_1_length_formulas(seed: int, prec: int, threads: int) -> tuple[bool, str]:
+def criterion_1_length_formulas(seed: int, prec: int) -> tuple[bool, str]:
     """IM length == BFS depth == |inverted set| for every enumerated element."""
     checked = 0
     for label, max_len in LENGTH_SWEEPS:
@@ -49,7 +50,7 @@ def criterion_1_length_formulas(seed: int, prec: int, threads: int) -> tuple[boo
     return True, f"{checked} elements over {[f'{t}<= {m}' for t, m in LENGTH_SWEEPS]}"
 
 
-def criterion_2_kappa_bound(seed: int, prec: int, threads: int) -> tuple[bool, str]:
+def criterion_2_kappa_bound(seed: int, prec: int) -> tuple[bool, str]:
     """kappa_i(w^{-1}) <= l(w)+1 on every Kostant element; the rank-1 tight
     case (generator w_2, kappa = 2 = l+1) must appear among the extremals."""
     tight_a1 = False
@@ -69,7 +70,7 @@ def criterion_2_kappa_bound(seed: int, prec: int, threads: int) -> tuple[bool, s
     return True, f"zero violations; {total_tight} tight cases incl. A1 generator"
 
 
-def criterion_3_flipped_shape(seed: int, prec: int, threads: int) -> tuple[bool, str]:
+def criterion_3_flipped_shape(seed: int, prec: int) -> tuple[bool, str]:
     """Every flipped root of a Kostant element is beta + n iota, beta > 0, n < 0."""
     checked = 0
     for label, max_len in LENGTH_SWEEPS:
@@ -81,21 +82,16 @@ def criterion_3_flipped_shape(seed: int, prec: int, threads: int) -> tuple[bool,
     return True, f"exhaustive over {checked} Kostant elements, zero violations"
 
 
-_AUDIT_CACHE: dict[int, ineq.InequalityReport] = {}
-
-
-def _audit_a2(seed: int, threads: int) -> ineq.InequalityReport:
+@lru_cache(maxsize=1)
+def _audit_a2(seed: int) -> ineq.InequalityReport:
     """Criteria 4 and 5 share one audit run (the corollary pass rides along)."""
-    if seed not in _AUDIT_CACHE:
-        rs = build_root_system_label("A2")
-        _AUDIT_CACHE[seed] = ineq.run_audit(rs, 8, 1000, 100, seed=seed, with_corollary=True, threads=threads)
-    return _AUDIT_CACHE[seed]
+    return ineq.run_audit(build_root_system_label("A2"), 8, 1000, 100, seed=seed, with_corollary=True)
 
 
-def criterion_4_theorem_audit(seed: int, prec: int, threads: int) -> tuple[bool, str]:
+def criterion_4_theorem_audit(seed: int, prec: int) -> tuple[bool, str]:
     """Sign and growth inequalities over affine A2, length <= 8, with
     C1 = 1 (simply-laced) and empirically extracted C2, C3."""
-    rep = _audit_a2(seed, threads)
+    rep = _audit_a2(seed)
     sign_growth = [v for v in rep.violations if not v["check"].startswith("cor34")]
     if sign_growth:
         return False, f"violations: {sign_growth[:3]}"
@@ -107,9 +103,9 @@ def criterion_4_theorem_audit(seed: int, prec: int, threads: int) -> tuple[bool,
     )
 
 
-def criterion_5_corollary(seed: int, prec: int, threads: int) -> tuple[bool, str]:
+def criterion_5_corollary(seed: int, prec: int) -> tuple[bool, str]:
     """Composite bound x >= D y^{-1/(C(l+1))} with the extracted constants."""
-    rep = _audit_a2(seed, threads)
+    rep = _audit_a2(seed)
     cor = [v for v in rep.violations if v["check"].startswith("cor34")]
     if cor:
         return False, f"violations: {cor[:3]}"
@@ -117,7 +113,7 @@ def criterion_5_corollary(seed: int, prec: int, threads: int) -> tuple[bool, str
     return True, f"zero violations; worst exact log-domain margin = {float(Q(margin)):.4g}"
 
 
-def criterion_6_certificates(seed: int, prec: int, threads: int) -> tuple[bool, str]:
+def criterion_6_certificates(seed: int, prec: int) -> tuple[bool, str]:
     """Shell maxima eventually decreasing (lag-2) and partial sums stable to
     six digits before max_len, for re_nu in {-10, 0, 2 h_dual}."""
     details = []
@@ -135,7 +131,7 @@ def criterion_6_certificates(seed: int, prec: int, threads: int) -> tuple[bool, 
     return True, "; ".join(details)
 
 
-def criterion_7_decay_suite(seed: int, prec: int, threads: int) -> tuple[bool, str]:
+def criterion_7_decay_suite(seed: int, prec: int) -> tuple[bool, str]:
     """One-variable suite at 256-bit precision; see the module docstrings for
     the quadrature contracts."""
     prec = max(prec, 256)
@@ -174,7 +170,7 @@ def criterion_7_decay_suite(seed: int, prec: int, threads: int) -> tuple[bool, s
     )
 
 
-def criterion_8_cross_oracles(seed: int, prec: int, threads: int) -> tuple[bool, str]:
+def criterion_8_cross_oracles(seed: int, prec: int) -> tuple[bool, str]:
     """Dual Coxeter numbers two ways vs the frozen table; word-path vs
     scan-path inverted sets; action duality on random pairs."""
     for label, expected in DUAL_COXETER_TABLE.items():
@@ -243,7 +239,7 @@ def _timed_row(cid: str, desc: str, budget: int, fn, echo) -> dict:
             "budget_s": budget, "detail": detail}
 
 
-def run_all(seed: int = 20260808, prec: int = 256, threads: int = 1, profile: str = "small", echo=print) -> list[dict]:
+def run_all(seed: int = 20260808, prec: int = 256, profile: str = "small", echo=print) -> list[dict]:
     """Run every criterion, printing one pass/fail line each; the full profile
     additionally builds the larger exceptional types as a smoke test and runs
     timed extended lemma sweeps (the F+ rows)."""
@@ -259,5 +255,5 @@ def run_all(seed: int = 20260808, prec: int = 256, threads: int = 1, profile: st
 
                 results.append(_timed_row(f"F+{lemma}-{label}", f"extended sweep {lemma} {label}", 300, sweep, echo))
     for cid, desc, fn, budget in CRITERIA:
-        results.append(_timed_row(cid, desc, budget, lambda fn=fn: fn(seed, prec, threads), echo))
+        results.append(_timed_row(cid, desc, budget, lambda fn=fn: fn(seed, prec), echo))
     return results

@@ -133,10 +133,6 @@ def classical_weight(rs: FiniteRootSystem, coords) -> AffineWeight:
     return AffineWeight(Weight(vec(coords)), Q(0), Q(0))
 
 
-def zero_weight(rs: FiniteRootSystem) -> AffineWeight:
-    return AffineWeight(Weight(zero_vec(rs.rank)), Q(0), Q(0))
-
-
 def zero_cartan(rs: FiniteRootSystem) -> CartanElement:
     return CartanElement(zero_vec(rs.rank), Q(0), Q(0))
 

@@ -358,10 +358,6 @@ def build_root_system_label(label: str) -> FiniteRootSystem:
     return build_root_system(*parse_type(label))
 
 
-def pairing(rs: FiniteRootSystem, lam: Vec, h: Vec) -> Q:
-    return rs.pairing(lam, h)
-
-
 def weight_in_simple_roots(rs: FiniteRootSystem, i: int) -> Vec:
     """Expansion of omega_i in simple roots; strictly positive entrywise."""
     w = rs.fundamental_weights[i]

@@ -2,10 +2,14 @@
 verification sweeps, entirety certificates, the one-variable decay suite, and
 the reproduce-all acceptance driver.
 
-Config precedence: flags > --config file > environment (LOOPCERT_*) >
-defaults.  Every report echoes its resolved config; reruns with the same
-config and seed write byte-identical files (timing only with --timing).
-Exit codes: 0 clean, 2 usage/parameter error, 3 internal invariant failure.
+Each subcommand takes only the flags it reads: --out and --timing everywhere,
+--seed on verify and reproduce-all, --prec on certify, decay and
+reproduce-all.  Config precedence: flags > --config file > environment
+(LOOPCERT_SEED, LOOPCERT_PREC, LOOPCERT_OUT_DIR) > defaults.  Every report
+echoes its resolved config; reruns with the same config and seed write
+byte-identical files (timing only with --timing).
+Exit codes: 0 clean, 1 checks failed, 2 usage/parameter error, 3 internal
+invariant failure.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ def _q(text: str) -> Q:
     try:
         return Q(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
 def _env_default(name: str, cast, fallback):
@@ -51,28 +55,29 @@ def _env_default(name: str, cast, fallback):
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="loopcert", description=__doc__)
     top.add_argument("--config", help="JSON file with default flag values")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=_env_default("seed", int, 20260808))
-    common.add_argument("--prec", type=int, default=_env_default("prec", int, 256), help="precision bits")
-    common.add_argument("--threads", type=int, default=_env_default("threads", int, 1))
-    common.add_argument("--out", default=None, help="output path (reports: JSON)")
-    common.add_argument("--timing", action="store_true", help="include wall time in the report (breaks byte-determinism)")
+    out_flags = argparse.ArgumentParser(add_help=False)
+    out_flags.add_argument("--out", default=None, help="output path (reports: JSON)")
+    out_flags.add_argument("--timing", action="store_true", help="include wall time in the report (breaks byte-determinism)")
+    seed_flag = argparse.ArgumentParser(add_help=False)
+    seed_flag.add_argument("--seed", type=int, default=_env_default("seed", int, 20260808))
+    prec_flag = argparse.ArgumentParser(add_help=False)
+    prec_flag.add_argument("--prec", type=int, default=_env_default("prec", int, 256), help="precision bits")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("roots", parents=[common], help="emit the finite root datum as JSON")
+    p = sub.add_parser("roots", parents=[out_flags], help="emit the finite root datum as JSON")
     p.add_argument("--type", required=True, dest="type_label")
 
     pw = sub.add_parser("weyl", help="affine Weyl group tools")
     wsub = pw.add_subparsers(dest="weyl_command", required=True)
-    pe = wsub.add_parser("enumerate", parents=[common], help="JSON lines of elements by length")
+    pe = wsub.add_parser("enumerate", parents=[out_flags], help="JSON lines of elements by length")
     pe.add_argument("--type", required=True, dest="type_label")
     pe.add_argument("--max-len", required=True, type=int)
     pe.add_argument("--kostant", action="store_true", help="restrict to minimal coset representatives")
-    pc = wsub.add_parser("census", parents=[common], help="per-length counts as CSV")
+    pc = wsub.add_parser("census", parents=[out_flags], help="per-length counts as CSV")
     pc.add_argument("--type", required=True, dest="type_label")
     pc.add_argument("--max-len", required=True, type=int)
 
-    p = sub.add_parser("verify", parents=[common], help="run a lemma/theorem verification sweep")
+    p = sub.add_parser("verify", parents=[out_flags, seed_flag], help="run a lemma/theorem verification sweep")
     p.add_argument("lemma", choices=["lemma22", "lemma23", "lemma351", "thm32", "cor34"])
     p.add_argument("--type", required=True, dest="type_label")
     p.add_argument("--max-len", required=True, type=int)
@@ -80,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_q, default=Q(1))
     p.add_argument("--t", type=_q, default=Q(1, 2))
 
-    p = sub.add_parser("certify", parents=[common], help="entirety certificate over Kostant cells")
+    p = sub.add_parser("certify", parents=[out_flags, prec_flag], help="entirety certificate over Kostant cells")
     p.add_argument("--type", required=True, dest="type_label")
     p.add_argument("--max-len", required=True, type=int)
     p.add_argument("--r", type=_q, default=Q(1))
@@ -95,47 +100,56 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("decay", help="one-variable decay estimates")
     dsub = pd.add_subparsers(dest="decay_command", required=True)
-    pl = dsub.add_parser("l1", parents=[common], help="L1 norms of derivatives of the bump")
+    pl = dsub.add_parser("l1", parents=[out_flags, prec_flag], help="L1 norms of derivatives of the bump")
     pl.add_argument("--n", required=True, type=int)
-    pf = dsub.add_parser("fourier", parents=[common], help="envelope decay fit of the transform")
+    pf = dsub.add_parser("fourier", parents=[out_flags, prec_flag], help="envelope decay fit of the transform")
     pf.add_argument("--range", required=True, help="r_min,r_max")
     pf.add_argument("--samples", type=int, default=8)
-    pv = dsub.add_parser("convert", parents=[common], help="moment-to-pointwise conversion")
+    pv = dsub.add_parser("convert", parents=[out_flags, prec_flag], help="moment-to-pointwise conversion")
     pv.add_argument("--c", required=True, type=_q)
     pv.add_argument("--C", required=True, type=_q, dest="big_c")
     pv.add_argument("--y", required=True, type=_q)
 
-    p = sub.add_parser("reproduce-all", parents=[common], help="run the acceptance suite")
+    p = sub.add_parser("reproduce-all", parents=[out_flags, seed_flag, prec_flag], help="run the acceptance suite")
     p.add_argument("--profile", choices=["small", "full"], default="small")
     p.add_argument("--out-dir", default=_env_default("out_dir", str, None))
     return top
 
 
-def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Insert config-file values as defaults: flags still win."""
-    if "--config" not in argv:
+def _apply_config_file(argv: list[str]) -> list[str]:
+    """Expand ``--config FILE`` (or ``--config=FILE``) into ``--key=value``
+    flags placed right after the command words, ahead of the flags given on
+    the command line, which therefore always win.  A JSON ``true`` turns a
+    switch such as ``timing`` on; ``false`` and ``null`` are refused (leaving
+    the key out keeps the default), and argparse rejects a key the command
+    does not read."""
+    idx = next((i for i, tok in enumerate(argv) if tok == "--config" or tok.startswith("--config=")), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    path = argv[idx + 1]
+    if argv[idx] == "--config":
+        if idx + 1 == len(argv):
+            raise UsageError("--config needs a file")
+        path, rest = argv[idx + 1], argv[:idx] + argv[idx + 2 :]
+    else:
+        path, rest = argv[idx].partition("=")[2], argv[:idx] + argv[idx + 1 :]
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: the config file must hold a JSON object")
     extra: list[str] = []
     for key, value in data.items():
         flag = "--" + key.replace("_", "-")
-        if flag not in argv:
-            extra.extend([flag, str(value)])
-    return argv[: idx] + argv[idx + 2 :] + extra
+        if value is True:
+            extra.append(flag)
+        elif value is False or value is None:
+            raise UsageError(f"{path}: {key!r} is {json.dumps(value)}; leave the key out to keep its default")
+        else:
+            extra.append(f"{flag}={value}")
+    head = 2 if rest[:1] in (["weyl"], ["decay"]) else 1
+    return rest[:head] + extra + rest[head:]
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("command", "weyl_command", "decay_command", "config"):
-            out[key] = value
-        elif isinstance(value, Q):
-            out[key] = q_str(value)
-        else:
-            out[key] = value
-    return out
+    return {key: q_str(value) if isinstance(value, Q) else value for key, value in sorted(vars(args).items())}
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +214,7 @@ def cmd_weyl_census(args) -> Report:
 
 def cmd_verify(args) -> Report:
     rs = build_root_system_label(args.type_label)
-    rep = ineq.verify(rs, args.lemma, args.max_len, args.samples, args.seed, args.r, args.t, threads=args.threads)
+    rep = ineq.verify(rs, args.lemma, args.max_len, args.samples, args.seed, args.r, args.t)
     report = Report("verify", _config_echo(args), rep.to_results(), failures=list(rep.violations))
     return report
 
@@ -282,7 +296,7 @@ def cmd_decay(args) -> Report:
 
 
 def cmd_reproduce(args) -> Report:
-    results = acceptance.run_all(seed=args.seed, prec=args.prec, threads=args.threads, profile=args.profile)
+    results = acceptance.run_all(seed=args.seed, prec=args.prec, profile=args.profile)
     failures = [r for r in results if not r["pass"]]
     out_dir = args.out_dir
     if out_dir and not args.out:
@@ -295,11 +309,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv, parser)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config_file(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (OSError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     t0 = time.time()

@@ -438,7 +438,6 @@ def run_audit(
     r: Q = Q(1),
     t: Q = Q(1, 2),
     with_corollary: bool = True,
-    threads: int = 1,
 ) -> InequalityReport:
     """Theorem-3.2 audit (and optionally the composite corollary) over all
     Kostant representatives up to max_len, with per-element seeded sampling."""
@@ -464,11 +463,10 @@ def run_audit(
             c2 = checks["ratio"]
             c2_case = _wid(w)
 
-    def audit_one(idx_w):
-        idx, w = idx_w
-        vio = []
-        c3_max_w = Q(0)
-        lam_h_max: Q | None = None
+    # pass 2: seeded H1/H3 samples per element -> empirical C3
+    c3 = Q(0)
+    samples = []
+    for idx, w in enumerate(kostant):
         rng_h1 = random.Random(derive_seed(seed, f"h1:{idx}"))
         rng_sg = random.Random(derive_seed(seed, f"siegel:{idx}"))
         h1_samples = [sample_h1(rs, w, rng_h1, one_hot=(k % 8 == 7)) for k in range(n_h1)]
@@ -476,39 +474,24 @@ def run_audit(
             h1, checks = h1_vector(rs, s)
             for name, okv in checks.items():
                 if not okv:
-                    vio.append({"check": f"h1.{name}", "sample": k, "w": _wid(w)})
+                    rep.violations.append({"check": f"h1.{name}", "sample": k, "w": _wid(w)})
         siegel_samples = [sample_siegel(rs, rng_sg, r, t) for _ in range(n_siegel)]
         h3_list = []
         for k, s in enumerate(siegel_samples):
             h3, checks = h3_vector(rs, w, s, envelope, rate)
             h3_list.append(h3)
             if not checks["omega_bounded"]:
-                vio.append({"check": "h3.omega_bounded", "sample": k, "w": _wid(w)})
+                rep.violations.append({"check": "h3.omega_bounded", "sample": k, "w": _wid(w)})
             if not checks["growth3"]:
-                vio.append({"check": "h3.growth3", "sample": k, "w": _wid(w)})
-            c3_max_w = max(c3_max_w, checks["c3"])
-        return idx, w, vio, c3_max_w, h1_samples, siegel_samples, h3_list
-
-    tasks = list(enumerate(kostant))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(audit_one, tasks))
-    else:
-        outcomes = [audit_one(tw) for tw in tasks]
-    outcomes.sort(key=lambda o: o[0])
-
-    c3 = Q(0)
-    for _, w, vio, c3_w, *_ in outcomes:
-        rep.violations.extend(vio)
-        c3 = max(c3, c3_w)
+                rep.violations.append({"check": "h3.growth3", "sample": k, "w": _wid(w)})
+            c3 = max(c3, checks["c3"])
+        samples.append((w, h1_samples, siegel_samples, h3_list))
 
     c_const = max(c1, c2, c3, Q(1, 10**6))
     ln_d = -(rs.rank * envelope["E"] + 1)
     worst_margin: Q | None = None
     if with_corollary:
-        for idx, w, _, _, h1_samples, siegel_samples, h3_list in outcomes:
+        for w, h1_samples, siegel_samples, h3_list in samples:
             h2 = h2_cache[w]
             for k, s3 in enumerate(siegel_samples):
                 h1v, _ = h1_vector(rs, h1_samples[k % max(1, len(h1_samples))])
@@ -551,7 +534,6 @@ def verify(
     seed: int,
     r: Q = Q(1),
     t: Q = Q(1, 2),
-    threads: int = 1,
 ) -> InequalityReport:
     """Dispatch for the CLI verify subcommand; r and t reach the audits
     (thm32, cor34) only."""
@@ -562,7 +544,7 @@ def verify(
     if lemma == "lemma351":
         return verify_lemma351(rs, max_len)
     if lemma == "thm32":
-        return run_audit(rs, max_len, samples, max(1, samples // 10), seed, r, t, with_corollary=False, threads=threads)
+        return run_audit(rs, max_len, samples, max(1, samples // 10), seed, r, t, with_corollary=False)
     if lemma == "cor34":
-        return run_audit(rs, max_len, samples, max(1, samples // 10), seed, r, t, with_corollary=True, threads=threads)
+        return run_audit(rs, max_len, samples, max(1, samples // 10), seed, r, t, with_corollary=True)
     raise ValueError(f"unknown lemma {lemma!r}")

@@ -18,10 +18,6 @@ def vec(entries) -> Vec:
     return tuple(Q(e) for e in entries)
 
 
-def mat(rows) -> Mat:
-    return tuple(tuple(Q(e) for e in row) for row in rows)
-
-
 def zero_vec(n: int) -> Vec:
     return (Q(0),) * n
 
@@ -32,10 +28,6 @@ def unit_vec(n: int, i: int) -> Vec:
 
 def vec_add(x: Vec, y: Vec) -> Vec:
     return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def vec_sub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
 
 
 def vec_scale(c, x: Vec) -> Vec:
@@ -87,16 +79,6 @@ def mat_inverse(m: Mat) -> Mat:
 def bilinear(g: Mat, x: Vec, y: Vec) -> Q:
     """x^T g y for a Gram matrix g."""
     return vec_dot(x, mat_vec(g, y))
-
-
-def is_integral(x: Vec) -> bool:
-    return all(Q(e).denominator == 1 for e in x)
-
-
-def as_int_vec(x: Vec) -> tuple[int, ...]:
-    if not is_integral(x):
-        raise ValueError(f"vector is not integral: {x}")
-    return tuple(int(e) for e in x)
 
 
 def leading_principal_minors(m: Mat) -> list[Q]:

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def q_json(x) -> dict:
@@ -35,8 +35,9 @@ def q_str(x) -> str:
 
 
 def derive_seed(seed: int, tag: str) -> int:
-    """Stable 64-bit sub-seed; independent of hash randomization and of the
-    order in which parallel workers consume tasks."""
+    """Stable 64-bit sub-seed for one tagged stream (for example one audited
+    element); independent of hash randomization and of the order in which
+    the streams are drawn."""
     digest = hashlib.sha256(f"{seed}:{tag}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

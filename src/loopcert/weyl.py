@@ -354,14 +354,6 @@ def inverted_roots_scan(rs: FiniteRootSystem, w: AffineWeylElement) -> InvertedR
     return InvertedRootSet(w, tuple(sorted(out, key=lambda a: (a.n, a.classical_part))))
 
 
-def inverted_roots(rs: FiniteRootSystem, w: AffineWeylElement, method: str = "word") -> InvertedRootSet:
-    if method == "word":
-        return inverted_roots_word(rs, w)
-    if method == "scan":
-        return inverted_roots_scan(rs, w)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def neg_inverted(rs: FiniteRootSystem, w: AffineWeylElement) -> tuple[AffineRoot, ...]:
     """The set w^{-1} . Delta_w of negative roots made positive by w."""
     inv = inverse(rs, w)
@@ -411,10 +403,6 @@ def is_kostant(rs: FiniteRootSystem, w: AffineWeylElement) -> bool:
         if not act_on_root(rs, w_inv, a).is_positive(rs):
             return False
     return True
-
-
-def kostant_reps(rs: FiniteRootSystem, layers) -> list[list[AffineWeylElement]]:
-    return [[w for w in layer if is_kostant(rs, w)] for layer in layers]
 
 
 def kappa(rs: FiniteRootSystem, w: AffineWeylElement) -> list[tuple[IntVec, int]]:

@@ -13,7 +13,7 @@ SEED = 20260808
 
 def _run(criterion_fn, cid, desc, budget):
     t0 = time.time()
-    ok, detail = criterion_fn(SEED, 256, 1)
+    ok, detail = criterion_fn(SEED, 256)
     elapsed = time.time() - t0
     print(f"{'PASS' if ok and elapsed <= budget else 'FAIL'} {cid} [{elapsed:6.1f}s/{budget}s] {desc}: {detail}")
     assert ok, detail

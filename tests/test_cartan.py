@@ -8,7 +8,6 @@ from loopcert.cartan import (
     Weight,
     build_root_system,
     build_root_system_label,
-    pairing,
     weight_in_simple_roots,
 )
 from loopcert.linalg import unit_vec, vec
@@ -50,14 +49,14 @@ def test_pairing_examples():
     rs = build_root_system_label("A2")
     h1 = unit_vec(2, 0)
     h2 = unit_vec(2, 1)
-    assert pairing(rs, rs.fundamental_weights[0], h1) == 1
-    assert pairing(rs, rs.fundamental_weights[0], h2) == 0
+    assert rs.pairing(rs.fundamental_weights[0], h1) == 1
+    assert rs.pairing(rs.fundamental_weights[0], h2) == 0
     # <alpha_1, h_2> is the Cartan matrix entry a[2][1] = -1
-    assert pairing(rs, vec((1, 0)), h2) == -1
+    assert rs.pairing(vec((1, 0)), h2) == -1
     for label in ("A2", "G2", "F4", "B2"):
         rs = build_root_system_label(label)
         for i in range(rs.rank):
-            assert pairing(rs, rs.rho, unit_vec(rs.rank, i)) == 1
+            assert rs.pairing(rs.rho, unit_vec(rs.rank, i)) == 1
 
 
 def test_pairing_rank_mismatch():

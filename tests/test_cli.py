@@ -186,3 +186,54 @@ def test_verify_passes_r_and_t_to_the_audit(tmp_path):
     assert (doc["config"]["r"], doc["config"]["t"]) == ("2", "1/3")
     assert (doc["constants"]["r"], doc["constants"]["t"]) == ("2", "1/3")
     assert doc["failures"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--type", "A1", "--seed", "1"],
+    ["roots", "--type", "A1", "--prec", "64"],
+    ["weyl", "enumerate", "--type", "A1", "--max-len", "2", "--seed", "1"],
+    ["weyl", "census", "--type", "A1", "--max-len", "2", "--prec", "64"],
+    ["verify", "lemma23", "--type", "A1", "--max-len", "2", "--prec", "64"],
+    ["certify", "--type", "A1", "--max-len", "2", "--seed", "1"],
+    ["decay", "l1", "--n", "1", "--seed", "1"],
+    ["decay", "fourier", "--range", "50,60", "--seed", "1"],
+    ["decay", "convert", "--c", "1", "--C", "1", "--y", "2", "--seed", "1"],
+    ["roots", "--type", "A1", "--threads", "2"],
+    ["verify", "lemma23", "--type", "A1", "--max-len", "2", "--threads", "2"],
+    ["decay", "convert", "--c", "1", "--C", "1", "--y", "2", "--threads", "2"],
+    ["reproduce-all", "--threads", "2"],
+])
+def test_flag_the_command_does_not_read_is_usage_error(argv):
+    assert main(argv) == 2
+
+
+LEMMA23 = ["verify", "lemma23", "--type", "A1", "--max-len", "2"]
+
+
+@pytest.mark.parametrize("cfg, argv, expected", [
+    # a flag in --flag=value form beats the file
+    ({"seed": 123}, LEMMA23 + ["--seed=9", "--config", "{cfg}"], ("seed", 9)),
+    # a trailing --config names no file
+    ({"seed": 123}, LEMMA23 + ["--config"], None),
+    # --config=FILE is read
+    ({"seed": 123}, LEMMA23 + ["--config={cfg}"], ("seed", 123)),
+    # JSON true turns a switch on
+    ({"timing": True}, LEMMA23 + ["--config", "{cfg}"], ("timing", True)),
+    ({"kostant": True}, ["weyl", "enumerate", "--type", "A1", "--max-len", "2", "--config", "{cfg}"], ("kostant", True)),
+    # a key the command does not read, and a value its flag rejects
+    ({"prec": 64}, LEMMA23 + ["--config", "{cfg}"], None),
+    ({"r": "x"}, LEMMA23 + ["--config", "{cfg}"], None),
+    # false and null are not flag values: leaving the key out keeps the default
+    ({"timing": False}, LEMMA23 + ["--config", "{cfg}"], None),
+    ({"out": None}, LEMMA23 + ["--config", "{cfg}"], None),
+])
+def test_config_file_rules(tmp_path, capsys, cfg, argv, expected):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    rc = main([arg.format(cfg=path) for arg in argv])
+    if expected is None:
+        assert rc == 2
+        return
+    assert rc == 0
+    key, value = expected
+    assert json.loads(capsys.readouterr().out)["config"][key] == value

@@ -12,7 +12,9 @@ from mpmath.libmp.libelefun import exp_fixed
 from loopcert import decay
 from loopcert.cli import main
 
-FOURIER_REPORT_SHA256 = "7602de549c0c5d43bbef4feaa66a4ffc411e6e9c98c6c7155a37e77833540819"
+# sha256 of the report without its config and schema_version, as compact
+# sort_keys JSON
+FOURIER_REPORT_SHA256 = "fd3cacd1a69b8f525f8e1b523c9109f1125de112e6973cbf202b537814369e73"
 
 
 def test_derivative_poly_base_cases():
@@ -64,20 +66,23 @@ def test_root_isolation_exactness():
 
 
 def test_roots_count_against_dense_scan():
-    # dense high-precision scan as an independent oracle (float64 is not
-    # trustworthy here: near the root cluster at x -> 1 it fabricates sign
-    # wiggles by catastrophic cancellation)
-    with mp.workprec(160):
-        for n in range(2, 14):
-            poly = decay._deflated_poly(n)
-            prev, changes = None, 0
-            for k in range(8001):
-                acc = poly.eval_mpf(mp.mpf(k) / 8000)
-                if prev is not None and acc != 0 and (acc > 0) != (prev > 0):
-                    changes += 1
-                if acc != 0:
-                    prev = acc
-            assert changes == len(decay.sign_change_roots(n, 96)), n
+    # dense exact scan as an independent oracle (float64 is not trustworthy
+    # here: near the root cluster at x -> 1 it fabricates sign wiggles by
+    # catastrophic cancellation): m^d P(k/m) by homogeneous Horner on ints
+    m = 8000
+    for n in range(2, 14):
+        poly = decay._deflated_poly(n)
+        scaled = [c * m ** (poly.degree - i) for i, c in enumerate(poly.coeffs)]
+        prev, changes = None, 0
+        for k in range(m + 1):
+            acc = 0
+            for c in reversed(scaled):
+                acc = acc * k + c
+            if prev is not None and acc != 0 and (acc > 0) != (prev > 0):
+                changes += 1
+            if acc != 0:
+                prev = acc
+        assert changes == len(decay.sign_change_roots(n, 96)), n
 
 
 def test_l1_norm_n1_closed_form():
@@ -308,7 +313,10 @@ def test_fourier_report_unchanged(capsys):
     assert doc["exponent_coeff"] == "2.4129741520621136348"
     assert doc["const"] == "1.4800371000516183353"
     assert doc["residual"] == "0.091364"
-    assert hashlib.sha256(text.encode()).hexdigest() == FOURIER_REPORT_SHA256
+    assert doc["config"] == {"command": "decay", "config": None, "decay_command": "fourier", "out": None,
+                             "prec": 128, "range": "40,120", "samples": 5, "timing": False}
+    body = {k: v for k, v in doc.items() if k not in ("config", "schema_version")}
+    assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == FOURIER_REPORT_SHA256
 
 
 def test_fourier_fit_small_window():

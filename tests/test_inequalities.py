@@ -226,13 +226,6 @@ def test_audit_small_run_deterministic():
     assert rep1.extremal_cases == rep2.extremal_cases
 
 
-def test_audit_threads_match_serial():
-    rs = rs_of("A2")
-    rep1 = ineq.run_audit(rs, 4, 20, 5, seed=3, threads=1)
-    rep2 = ineq.run_audit(rs, 4, 20, 5, seed=3, threads=4)
-    assert rep1.constants == rep2.constants and rep1.violations == rep2.violations
-
-
 def test_corollary_identity_case():
     rs = rs_of("A1")
     e = weyl.identity_element(rs)
