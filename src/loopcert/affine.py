@@ -119,7 +119,7 @@ class AffineRoot:
     def is_positive(self, rs: FiniteRootSystem) -> bool:
         if self.n != 0:
             return self.n > 0
-        return self.classical_part in set(rs.positive_roots)
+        return self.classical_part in rs.positive_root_set
 
     def negate(self) -> "AffineRoot":
         return AffineRoot(tuple(-c for c in self.classical_part), -self.n)
@@ -128,29 +128,8 @@ class AffineRoot:
         return AffineWeight(Weight(vec(self.classical_part)), Q(self.n), Q(0))
 
 
-def classical_weight(rs: FiniteRootSystem, coords) -> AffineWeight:
-    """Embed a classical weight with iota = lambda = 0 (trivial on c and D)."""
-    return AffineWeight(Weight(vec(coords)), Q(0), Q(0))
-
-
 def zero_cartan(rs: FiniteRootSystem) -> CartanElement:
     return CartanElement(zero_vec(rs.rank), Q(0), Q(0))
-
-
-def iota_weight(rs: FiniteRootSystem) -> AffineWeight:
-    return AffineWeight(Weight(zero_vec(rs.rank)), Q(1), Q(0))
-
-
-def lambda_weight(rs: FiniteRootSystem) -> AffineWeight:
-    return AffineWeight(Weight(zero_vec(rs.rank)), Q(0), Q(1))
-
-
-def degree_element(rs: FiniteRootSystem) -> CartanElement:
-    return CartanElement(zero_vec(rs.rank), Q(0), Q(1))
-
-
-def h_iota_element(rs: FiniteRootSystem) -> CartanElement:
-    return CartanElement(zero_vec(rs.rank), Q(1), Q(0))
 
 
 def affine_simple_roots(rs: FiniteRootSystem) -> tuple[AffineRoot, ...]:
@@ -196,30 +175,3 @@ def affine_form(rs: FiniteRootSystem, lam: AffineWeight, mu: AffineWeight) -> Q:
         + lam.iota * mu.lam
         + lam.lam * mu.iota
     )
-
-
-def decompose(x: CartanElement) -> tuple[Vec, Q, Q]:
-    """X = X_cl + <Lambda, X> h_iota + d * D, read off the internal basis."""
-    return x.classical, x.h_iota, x.d
-
-
-def recompose(rs: FiniteRootSystem, classical: Vec, h_iota: Q, d: Q) -> CartanElement:
-    return CartanElement(vec(classical), Q(h_iota), Q(d))
-
-
-def hprime(rs: FiniteRootSystem, coeffs) -> CartanElement:
-    """Normalized coroot h'_b for b = sum kappa_i a_i over the l+1 simple roots:
-    h'_b = sum kappa_i (a_i|a_i)/2 h_i, extended linearly."""
-    simples = affine_simple_roots(rs)
-    hs = affine_simple_coroots(rs)
-    out = zero_cartan(rs)
-    for i, k in enumerate(coeffs):
-        norm2 = rs.root_norm2(simples[i].classical_part)
-        out = out + (Q(k) * norm2 / 2) * hs[i]
-    return out
-
-
-def form_gram_extended(rs: FiniteRootSystem):
-    """Gram matrix of the affine form on the basis {a_1..a_{l+1}, Lambda}."""
-    basis = [a.to_weight() for a in affine_simple_roots(rs)] + [lambda_weight(rs)]
-    return tuple(tuple(affine_form(rs, u, v) for v in basis) for u in basis)

@@ -25,11 +25,8 @@ from .linalg import (
     bilinear,
     leading_principal_minors,
     mat_inverse,
-    mat_vec,
-    transpose,
     vec,
     vec_add,
-    vec_dot,
     vec_scale,
     zero_vec,
 )
@@ -185,14 +182,17 @@ def _unit_rows(n: int):
     return tuple(tuple(Q(1) if j == i else Q(0) for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteRootSystem:
-    """Immutable bundle of root data for one irreducible finite type.
+    """The root-system context: immutable root data for one irreducible
+    finite type plus the integer tables built once from it.
 
     ``positive_roots`` are integer vectors in simple-root coordinates;
     ``form`` is the Gram matrix (alpha_i, alpha_j) with (highest, highest) = 2;
     ``fundamental_weights`` are in simple-root coordinates and
-    ``fundamental_coweights`` in simple-coroot coordinates.
+    ``fundamental_coweights`` in simple-coroot coordinates.  Equality and
+    hashing are by identity: :func:`build_root_system_label` hands out one
+    object per type, so caches keyed on it never rehash its fields.
     """
 
     series: str
@@ -206,6 +206,12 @@ class FiniteRootSystem:
     rho: Vec
     d: tuple[Q, ...]  # (alpha_i, alpha_i)/2 per simple root
     coroot_form: Mat  # (h_i, h_j)
+    positive_root_set: frozenset
+    root_set: frozenset  # positive and negative roots
+    root_norms: dict  # root -> (beta, beta), over root_set
+    sym: tuple[int, ...]  # integer symmetrizer, proportional to d, min 1
+    highest_coroot: tuple[int, ...]  # h_theta in simple-coroot coordinates
+    reflections: tuple  # root-coordinate matrices of s_1..s_l and s_theta
 
     @property
     def label(self) -> str:
@@ -229,20 +235,14 @@ class FiniteRootSystem:
         return bilinear(self.coroot_form, vec(g), vec(h))
 
     def root_norm2(self, beta) -> Q:
-        return self.weight_form(vec(beta), vec(beta))
+        """(beta, beta) for a root beta; raises on anything else."""
+        try:
+            return self.root_norms[tuple(beta)]
+        except KeyError:
+            raise RootSystemError(f"{tuple(beta)} is not a root of {self.label}") from None
 
     def is_root(self, beta) -> bool:
-        t = tuple(int(x) for x in beta)
-        return t in self._root_set()
-
-    def _root_set(self) -> frozenset:
-        cached = getattr(self, "_roots_cache", None)
-        if cached is None:
-            cached = frozenset(self.positive_roots) | frozenset(
-                tuple(-x for x in r) for r in self.positive_roots
-            )
-            object.__setattr__(self, "_roots_cache", cached)
-        return cached
+        return tuple(beta) in self.root_set
 
     def coroot_of(self, beta) -> Vec:
         """h_beta in simple-coroot coordinates: c_i d_i / d_beta for beta = sum c_i alpha_i."""
@@ -320,7 +320,7 @@ def build_root_system(series: str, rank: int) -> FiniteRootSystem:
     form = tuple(tuple(d[i] * a[i][j] for j in range(rank)) for i in range(rank))
     coroot_form = tuple(tuple(Q(a[i][j]) / d[j] for j in range(rank)) for i in range(rank))
 
-    a_inv = mat_inverse(mat_for(a))
+    a_inv = mat_inverse(tuple(tuple(Q(e) for e in row) for row in a))
     # <omega_i, h_j> = delta_ij  =>  omega_i coords form column i of A^{-1}
     weights = tuple(tuple(a_inv[k][i] for k in range(rank)) for i in range(rank))
     # <alpha_i, omega_j^vee> = delta_ij  =>  omega_j^vee coords form row j of A^{-1}
@@ -332,6 +332,22 @@ def build_root_system(series: str, rank: int) -> FiniteRootSystem:
     half_sum = vec_scale(Q(1, 2), tuple(Q(sum(r[i] for r in ordered)) for i in range(rank)))
     if rho != half_sum:
         raise RootSystemError("rho as weight sum disagrees with half-sum of positive roots")
+
+    roots = ordered + [tuple(-c for c in r) for r in ordered]
+    root_norms = {r: bilinear(form, vec(r), vec(r)) for r in roots}
+    # (highest, highest) = 2, so h_theta = sum theta_i d_i h_i
+    highest_coroot = tuple(int(highest[i] * d[i]) for i in range(rank))
+    sym = tuple(int(x) for x in d_raw)
+    if highest_coroot != tuple(highest[i] * d[i] for i in range(rank)) or sym != tuple(d_raw):
+        raise RootSystemError("highest coroot or symmetrizer is not integral")
+    # s_i: lam -> lam - <lam, h_i> alpha_i; s_theta: lam -> lam - <lam, h_theta> theta
+    reflections = []
+    for i in range(rank):
+        reflections.append(tuple(
+            tuple((k == j) - (a[i][j] if k == i else 0) for j in range(rank)) for k in range(rank)))
+    theta_pair = [sum(a[t][j] * highest_coroot[t] for t in range(rank)) for j in range(rank)]
+    reflections.append(tuple(
+        tuple((k == j) - highest[k] * theta_pair[j] for j in range(rank)) for k in range(rank)))
 
     return FiniteRootSystem(
         series=series,
@@ -345,22 +361,16 @@ def build_root_system(series: str, rank: int) -> FiniteRootSystem:
         rho=rho,
         d=d,
         coroot_form=coroot_form,
+        positive_root_set=frozenset(ordered),
+        root_set=frozenset(roots),
+        root_norms=root_norms,
+        sym=sym,
+        highest_coroot=highest_coroot,
+        reflections=tuple(reflections),
     )
-
-
-def mat_for(a) -> Mat:
-    return tuple(tuple(Q(e) for e in row) for row in a)
 
 
 @lru_cache(maxsize=None)
 def build_root_system_label(label: str) -> FiniteRootSystem:
     """Cached front door; root systems are immutable, so sharing is safe."""
     return build_root_system(*parse_type(label))
-
-
-def weight_in_simple_roots(rs: FiniteRootSystem, i: int) -> Vec:
-    """Expansion of omega_i in simple roots; strictly positive entrywise."""
-    w = rs.fundamental_weights[i]
-    if any(c <= 0 for c in w):
-        raise RootSystemError("fundamental weight with nonpositive simple-root coefficient")
-    return w

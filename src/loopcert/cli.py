@@ -45,23 +45,30 @@ def _q(text: str) -> Q:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return fallback
-    return cast(raw)
+def _env_default(name: str, fallback):
+    """The raw environment string, or the fallback.  Argparse applies the
+    flag's type to a string default only when the flag is unset, so a bad
+    value is a usage error of the commands that read it and of no other."""
+    return os.environ.get(ENV_PREFIX + name.upper(), fallback)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Flags match only by their full name; subparsers inherit the class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="loopcert", description=__doc__)
+    top = _Parser(prog="loopcert", description=__doc__)
     top.add_argument("--config", help="JSON file with default flag values")
     out_flags = argparse.ArgumentParser(add_help=False)
     out_flags.add_argument("--out", default=None, help="output path (reports: JSON)")
     out_flags.add_argument("--timing", action="store_true", help="include wall time in the report (breaks byte-determinism)")
     seed_flag = argparse.ArgumentParser(add_help=False)
-    seed_flag.add_argument("--seed", type=int, default=_env_default("seed", int, 20260808))
+    seed_flag.add_argument("--seed", type=int, default=_env_default("seed", 20260808))
     prec_flag = argparse.ArgumentParser(add_help=False)
-    prec_flag.add_argument("--prec", type=int, default=_env_default("prec", int, 256), help="precision bits")
+    prec_flag.add_argument("--prec", type=int, default=_env_default("prec", 256), help="precision bits")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", parents=[out_flags], help="emit the finite root datum as JSON")
@@ -112,20 +119,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-all", parents=[out_flags, seed_flag, prec_flag], help="run the acceptance suite")
     p.add_argument("--profile", choices=["small", "full"], default="small")
-    p.add_argument("--out-dir", default=_env_default("out_dir", str, None))
+    p.add_argument("--out-dir", default=_env_default("out_dir", None))
     return top
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
+def _apply_config_file(argv: list[str]) -> tuple[list[str], str | None]:
     """Expand ``--config FILE`` (or ``--config=FILE``) into ``--key=value``
     flags placed right after the command words, ahead of the flags given on
     the command line, which therefore always win.  A JSON ``true`` turns a
     switch such as ``timing`` on; ``false`` and ``null`` are refused (leaving
     the key out keeps the default), and argparse rejects a key the command
-    does not read."""
+    does not read.  Returns the new argv and the file's path as given."""
     idx = next((i for i, tok in enumerate(argv) if tok == "--config" or tok.startswith("--config=")), None)
     if idx is None:
-        return argv
+        return argv, None
     if argv[idx] == "--config":
         if idx + 1 == len(argv):
             raise UsageError("--config needs a file")
@@ -145,7 +152,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         else:
             extra.append(f"{flag}={value}")
     head = 2 if rest[:1] in (["weyl"], ["decay"]) else 1
-    return rest[:head] + extra + rest[head:]
+    return rest[:head] + extra + rest[head:], path
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -309,7 +316,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_apply_config_file(argv))
+        argv, config_path = _apply_config_file(argv)
+        args = parser.parse_args(argv)
+        args.config = config_path
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except (UsageError, OSError, json.JSONDecodeError) as exc:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import comb, gcd
+from math import gcd
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -485,41 +485,6 @@ def l1_norm_extrema(n: int, precision_bits: int = 256):
         return mp.log(2 * half)
 
 
-def scaled_l1_norm(n: int, c_scale: Q, precision_bits: int = 256):
-    """ln || d^n/dx^n sigma(x / c) ||_1 = (1 - n) ln c + ln ||sigma^(n)||_1."""
-    if c_scale <= 0:
-        raise ValueError("scale must be positive")
-    with mp.workprec(precision_bits + 60):
-        c = mp.mpf(c_scale.numerator) / c_scale.denominator
-        return (1 - n) * mp.log(c) + l1_norm(n, precision_bits)["ln"]
-
-
-def scaled_l1_norm_direct(n: int, c_scale: Q, precision_bits: int = 256):
-    """Direct quadrature of |d^n/dx^n sigma(x/c)| without the change of
-    variables; cross-check path for the closed-form shift."""
-    with mp.workprec(precision_bits + 60):
-        c = mp.mpf(c_scale.numerator) / c_scale.denominator
-        delta = mp.mpf(1) / (2 * (precision_bits + 4 * n + 40))
-        tail = c ** (1 - n) * _endpoint_tail_bound(n, delta)
-        roots = sign_change_roots(n, precision_bits) if n else ()
-        bounds = [mp.mpf(0)] + [c * mp.mpf(r) for r in roots]
-        top = c * (1 - delta)
-        last = bounds[-1]
-        geo = []
-        g = top - (top - last) / 2
-        while g < top - c * delta / 4:
-            geo.append(g)
-            g = top - (top - g) / 2
-        bounds.extend(geo)
-        bounds.append(top)
-        f = lambda x: c ** (-n) * sigma_deriv_mp(n, x / c)
-        target = mp.mpf(2) ** (-(precision_bits // 2) - 10)
-        coarse, rough = _rough_pass(f, bounds)
-        tol = max(rough, mp.mpf(2) ** (-precision_bits)) * target / (2 * len(bounds))
-        total, _, _ = _adaptive_sum(f, bounds, coarse, tol)
-        return mp.log(2 * total + tail)
-
-
 # ---------------------------------------------------------------------------
 # Fourier side
 
@@ -789,14 +754,3 @@ def moment_to_pointwise(c: Q, big_c: Q, y: Q, precision_bits: int = 128) -> dict
             "achieved_d": 1 / float(big_c),
             "asymptote_ratio": ln_bound / mp.e ** (ln_y / bc),
         }
-
-
-def multinomial_derivative_bound(n: int) -> int:
-    """The (4N^3)^N cap for the composition sum of derivative-order products."""
-    return (4 * n**3) ** n
-
-
-def multinomial_sum_exact(n: int, parts: int) -> int:
-    """sum over compositions j_1+...+j_parts = n of prod (2n)^{2 j_i}; every
-    term equals (2n)^{2n}, so the sum is a binomial multiple of it."""
-    return comb(n + parts - 1, parts - 1) * (2 * n) ** (2 * n)

@@ -10,9 +10,9 @@ Everything here is exact rational arithmetic.  The three vectors are
 
 The audited inequalities are the two sign families (omega-pairings of H1, H2
 nonnegative; omega-pairings of H3 bounded by an explicit envelope E) and the
-three growth inequalities against C1 (cached from the form), C2 (empirical
-exact supremum of per-element ratios) and C3 (Cauchy-Schwarz envelope from
-the sample).  The composite corollary check runs entirely in the log domain
+three growth inequalities against C1 (max 2/(alpha,alpha) over the roots),
+C2 (empirical exact supremum of per-element ratios) and C3 (Cauchy-Schwarz
+envelope from the sample).  The composite corollary check runs entirely in the log domain
 with rational values, so the final comparison is exact as well.
 
 Transcendental inputs enter only through ln(t), which is bracketed by
@@ -31,13 +31,16 @@ from mpmath import mp
 
 from .affine import AffineRoot, CartanElement, coroot, zero_cartan
 from .cartan import FiniteRootSystem
-from .linalg import mat_inverse, sqrt_upper, transpose, vec
+from .linalg import sqrt_upper, vec
 from .reports import derive_seed, q_str
 from .weyl import (
     AffineWeylElement,
+    _coroot_matrix,
     enumerate_by_length,
+    gamma_closed_form_report,
     is_kostant,
     kappa,
+    length_im,
     mat_vec_int,
     neg_inverted_of_inverse,
     pair_int,
@@ -146,9 +149,9 @@ def sample_siegel(rs: FiniteRootSystem, rng: random.Random, r: Q, t: Q, bits: in
     for _ in range(rs.rank):
         u = Q(rng.randrange(1, 2**24), 2**24)
         xs.append(hi + u * budget / (2 * ht))
-    # x_i = <alpha_i, H_cl>  =>  H_cl = A^{-T} x
-    a_t_inv = mat_inverse(transpose(tuple(tuple(Q(e) for e in row) for row in rs.cartan.entries)))
-    h_cl = tuple(sum((a_t_inv[i][j] * xs[j] for j in range(rs.rank)), Q(0)) for i in range(rs.rank))
+    # x_j = <alpha_j, H_cl>  =>  H_cl = sum_j x_j omega_j^vee
+    cow = rs.fundamental_coweights
+    h_cl = tuple(sum((cow[j][i] * xs[j] for j in range(rs.rank)), Q(0)) for i in range(rs.rank))
     lam = Q(rng.randrange(-2**24, 2**24), 2**23)  # in [-2, 2]
     return SiegelSample(r, t, CartanElement(h_cl, lam, Q(0)))
 
@@ -168,11 +171,7 @@ def h1_vector(rs: FiniteRootSystem, sample: H1Sample) -> tuple[CartanElement, di
     lam = lambda_pair(h1)
     omegas = h1.classical
     c1 = growth_constant_c1(rs)
-    ell = sample.w.length if sample.w.length is not None else None
-    if ell is None:
-        from .weyl import length_im
-
-        ell = length_im(rs, sample.w)
+    ell = sample.w.length if sample.w.length is not None else length_im(rs, sample.w)
     sandwich_lhs = -sum(
         (Q(2) / rs.root_norm2(sigma)) * omegas[j] * kap_j
         for j, (sigma, kap_j) in enumerate(kap)
@@ -187,26 +186,19 @@ def h1_vector(rs: FiniteRootSystem, sample: H1Sample) -> tuple[CartanElement, di
     return h1, checks
 
 
-@lru_cache(maxsize=None)
 def growth_constant_c1(rs: FiniteRootSystem) -> Q:
     """C1 = max over roots of 2/(alpha,alpha); equals 1 in simply-laced types."""
-    return max(Q(2) / rs.root_norm2(beta) for beta in rs.positive_roots)
+    return Q(2) / min(map(rs.root_norm2, rs.positive_roots))
 
 
 def h2_vector(rs: FiniteRootSystem, w: AffineWeylElement, r: Q) -> tuple[CartanElement, dict]:
     """H2 with <Lambda,H2> = -r(b,b)/2 and classical part -r tilde(b)."""
     if not is_kostant(rs, w):
         raise ValueError("H2 checks require a Kostant representative")
-    from .weyl import _coroot_matrix
-
     tb = mat_vec_int(_coroot_matrix(rs, w.tilde.matrix), w.b)
     bb = rs.coroot_pair_form(vec(w.b), vec(w.b))
     h2 = CartanElement(tuple(-r * Q(x) for x in tb), -r * bb / 2, Q(0))
-    ell = w.length if w.length is not None else None
-    if ell is None:
-        from .weyl import length_im
-
-        ell = length_im(rs, w)
+    ell = w.length if w.length is not None else length_im(rs, w)
     d_j = [pair_int(rs, tuple(1 if k == j else 0 for k in range(rs.rank)), tb) for j in range(rs.rank)]
     q_j = list(tb)
     rho_h2 = rho_pair(h2)
@@ -251,8 +243,6 @@ def h3_vector(
     sample.validate(rs)
     if not is_kostant(rs, w):
         raise ValueError("H3 checks require a Kostant representative")
-    from .weyl import _coroot_matrix, length_im
-
     h_cl = sample.h_g.classical
     cor = _coroot_matrix(rs, w.tilde.matrix)
     th = tuple(sum((Q(cor[i][j]) * h_cl[j] for j in range(rs.rank)), Q(0)) for i in range(rs.rank))
@@ -280,8 +270,6 @@ def verify_corollary(
 ) -> dict:
     """Composite check x >= D y^{-1/(C(l(w)+1))} in the exact log domain:
     margin = <rho,H> + <Lambda,H>/(C(l+1)) - ln D must be >= 0."""
-    from .weyl import length_im
-
     ell = w.length if w.length is not None else length_im(rs, w)
     h = h1 + h2 + h3
     ln_x = rho_pair(h)
@@ -383,8 +371,6 @@ def verify_lemma22(rs: FiniteRootSystem, max_len: int) -> InequalityReport:
     rep.records.append({"elements_checked": checked})
     # open-question bookkeeping: which closed form of the flipped set matches
     # the defining property (both, when the final reflection is folded in)
-    from .weyl import gamma_closed_form_report
-
     sample = [w for layer in layers[: min(5, len(layers))] for w in layer][:40]
     a_ok = all(gamma_closed_form_report(rs, w)["variant_a_matches"] for w in sample)
     b_ok = all(gamma_closed_form_report(rs, w)["variant_b_matches"] for w in sample)
@@ -415,7 +401,6 @@ def verify_lemma351(rs: FiniteRootSystem, max_len: int) -> InequalityReport:
     """Every flipped root of a Kostant element is beta + n iota, beta in Delta_+, n < 0."""
     layers = enumerate_by_length(rs, max_len)
     rep = InequalityReport("lemma351", rs.label, max_len)
-    pos = set(rs.positive_roots)
     checked = 0
     for layer in layers:
         for w in layer:
@@ -423,7 +408,7 @@ def verify_lemma351(rs: FiniteRootSystem, max_len: int) -> InequalityReport:
                 continue
             checked += 1
             for gamma in neg_inverted_of_inverse(rs, w):
-                if gamma.n >= 0 or gamma.classical_part not in pos:
+                if gamma.n >= 0 or gamma.classical_part not in rs.positive_root_set:
                     rep.violations.append({"gamma": [list(gamma.classical_part), gamma.n], "w": _wid(w)})
     rep.records.append({"kostant_checked": checked})
     return rep

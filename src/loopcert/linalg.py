@@ -45,19 +45,6 @@ def mat_vec(m: Mat, x: Vec) -> Vec:
     return tuple(vec_dot(row, x) for row in m)
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m))
-
-
-def identity(n: int) -> Mat:
-    return tuple(unit_vec(n, i) for i in range(n))
-
-
 def mat_inverse(m: Mat) -> Mat:
     """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
     n = len(m)

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .affine import AffineRoot, AffineWeight, CartanElement, affine_pairing, affine_simple_coroots, affine_simple_roots
 from .cartan import FiniteRootSystem, RootSystemError, Weight
-from .linalg import Vec, mat_inverse, mat_mul, transpose, vec, vec_add, vec_scale
+from .linalg import Vec, mat_inverse, vec, vec_add, vec_scale
 
 IntVec = tuple[int, ...]
 IntMat = tuple[tuple[int, ...], ...]
@@ -55,34 +55,18 @@ def finite_identity(rank: int) -> FiniteWeylElement:
 
 
 @lru_cache(maxsize=None)
-def finite_simple_reflection(rs: FiniteRootSystem, i: int) -> FiniteWeylElement:
-    """Root-coordinate matrix of s_i: (s_i lam)_i = lam_i - sum_j a[i][j] lam_j."""
-    n = rs.rank
-    a = rs.cartan.entries
-    rows = []
-    for k in range(n):
-        row = [1 if k == j else 0 for j in range(n)]
-        if k == i:
-            row = [row[j] - a[i][j] for j in range(n)]
-        rows.append(tuple(row))
-    return FiniteWeylElement(tuple(rows))
-
-
-@lru_cache(maxsize=None)
 def _int_inverse(matrix: IntMat) -> IntMat:
     inv = mat_inverse(tuple(tuple(Q(e) for e in row) for row in matrix))
     return tuple(tuple(int(e) for e in row) for row in inv)
 
 
-@lru_cache(maxsize=None)
 def _coroot_matrix(rs: FiniteRootSystem, matrix: IntMat) -> IntMat:
-    """Coroot-coordinate action (A M^{-1} A^{-1})^T of the element with root
-    matrix M; integral because the coroot lattice is preserved."""
-    a = tuple(tuple(Q(e) for e in row) for row in rs.cartan.entries)
-    m_inv = tuple(tuple(Q(e) for e in row) for row in _int_inverse(matrix))
-    prod = mat_mul(mat_mul(a, m_inv), mat_inverse(a))
-    out = transpose(prod)
-    return tuple(tuple(int(e) for e in row) for row in out)
+    """Coroot-coordinate action of the element with root matrix M: the
+    similarity D M D^{-1}, D = diag(rs.sym).  Invariance of the form,
+    M^T (DA) M = DA, gives (D M D^{-1})^T A M = A, the defining property of
+    (A M^{-1} A^{-1})^T; integral because the coroot lattice is preserved."""
+    d = rs.sym
+    return tuple(tuple(m * d[i] // d[j] for j, m in enumerate(row)) for i, row in enumerate(matrix))
 
 
 @dataclass(frozen=True)
@@ -106,20 +90,8 @@ def generator(rs: FiniteRootSystem, i: int) -> AffineWeylElement:
     """Simple reflection w_i, 1-based; w_{l+1} has canonical pair (s_{a0}, h_{a0})."""
     if not 1 <= i <= rs.rank + 1:
         raise RootSystemError(f"reflection index {i} out of range")
-    if i <= rs.rank:
-        return AffineWeylElement(finite_simple_reflection(rs, i - 1), (0,) * rs.rank, word=(i,), length=1)
-    h0 = tuple(int(x) for x in rs.coroot_of(rs.highest_root))
-    # s_{a0} on root coordinates: lam -> lam - <lam, h_{a0}> a0
-    a = rs.cartan.entries
-    n = rs.rank
-    rows = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            pair_j = sum(a[t][j] * h0[t] for t in range(n))  # <alpha_j, h_{a0}>
-            row.append((1 if k == j else 0) - rs.highest_root[k] * pair_j)
-        rows.append(tuple(row))
-    return AffineWeylElement(FiniteWeylElement(tuple(rows)), h0, word=(i,), length=1)
+    b = rs.highest_coroot if i > rs.rank else (0,) * rs.rank
+    return AffineWeylElement(FiniteWeylElement(rs.reflections[i - 1]), b, word=(i,), length=1)
 
 
 def multiply(rs: FiniteRootSystem, u: AffineWeylElement, v: AffineWeylElement) -> AffineWeylElement:

@@ -11,23 +11,30 @@ from loopcert.affine import (
     affine_pairing,
     affine_simple_coroots,
     affine_simple_roots,
-    classical_weight,
     coroot,
-    decompose,
-    degree_element,
-    form_gram_extended,
-    h_iota_element,
-    hprime,
-    iota_weight,
-    lambda_weight,
-    recompose,
 )
-from loopcert.cartan import RootSystemError, build_root_system_label
-from loopcert.linalg import vec
+from loopcert.cartan import RootSystemError, Weight, build_root_system_label
+from loopcert.linalg import vec, zero_vec
 
 
 def rs_of(label):
     return build_root_system_label(label)
+
+
+def iota(rs):
+    return AffineWeight(Weight(zero_vec(rs.rank)), Q(1), Q(0))
+
+
+def lambda_(rs):
+    return AffineWeight(Weight(zero_vec(rs.rank)), Q(0), Q(1))
+
+
+def degree(rs):
+    return CartanElement(zero_vec(rs.rank), Q(0), Q(1))
+
+
+def h_iota(rs):
+    return CartanElement(zero_vec(rs.rank), Q(1), Q(0))
 
 
 def test_affine_simple_roots():
@@ -42,7 +49,7 @@ def test_pairing_with_degree_direction():
     # <a_i, D> = 0 for classical i, <a_{l+1}, D> = 1, for every type built
     for label in ("A1", "A2", "C2", "G2", "D4"):
         rs = rs_of(label)
-        d = degree_element(rs)
+        d = degree(rs)
         simples = affine_simple_roots(rs)
         for i in range(rs.rank):
             assert affine_pairing(rs, simples[i].to_weight(), d) == 0
@@ -51,11 +58,11 @@ def test_pairing_with_degree_direction():
 
 def test_affine_form_values():
     rs = rs_of("A1")
-    iota = iota_weight(rs)
-    lam = lambda_weight(rs)
+    i_w = iota(rs)
+    lam = lambda_(rs)
     a2 = affine_simple_roots(rs)[1].to_weight()
-    alpha = classical_weight(rs, (1,))
-    assert affine_form(rs, iota, iota) == 0
+    alpha = affine_simple_roots(rs)[0].to_weight()
+    assert affine_form(rs, i_w, i_w) == 0
     assert affine_form(rs, a2, a2) == 2
     assert affine_form(rs, alpha, a2) == -2
     assert affine_form(rs, lam, lam) == 0
@@ -64,8 +71,8 @@ def test_affine_form_values():
         rs = rs_of(rs_label)
         for i in range(rs.rank):
             ai = affine_simple_roots(rs)[i].to_weight()
-            assert affine_form(rs, iota_weight(rs), ai) == 0
-            assert affine_form(rs, lambda_weight(rs), ai) == 0
+            assert affine_form(rs, iota(rs), ai) == 0
+            assert affine_form(rs, lambda_(rs), ai) == 0
 
 
 def test_coroot_map():
@@ -104,37 +111,27 @@ def test_coroot_weyl_transport_cross_check():
 def test_affine_pairing_examples():
     for label in ("A1", "A2", "F4"):
         rs = rs_of(label)
-        assert affine_pairing(rs, iota_weight(rs), degree_element(rs)) == 1
-        assert affine_pairing(rs, lambda_weight(rs), h_iota_element(rs)) == 1
-        rho_ext = classical_weight(rs, rs.rho)
-        assert affine_pairing(rs, rho_ext, h_iota_element(rs)) == 0
-        assert affine_pairing(rs, rho_ext, degree_element(rs)) == 0
+        assert affine_pairing(rs, iota(rs), degree(rs)) == 1
+        assert affine_pairing(rs, lambda_(rs), h_iota(rs)) == 1
+        rho_ext = AffineWeight(Weight(rs.rho), Q(0), Q(0))
+        assert affine_pairing(rs, rho_ext, h_iota(rs)) == 0
+        assert affine_pairing(rs, rho_ext, degree(rs)) == 0
     with pytest.raises(RootSystemError):
-        affine_pairing(rs_of("A2"), iota_weight(rs_of("A1")), degree_element(rs_of("A2")))
+        affine_pairing(rs_of("A2"), iota(rs_of("A1")), degree(rs_of("A2")))
 
 
 def test_decompose_examples():
     rs = rs_of("A2")
+    # X = X_cl + <Lambda, X> h_iota + <iota, X> D, read off the internal basis
     h_last = affine_simple_coroots(rs)[2]
-    cl, lam, d = decompose(h_last)
-    assert cl == tuple(-x for x in rs.coroot_of(rs.highest_root)) and lam == 1 and d == 0
+    cl = tuple(-x for x in rs.coroot_of(rs.highest_root))
+    assert (h_last.classical, h_last.h_iota, h_last.d) == (cl, 1, 0)
+    assert affine_pairing(rs, lambda_(rs), h_last) == 1 and affine_pairing(rs, iota(rs), h_last) == 0
     h1 = affine_simple_coroots(rs)[0]
-    assert decompose(h1) == (h1.classical, 0, 0)
-    r_d = Q(5, 3) * degree_element(rs)
-    assert decompose(r_d) == ((Q(0), Q(0)), 0, Q(5, 3))
-
-
-def test_recomposition_round_trip_randomized():
-    rng = random.Random(11)
-    for label in ("A1", "A2", "G2"):
-        rs = rs_of(label)
-        for _ in range(1000):
-            x = CartanElement(
-                vec([Q(rng.randrange(-99, 100), rng.randrange(1, 20)) for _ in range(rs.rank)]),
-                Q(rng.randrange(-99, 100), rng.randrange(1, 20)),
-                Q(rng.randrange(-99, 100), rng.randrange(1, 20)),
-            )
-            assert recompose(rs, *decompose(x)) == x
+    assert (h1.h_iota, h1.d) == (0, 0)
+    r_d = Q(5, 3) * degree(rs)
+    assert (r_d.classical, r_d.h_iota, r_d.d) == ((Q(0), Q(0)), 0, Q(5, 3))
+    assert affine_pairing(rs, iota(rs), r_d) == Q(5, 3)
 
 
 def test_duality_componentwise_randomized():
@@ -166,20 +163,10 @@ def test_extended_gram_rank():
 
     for label in ("A1", "A2", "G2"):
         rs = rs_of(label)
-        gram = form_gram_extended(rs)
-        # full rank l+2: invertibility is exactly nondegeneracy
+        basis = [a.to_weight() for a in affine_simple_roots(rs)] + [lambda_(rs)]
+        gram = tuple(tuple(affine_form(rs, u, v) for v in basis) for u in basis)
+        # full rank l+2 on {a_1..a_{l+1}, Lambda}: invertibility is exactly nondegeneracy
         mat_inverse(gram)
-
-
-def test_hprime_linearity():
-    rng = random.Random(13)
-    rs = rs_of("C2")
-    n = rs.rank + 1
-    for _ in range(100):
-        b = [rng.randrange(-5, 6) for _ in range(n)]
-        c = [rng.randrange(-5, 6) for _ in range(n)]
-        bc = [x + y for x, y in zip(b, c)]
-        assert hprime(rs, bc) == hprime(rs, b) + hprime(rs, c)
 
 
 def test_json_round_trip():

@@ -8,7 +8,6 @@ from loopcert.cartan import (
     Weight,
     build_root_system,
     build_root_system_label,
-    weight_in_simple_roots,
 )
 from loopcert.linalg import unit_vec, vec
 
@@ -67,11 +66,11 @@ def test_pairing_rank_mismatch():
 
 def test_weight_in_simple_roots():
     rs = build_root_system_label("A2")
-    assert weight_in_simple_roots(rs, 0) == (Q(2, 3), Q(1, 3))
+    assert rs.fundamental_weights[0] == (Q(2, 3), Q(1, 3))
     assert build_root_system_label("A1").fundamental_weights[0] == (Q(1, 2),)
     rs = build_root_system_label("D4")
     for i in range(4):
-        assert all(c > 0 for c in weight_in_simple_roots(rs, i))
+        assert all(c > 0 for c in rs.fundamental_weights[i])
 
 
 def test_unknown_type_and_rank_errors():

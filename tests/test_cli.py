@@ -154,6 +154,15 @@ def test_env_seed_override(tmp_path):
     assert doc["config"]["seed"] == 777
 
 
+def test_bad_env_default_fails_only_where_it_is_read(tmp_path):
+    env = {"LOOPCERT_SEED": "abc"}
+    proc = run_cli(["roots", "--type", "A1"], tmp_path, env_extra=env)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli(["verify", "lemma23", "--type", "A1", "--max-len", "2"], tmp_path, env_extra=env)
+    assert proc.returncode == 2
+    assert "invalid int value: 'abc'" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"max-len": 5, "seed": 123}))
@@ -163,6 +172,15 @@ def test_config_file_precedence(tmp_path):
     doc = json.loads(out.read_text())
     # config file fills max-len; the explicit flag beats the file for seed
     assert doc["max_len"] == 5 and doc["config"]["seed"] == 9
+
+
+def test_config_file_is_echoed(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max-len": 3}))
+    assert main(["verify", "lemma23", "--type", "A1", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["config"] == str(cfg)
+    assert main(LEMMA23) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["config"] is None
 
 
 def test_all_schemas_load():
@@ -202,6 +220,8 @@ def test_verify_passes_r_and_t_to_the_audit(tmp_path):
     ["verify", "lemma23", "--type", "A1", "--max-len", "2", "--threads", "2"],
     ["decay", "convert", "--c", "1", "--C", "1", "--y", "2", "--threads", "2"],
     ["reproduce-all", "--threads", "2"],
+    # a prefix of a flag is not the flag
+    ["weyl", "census", "--type", "A1", "--max", "3"],
 ])
 def test_flag_the_command_does_not_read_is_usage_error(argv):
     assert main(argv) == 2
@@ -226,6 +246,8 @@ LEMMA23 = ["verify", "lemma23", "--type", "A1", "--max-len", "2"]
     # false and null are not flag values: leaving the key out keeps the default
     ({"timing": False}, LEMMA23 + ["--config", "{cfg}"], None),
     ({"out": None}, LEMMA23 + ["--config", "{cfg}"], None),
+    # a key matches a flag only by its full name
+    ({"max": 3}, ["weyl", "census", "--type", "A1", "--config", "{cfg}"], None),
 ])
 def test_config_file_rules(tmp_path, capsys, cfg, argv, expected):
     path = tmp_path / "c.json"

@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 from fractions import Fraction as Q
-from math import comb
 
 import pytest
 from mpmath import mp
@@ -120,17 +119,6 @@ def test_l1_l2_norm_chain():
             l1 = decay.l1_norm(n, 160)["norm"]
             l2 = decay.l2_norm(n, 160)
             assert l1 <= mp.sqrt(2) * l2 * (1 + mp.mpf("1e-30"))
-
-
-def test_scaled_norm_identity_and_direct_path():
-    with mp.workprec(256):
-        assert abs(decay.scaled_l1_norm(3, Q(1), 160) - decay.l1_norm(3, 160)["ln"]) < mp.mpf("1e-40")
-        # N=1, c=1/2: (1-1) ln c + ln(2/e) = ln(2/e)
-        v = decay.scaled_l1_norm(1, Q(1, 2), 160)
-        assert abs(v - mp.log(2 / mp.e)) < mp.mpf("1e-40")
-        direct = decay.scaled_l1_norm_direct(3, Q(1, 4), 160)
-        closed = decay.scaled_l1_norm(3, Q(1, 4), 160)
-        assert abs(direct - closed) < mp.mpf("1e-24")
 
 
 L1_REPORT_VALUES = {
@@ -363,14 +351,6 @@ def test_moment_asymptote():
 def test_moment_rejects_small_y():
     with pytest.raises(ValueError):
         decay.moment_to_pointwise(Q(1), Q(1), Q(1), 64)
-
-
-def test_multinomial_bound():
-    for n in range(1, 9):
-        assert decay.multinomial_derivative_bound(n) == (4 * n**3) ** n
-        for parts in range(1, n + 1):
-            assert decay.multinomial_sum_exact(n, parts) == comb(n + parts - 1, parts - 1) * (2 * n) ** (2 * n)
-            assert decay.multinomial_sum_exact(n, parts) <= decay.multinomial_derivative_bound(n)
 
 
 def test_precision_doubling_stability():

@@ -110,15 +110,14 @@ def test_h2_scale_equivariance():
 
 def test_h2_matches_action_formula():
     rs = rs_of("C2")
-    from loopcert.affine import degree_element
-
+    degree = CartanElement((Q(0), Q(0)), Q(0), Q(1))
     for layer in weyl.enumerate_by_length(rs, 5):
         for w in layer:
             if not weyl.is_kostant(rs, w):
                 continue
             r = Q(3, 2)
             h2, _ = ineq.h2_vector(rs, w, r)
-            direct = weyl.act_on_cartan(rs, w, r * degree_element(rs)) - r * degree_element(rs)
+            direct = weyl.act_on_cartan(rs, w, r * degree) - r * degree
             assert h2 == direct
 
 

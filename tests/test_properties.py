@@ -2,6 +2,7 @@
 at short lengths.  ``derandomize=True`` fixes the examples per test, so the
 suite draws the same cases on every run."""
 
+from fractions import Fraction as Q
 from functools import lru_cache
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from loopcert import weyl
 from loopcert.affine import AffineWeight, CartanElement, affine_pairing
-from loopcert.cartan import Weight, build_root_system_label
+from loopcert.cartan import RootSystemError, Weight, build_root_system_label
+from loopcert.linalg import mat_inverse
 
 # type -> the longest words and BFS layers drawn from
 MAX_LEN = {"A1": 8, "A2": 6, "A3": 5, "A4": 4, "B2": 6, "B3": 5, "B4": 4,
@@ -92,3 +94,42 @@ def test_reduced_word_round_trip(label, data):
     word = weyl.reduced_word(rs, bare)
     assert len(word) == weyl.length_im(rs, w)
     assert weyl.from_word(rs, word) == w
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))) for i in range(len(a)))
+
+
+@each_type
+@PROPERTY
+@given(data=st.data())
+def test_coroot_matrix_is_the_dual_action(label, data):
+    # D M D^{-1} against the defining (A M^{-1} A^{-1})^T, in Fractions
+    rs = build_root_system_label(label)
+    m = weyl.from_word(rs, data.draw(words(label))).tilde.matrix
+    a = tuple(tuple(Q(e) for e in row) for row in rs.cartan.entries)
+    m_inv = mat_inverse(tuple(tuple(Q(e) for e in row) for row in m))
+    dual = _mat_mul(_mat_mul(a, m_inv), mat_inverse(a))
+    assert weyl._coroot_matrix(rs, m) == tuple(zip(*dual))
+
+
+@each_type
+def test_generators_are_the_one_letter_words(label):
+    rs = build_root_system_label(label)
+    for i in range(1, rs.rank + 2):
+        g = weyl.generator(rs, i)
+        w = weyl.from_word(rs, (i,))
+        assert g == w and (g.word, g.length) == (w.word, w.length) == ((i,), 1)
+
+
+@each_type
+def test_root_norms_table(label):
+    rs = build_root_system_label(label)
+    roots = list(rs.positive_roots) + [tuple(-c for c in r) for r in rs.positive_roots]
+    assert rs.root_set == set(roots) and rs.positive_root_set == set(rs.positive_roots)
+    for beta in roots:
+        assert rs.root_norm2(beta) == rs.weight_form(beta, beta)
+    for not_a_root in [(0,) * rs.rank, tuple(2 * c for c in rs.highest_root)]:
+        assert not rs.is_root(not_a_root)
+        with pytest.raises(RootSystemError):
+            rs.root_norm2(not_a_root)
