@@ -1,6 +1,6 @@
 """Executable verification of the Iwasawa-component inequalities.
 
-Everything here is exact rational arithmetic.  The three vectors are
+Everything here is exact arithmetic.  The three vectors are
 
 * H1: a nonnegative combination of coroots of the flipped negative roots
   attached to a Kostant representative (the abstract unipotent contribution);
@@ -15,6 +15,10 @@ C2 (empirical exact supremum of per-element ratios) and C3 (Cauchy-Schwarz
 envelope from the sample).  The composite corollary check runs entirely in the log domain
 with rational values, so the final comparison is exact as well.
 
+``run_audit`` evaluates the H1 and H3 checks with per-element integer
+kernels (``_H1Kernel``, ``_H3Kernel``); ``h1_vector`` and ``h3_vector`` are the
+``Fraction`` reference they are tested against.
+
 Transcendental inputs enter only through ln(t), which is bracketed by
 rationals with 64 guard bits: samples are generated strictly inside the
 Siegel region using the upper bracket and validated against the lower one.
@@ -26,6 +30,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from mpmath import mp
 
@@ -73,20 +79,12 @@ def lambda_pair(x: CartanElement) -> Q:
 # ---------------------------------------------------------------------------
 # samples
 
+DRAW_SCALE = 2**24  # H1 coefficients and the Siegel uniforms are numerators over this
+LAMBDA_SCALE = 2**23  # <Lambda, H_g> is a numerator over this, in [-2, 2]
 
-@lru_cache(maxsize=None)
+
 def flipped_support(rs: FiniteRootSystem, w: AffineWeylElement) -> tuple[AffineRoot, ...]:
     return neg_inverted_of_inverse(rs, w)
-
-
-@lru_cache(maxsize=None)
-def _kappa_cached(rs: FiniteRootSystem, w: AffineWeylElement):
-    return tuple(kappa(rs, w))
-
-
-@lru_cache(maxsize=None)
-def _coroot_cached(rs: FiniteRootSystem, gamma: AffineRoot) -> CartanElement:
-    return coroot(rs, gamma)
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def sample_h1(rs: FiniteRootSystem, w: AffineWeylElement, rng: random.Random, on
         pick = rng.randrange(len(support))
         coeffs = tuple((g, Q(1) if k == pick else Q(0)) for k, g in enumerate(support))
     else:
-        coeffs = tuple((g, Q(rng.randrange(0, 2**24), 2**24)) for g in support)
+        coeffs = tuple((g, Q(rng.randrange(0, DRAW_SCALE), DRAW_SCALE)) for g in support)
     return H1Sample(w, coeffs)
 
 
@@ -147,12 +145,12 @@ def sample_siegel(rs: FiniteRootSystem, rng: random.Random, r: Q, t: Q, bits: in
     assert budget > 0
     xs = []
     for _ in range(rs.rank):
-        u = Q(rng.randrange(1, 2**24), 2**24)
+        u = Q(rng.randrange(1, DRAW_SCALE), DRAW_SCALE)
         xs.append(hi + u * budget / (2 * ht))
     # x_j = <alpha_j, H_cl>  =>  H_cl = sum_j x_j omega_j^vee
     cow = rs.fundamental_coweights
     h_cl = tuple(sum((cow[j][i] * xs[j] for j in range(rs.rank)), Q(0)) for i in range(rs.rank))
-    lam = Q(rng.randrange(-2**24, 2**24), 2**23)  # in [-2, 2]
+    lam = Q(rng.randrange(-2 * LAMBDA_SCALE, 2 * LAMBDA_SCALE), LAMBDA_SCALE)
     return SiegelSample(r, t, CartanElement(h_cl, lam, Q(0)))
 
 
@@ -166,8 +164,8 @@ def h1_vector(rs: FiniteRootSystem, sample: H1Sample) -> tuple[CartanElement, di
     h1 = zero_cartan(rs)
     for gamma, c in sample.coeffs:
         if c:
-            h1 = h1 + c * _coroot_cached(rs, gamma)
-    kap = _kappa_cached(rs, sample.w)
+            h1 = h1 + c * coroot(rs, gamma)
+    kap = kappa(rs, sample.w)
     lam = lambda_pair(h1)
     omegas = h1.classical
     c1 = growth_constant_c1(rs)
@@ -276,6 +274,131 @@ def verify_corollary(
     ln_y = lambda_pair(h)
     margin = ln_x + ln_y / (c_const * (ell + 1)) - ln_d
     return {"ln_x": ln_x, "ln_y": ln_y, "margin": margin, "ok": margin >= 0}
+
+
+# ---------------------------------------------------------------------------
+# integer kernels: the checks of h1_vector and h3_vector for one Kostant w,
+# with every per-w rational scaled to a common integer denominator once, so a
+# sample costs only integer dot products
+
+
+class _H1Kernel:
+    """h1_vector for one w on coefficient numerators over DRAW_SCALE.
+
+    Column i lists the i-th simple-coroot coordinate of h_gamma over the
+    flipped set; the h_iota coefficients (2/(beta,beta)) n, the sandwich weights
+    (2/(sigma_j,sigma_j)) kappa_j and the growth factor c1 (l+1) are scaled
+    by one integer L.  Every check is homogeneous in the coefficients, so it
+    holds on the numerators exactly when it holds on the Fractions."""
+
+    def __init__(self, rs: FiniteRootSystem, w: AffineWeylElement, c1: Q):
+        self.support = flipped_support(rs, w)
+        coroots = [coroot(rs, g) for g in self.support]
+        sandwich = [Q(2) / rs.root_norm2(sigma) * kap_j for sigma, kap_j in kappa(rs, w)]
+        ell = w.length if w.length is not None else length_im(rs, w)
+        growth = c1 * (ell + 1)
+        self.scale = lcm(growth.denominator, *(x.h_iota.denominator for x in coroots),
+                         *(x.denominator for x in sandwich))
+        self.cols = [tuple(int(x.classical[i]) for x in coroots) for i in range(rs.rank)]
+        self.lam = tuple(int(x.h_iota * self.scale) for x in coroots)
+        self.sandwich = tuple(int(x * self.scale) for x in sandwich)
+        self.growth = int(growth * self.scale)
+
+    def sample(self, rng: random.Random, one_hot: bool = False) -> list[int]:
+        """The draws of sample_h1, as numerators."""
+        if one_hot and self.support:
+            pick = rng.randrange(len(self.support))
+            return [DRAW_SCALE if k == pick else 0 for k in range(len(self.support))]
+        return [rng.randrange(0, DRAW_SCALE) for _ in self.support]
+
+    def _pairings(self, nums) -> tuple[list[int], int]:
+        """(omega_i-pairings, Lambda-pairing) of H1, times DRAW_SCALE resp. DRAW_SCALE * L."""
+        if len(nums) != len(self.lam):
+            raise ValueError("one H1 coefficient per flipped root expected")
+        if any(c < 0 for c in nums):
+            raise ValueError("negative H1 coefficient")
+        return [sum(map(mul, nums, col)) for col in self.cols], sum(map(mul, nums, self.lam))
+
+    def checks(self, nums) -> dict:
+        omegas, lam = self._pairings(nums)
+        return {
+            "omega_nonneg": all(o >= 0 for o in omegas),
+            "lambda_sign": (lam < 0) if any(nums) else (lam == 0),
+            "sandwich": -sum(map(mul, self.sandwich, omegas)) <= lam,
+            "growth1": lam >= -self.growth * sum(omegas),
+        }
+
+    def element(self, nums) -> CartanElement:
+        omegas, lam = self._pairings(nums)
+        return CartanElement(tuple(Q(o, DRAW_SCALE) for o in omegas), Q(lam, DRAW_SCALE * self.scale), Q(0))
+
+
+class _H3Kernel:
+    """h3_vector for one w on Siegel samples held as integers.
+
+    H_g,cl is a numerator vector over ``self.den`` = D K: the coordinates
+    x_j = hi + U_j step share the denominator D, the fundamental coweights
+    the denominator K.  The Siegel constraints, the envelope check and the
+    theta-pairing run on these integers; only sqrt_upper((H,H)), c3, growth3
+    and the returned H3 are Fractions."""
+
+    def __init__(self, rs: FiniteRootSystem, w: AffineWeylElement, r: Q, t: Q, envelope: dict, rate: Q):
+        if r <= 0 or not 0 < t < 1:
+            raise ValueError("Siegel sample outside parameter domain")
+        if not is_kostant(rs, w):
+            raise ValueError("H3 checks require a Kostant representative")
+        lo, hi = lnt_bounds(t)
+        ht = sum(rs.highest_root)
+        budget = r - hi * (1 + ht)
+        assert budget > 0
+        step = budget / (2 * ht * DRAW_SCALE)  # x_j = hi + U_j * step, U_j the uniform draw
+        d_x = lcm(hi.denominator, step.denominator)
+        self.x0, self.dx = int(hi * d_x), int(step * d_x)
+        cow = rs.fundamental_coweights
+        k = lcm(*(c.denominator for row in cow for c in row))
+        self.coweight_cols = tuple(zip(*(tuple(int(c * k) for c in row) for row in cow)))
+        self.den = d_x * k
+        a = rs.cartan.entries
+        n = rs.rank
+        # <alpha_i, h> = sum_j a[j][i] h_j and <theta, h> = sum_j (A theta)_j h_j
+        self.simple_rows = tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
+        self.theta_row = tuple(sum(a[j][i] * rs.highest_root[i] for i in range(n)) for j in range(n))
+        self.lo_num, self.lo_den = lo.numerator * self.den, lo.denominator
+        top = r - lo  # the affine constraint r - <theta, H> > lo
+        self.top_num, self.top_den = top.numerator * self.den, top.denominator
+        e = envelope["E"]
+        self.e_num, self.e_den = e.numerator * self.den, e.denominator
+        self.cor = _coroot_matrix(rs, w.tilde.matrix)
+        g_den = lcm(*(g.denominator for row in rs.coroot_form for g in row))
+        self.gram = tuple(tuple(int(g * g_den) for g in row) for row in rs.coroot_form)
+        self.gram_b = mat_vec_int(self.gram, w.b)
+        self.form_den = self.den * g_den  # (H_cl, b) = <H, gram_b> / form_den
+        self.ell_plus_1 = (w.length if w.length is not None else length_im(rs, w)) + 1
+        self.rate = rate
+
+    def sample(self, rng: random.Random) -> tuple[tuple[int, ...], int]:
+        """The draws of sample_siegel: (H_g,cl numerators over den, <Lambda, H_g> * LAMBDA_SCALE)."""
+        xs = [self.x0 + rng.randrange(1, DRAW_SCALE) * self.dx for _ in self.coweight_cols]
+        h = tuple(sum(map(mul, xs, col)) for col in self.coweight_cols)
+        return h, rng.randrange(-2 * LAMBDA_SCALE, 2 * LAMBDA_SCALE)
+
+    def h3(self, h, lam_num: int) -> tuple[CartanElement, dict]:
+        for row in self.simple_rows:
+            if sum(map(mul, row, h)) * self.lo_den <= self.lo_num:
+                raise ValueError("Siegel constraint violated on a classical simple root")
+        if sum(map(mul, self.theta_row, h)) * self.top_den >= self.top_num:
+            raise ValueError("Siegel constraint violated on the affine simple root")
+        th = [sum(map(mul, row, h)) for row in self.cor]
+        lam = Q(lam_num, LAMBDA_SCALE)
+        h_iota = lam + Q(sum(map(mul, h, self.gram_b)), self.form_den)
+        hh = sum(x * sum(map(mul, row, h)) for x, row in zip(h, self.gram))
+        c3 = abs(lam) + sqrt_upper(Q(hh, self.form_den * self.den)) * self.rate
+        checks = {
+            "omega_bounded": all(abs(o) * self.e_den <= self.e_num for o in th),
+            "growth3": h_iota >= -c3 * self.ell_plus_1,
+            "c3": c3,
+        }
+        return CartanElement(tuple(Q(o, self.den) for o in th), h_iota, Q(0)), checks
 
 
 # ---------------------------------------------------------------------------
@@ -448,39 +571,42 @@ def run_audit(
             c2 = checks["ratio"]
             c2_case = _wid(w)
 
-    # pass 2: seeded H1/H3 samples per element -> empirical C3
+    # pass 2: seeded H1/H3 samples per element -> empirical C3; the corollary
+    # pass reads H1 sample k % n_h1 for k < n_siegel, so only those become elements
     c3 = Q(0)
     samples = []
     for idx, w in enumerate(kostant):
         rng_h1 = random.Random(derive_seed(seed, f"h1:{idx}"))
         rng_sg = random.Random(derive_seed(seed, f"siegel:{idx}"))
-        h1_samples = [sample_h1(rs, w, rng_h1, one_hot=(k % 8 == 7)) for k in range(n_h1)]
-        for k, s in enumerate(h1_samples):
-            h1, checks = h1_vector(rs, s)
-            for name, okv in checks.items():
+        k1 = _H1Kernel(rs, w, c1)
+        h1_list = []
+        for k in range(n_h1):
+            nums = k1.sample(rng_h1, one_hot=(k % 8 == 7))
+            for name, okv in k1.checks(nums).items():
                 if not okv:
                     rep.violations.append({"check": f"h1.{name}", "sample": k, "w": _wid(w)})
-        siegel_samples = [sample_siegel(rs, rng_sg, r, t) for _ in range(n_siegel)]
+            if with_corollary and k < n_siegel:
+                h1_list.append(k1.element(nums))
+        k3 = _H3Kernel(rs, w, r, t, envelope, rate)
         h3_list = []
-        for k, s in enumerate(siegel_samples):
-            h3, checks = h3_vector(rs, w, s, envelope, rate)
+        for k in range(n_siegel):
+            h3, checks = k3.h3(*k3.sample(rng_sg))
             h3_list.append(h3)
             if not checks["omega_bounded"]:
                 rep.violations.append({"check": "h3.omega_bounded", "sample": k, "w": _wid(w)})
             if not checks["growth3"]:
                 rep.violations.append({"check": "h3.growth3", "sample": k, "w": _wid(w)})
             c3 = max(c3, checks["c3"])
-        samples.append((w, h1_samples, siegel_samples, h3_list))
+        samples.append((w, h1_list, h3_list))
 
     c_const = max(c1, c2, c3, Q(1, 10**6))
     ln_d = -(rs.rank * envelope["E"] + 1)
     worst_margin: Q | None = None
     if with_corollary:
-        for w, h1_samples, siegel_samples, h3_list in samples:
+        for w, h1_list, h3_list in samples:
             h2 = h2_cache[w]
-            for k, s3 in enumerate(siegel_samples):
-                h1v, _ = h1_vector(rs, h1_samples[k % max(1, len(h1_samples))])
-                rec = verify_corollary(rs, w, h1v, h2, h3_list[k], c_const, ln_d)
+            for k, h3 in enumerate(h3_list):
+                rec = verify_corollary(rs, w, h1_list[k % max(1, n_h1)], h2, h3, c_const, ln_d)
                 if not rec["ok"]:
                     rep.violations.append({"check": "cor34", "sample": k, "w": _wid(w)})
                 if worst_margin is None or rec["margin"] < worst_margin:

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction as Q
 
@@ -232,6 +233,117 @@ def test_corollary_identity_case():
     rec = ineq.verify_corollary(rs, e, zero, zero, zero, Q(1), Q(0))
     # x = 1, y = 1: the inequality holds with margin exactly 0 for D = 1
     assert rec["ln_x"] == 0 and rec["ln_y"] == 0 and rec["ok"]
+
+
+# --------------------------------------------------------------------------
+# the integer kernels behind run_audit
+
+
+def test_h1_kernel_rejects_bad_input():
+    rs = rs_of("A2")
+    kost = [w for layer in weyl.enumerate_by_length(rs, 4) for w in layer if weyl.is_kostant(rs, w)]
+    kernel = ineq._H1Kernel(rs, kost[-1], ineq.growth_constant_c1(rs))
+    nums = [1] * len(kernel.support)
+    assert all(kernel.checks(nums).values())
+    nums[0] = -1
+    with pytest.raises(ValueError):
+        kernel.checks(nums)
+    with pytest.raises(ValueError):
+        kernel.element(nums)
+    with pytest.raises(ValueError):
+        kernel.checks([1] * (len(kernel.support) + 1))
+    with pytest.raises(ValueError):
+        ineq._H1Kernel(rs, weyl.generator(rs, 1), Q(1))
+
+
+def test_h3_kernel_rejects_bad_input():
+    rs = rs_of("A1")
+    env = ineq.siegel_envelope(rs, Q(1), Q(1, 2))
+    kernel = ineq._H3Kernel(rs, a1_w2(), Q(1), Q(1, 2), env, Q(1))
+    h3, _ = kernel.h3((kernel.den // 2,), 0)  # H_cl = h_1 / 2, the A1 example above
+    assert h3.classical == (Q(-1, 2),) and h3.h_iota == 1
+    # in A1 the Siegel set is ln(t)/2 < H_cl < (1 - ln(t))/2, about (-0.347, 0.847):
+    # the kernel rejects exactly the H_cl that SiegelSample.validate rejects
+    for x, inside in ((Q(-34, 100), True), (Q(-35, 100), False), (Q(84, 100), True),
+                      (Q(85, 100), False), (Q(-10), False), (Q(10), False)):
+        h = int(x * kernel.den)
+        ref = ineq.SiegelSample(Q(1), Q(1, 2), CartanElement((Q(h, kernel.den),), Q(0), Q(0)))
+        if inside:
+            ref.validate(rs)
+            kernel.h3((h,), 0)
+            continue
+        with pytest.raises(ValueError):
+            ref.validate(rs)
+        with pytest.raises(ValueError):
+            kernel.h3((h,), 0)
+    with pytest.raises(ValueError):
+        ineq._H3Kernel(rs, weyl.generator(rs, 1), Q(1), Q(1, 2), env, Q(1))
+    for r, t in ((Q(0), Q(1, 2)), (Q(1), Q(1))):
+        with pytest.raises(ValueError):
+            ineq._H3Kernel(rs, a1_w2(), r, t, env, Q(1))
+
+
+# run_audit(rs, 8, n, n // 10, seed=1) with the corollary, as captured from the
+# Fraction implementation the integer kernels replaced; (label, n) -> constants
+# and the worst corollary margin
+AUDIT_GOLDEN = {
+    ("A2", 1000): {
+        "C1": "1",
+        "C2": "1/4",
+        "C3": "104489350474559817007069476105/39614081257132168796771975168",
+        "C": "104489350474559817007069476105/39614081257132168796771975168",
+        "ln_D": "-13181471805599453094714422300824517897751/1250000000000000000000000000000000000000",
+        "E": "11931471805599453094714422300824517897751/2500000000000000000000000000000000000000",
+        "b_norm_rate": "199032864766431/281474976710656",
+        "margin": "77436728815432491873227576695868002542734118660076924678543715261636061819/"
+                  "9130418763601002889833740248023040000000000000000000000000000000000000000",
+    },
+    ("C2", 200): {
+        "C1": "2",
+        "C2": "1/4",
+        "C3": "240062297003720196071628026223/79228162514264337593543950336",
+        "C": "240062297003720196071628026223/79228162514264337593543950336",
+        "ln_D": "-94883246250395077852429800707420661079759/2500000000000000000000000000000000000000",
+        "E": "92383246250395077852429800707420661079759/5000000000000000000000000000000000000000",
+        "b_norm_rate": "199032864766431/281474976710656",
+        "margin": "244577575530693323294071070074469479415915755480211748929281902061881186459/"
+                  "6992321198415914119888984145133568000000000000000000000000000000000000000",
+    },
+    ("G2", 200): {
+        "C1": "3",
+        "C2": "1/6",
+        "C3": "297076631273682687264486485283/79228162514264337593543950336",
+        "C": "297076631273682687264486485283/79228162514264337593543950336",
+        "ln_D": "-8971471805599453094714422300824517897751/40000000000000000000000000000000000000",
+        "E": "8931471805599453094714422300824517897751/80000000000000000000000000000000000000",
+        "b_norm_rate": "199032864766431/281474976710656",
+        "margin": "14174312179265069279691487137895506921515299161865146436150582291593990813121/"
+                  "64897380357173561975217954331688960000000000000000000000000000000000000000",
+    },
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_audit(label, samples):
+    return ineq.run_audit(rs_of(label), 8, samples, samples // 10, seed=1)
+
+
+@pytest.mark.parametrize("label,c1", [("C2", "2"), ("G2", "3")])
+def test_audit_non_simply_laced(label, c1):
+    # Theorem 3.2 and Corollary 3.4 at length 8, where C1 = max 2/(alpha,alpha) > 1
+    rep = _golden_audit(label, 200)
+    assert rep.violations == [] and rep.constants["C1"] == c1
+    assert rep.records[0]["kostant_checked"] > 0
+
+
+@pytest.mark.parametrize("label,samples", sorted(AUDIT_GOLDEN))
+def test_audit_golden_constants(label, samples):
+    rep = _golden_audit(label, samples)
+    golden = AUDIT_GOLDEN[(label, samples)]
+    assert rep.violations == []
+    assert {k: rep.constants[k] for k in golden if k != "margin"} == {k: v for k, v in golden.items() if k != "margin"}
+    margins = [c["margin"] for c in rep.extremal_cases if c["kind"] == "cor34_worst_margin"]
+    assert margins == [golden["margin"]]
 
 
 def test_verify_dispatch():

@@ -1,7 +1,9 @@
 """Property tests of the affine Weyl group engine over every type up to rank 4
-at short lengths.  ``derandomize=True`` fixes the examples per test, so the
+at short lengths, and of the integer audit kernels against their Fraction
+reference.  ``derandomize=True`` fixes the examples per test, so the
 suite draws the same cases on every run."""
 
+import random
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopcert import inequalities as ineq
 from loopcert import weyl
 from loopcert.affine import AffineWeight, CartanElement, affine_pairing
 from loopcert.cartan import RootSystemError, Weight, build_root_system_label
@@ -133,3 +136,75 @@ def test_root_norms_table(label):
         assert not rs.is_root(not_a_root)
         with pytest.raises(RootSystemError):
             rs.root_norm2(not_a_root)
+
+
+# the integer audit kernels against the Fraction reference (h1_vector, h3_vector)
+KERNEL_TYPES = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2")
+each_kernel_type = pytest.mark.parametrize("label", KERNEL_TYPES)
+
+
+@lru_cache(maxsize=None)
+def _kostant(label: str) -> tuple:
+    rs = build_root_system_label(label)
+    return tuple(w for _, w in _enumerated(label) if weyl.is_kostant(rs, w))
+
+
+@lru_cache(maxsize=None)
+def _rate(label: str) -> Q:
+    rs = build_root_system_label(label)
+    return ineq.b_norm_rate(rs, weyl.enumerate_by_length(rs, MAX_LEN[label]))
+
+
+@st.composite
+def h1_numerators(draw, size: int):
+    """Random, zero, one-hot or superposed (sum of two random) coefficient numerators."""
+    coeff = st.lists(st.integers(0, ineq.DRAW_SCALE - 1), min_size=size, max_size=size)
+    kind = draw(st.sampled_from(("random", "zero", "one_hot", "superposed")))
+    if kind == "random":
+        return draw(coeff)
+    if kind == "superposed":
+        return [a + b for a, b in zip(draw(coeff), draw(coeff))]
+    if kind == "zero":
+        return [0] * size
+    pick = draw(st.integers(0, max(size - 1, 0)))
+    return [ineq.DRAW_SCALE if k == pick else 0 for k in range(size)]
+
+
+@each_kernel_type
+@PROPERTY
+@given(data=st.data())
+def test_h1_kernel_matches_reference(label, data):
+    rs = build_root_system_label(label)
+    w = data.draw(st.sampled_from(_kostant(label)))
+    kernel = ineq._H1Kernel(rs, w, ineq.growth_constant_c1(rs))
+    nums = data.draw(h1_numerators(len(kernel.support)))
+    sample = ineq.H1Sample(w, tuple((g, Q(c, ineq.DRAW_SCALE)) for g, c in zip(kernel.support, nums)))
+    h1, checks = ineq.h1_vector(rs, sample)
+    assert kernel.checks(nums) == checks
+    assert kernel.element(nums) == h1
+    # the kernel draws what sample_h1 draws, from the same generator state
+    seed, one_hot = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.booleans())
+    drawn = kernel.sample(random.Random(seed), one_hot)
+    ref = ineq.sample_h1(rs, w, random.Random(seed), one_hot)
+    assert ref.coeffs == tuple((g, Q(c, ineq.DRAW_SCALE)) for g, c in zip(kernel.support, drawn))
+
+
+@each_kernel_type
+@pytest.mark.parametrize("r,t", [(Q(1), Q(1, 2)), (Q(1), Q(1, 3)), (Q(3, 2), Q(1, 2)), (Q(3, 2), Q(1, 3))],
+                         ids=["r1-t1/2", "r1-t1/3", "r3/2-t1/2", "r3/2-t1/3"])
+@PROPERTY
+@given(data=st.data())
+def test_h3_kernel_matches_reference(label, r, t, data):
+    rs = build_root_system_label(label)
+    w = data.draw(st.sampled_from(_kostant(label)))
+    # a shrunk envelope and rate make omega_bounded and growth3 fail too
+    shrink = data.draw(st.sampled_from((Q(1), Q(1, 64))))
+    envelope = dict(ineq.siegel_envelope(rs, r, t))
+    envelope["E"] *= shrink
+    rate = _rate(label) * shrink
+    kernel = ineq._H3Kernel(rs, w, r, t, envelope, rate)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    h, lam = kernel.sample(random.Random(seed))
+    ref = ineq.sample_siegel(rs, random.Random(seed), r, t)
+    assert ref.h_g == CartanElement(tuple(Q(x, kernel.den) for x in h), Q(lam, ineq.LAMBDA_SCALE), Q(0))
+    assert kernel.h3(h, lam) == ineq.h3_vector(rs, w, ref, envelope, rate)
