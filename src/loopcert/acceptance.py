@@ -43,7 +43,7 @@ def criterion_1_length_formulas(seed: int, prec: int) -> tuple[bool, str]:
         for depth, layer in enumerate(layers):
             for w in layer:
                 if weyl.length_im(rs, w) != depth:
-                    return False, f"{label}: IM length != BFS depth at {w.b}, {w.tilde.matrix}"
+                    return False, f"{label}: IM length != BFS depth at {w.b}, {w.tilde}"
                 if len(weyl.inverted_roots_scan(rs, w).roots) != depth:
                     return False, f"{label}: |inverted set| != depth at {w.b}"
                 checked += 1

@@ -44,25 +44,6 @@ class AffineWeight:
         c = Q(c)
         return AffineWeight(c * self.classical, c * self.iota, c * self.lam)
 
-    def to_json(self) -> dict:
-        from .reports import q_json
-
-        return {
-            "classical": [q_json(c) for c in self.classical.coords],
-            "iota": q_json(self.iota),
-            "lambda": q_json(self.lam),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "AffineWeight":
-        from .reports import q_parse
-
-        return AffineWeight(
-            Weight(tuple(q_parse(c) for c in data["classical"])),
-            q_parse(data["iota"]),
-            q_parse(data["lambda"]),
-        )
-
 
 @dataclass(frozen=True)
 class CartanElement:
@@ -81,25 +62,6 @@ class CartanElement:
     def __rmul__(self, c) -> "CartanElement":
         c = Q(c)
         return CartanElement(vec_scale(c, self.classical), c * self.h_iota, c * self.d)
-
-    def to_json(self) -> dict:
-        from .reports import q_json
-
-        return {
-            "classical": [q_json(c) for c in self.classical],
-            "h_iota": q_json(self.h_iota),
-            "d": q_json(self.d),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "CartanElement":
-        from .reports import q_parse
-
-        return CartanElement(
-            tuple(q_parse(c) for c in data["classical"]),
-            q_parse(data["h_iota"]),
-            q_parse(data["d"]),
-        )
 
 
 @dataclass(frozen=True)

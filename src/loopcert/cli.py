@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -189,7 +190,7 @@ def cmd_weyl_enumerate(args) -> Report:
                 continue
             lines.append(
                 {
-                    "tilde_matrix": [list(r) for r in w.tilde.matrix],
+                    "tilde_matrix": [list(r) for r in w.tilde],
                     "b": list(w.b),
                     "length": w.length,
                     "word": list(w.word or ()),
@@ -228,24 +229,11 @@ def cmd_verify(args) -> Report:
 
 def cmd_certify(args) -> Report:
     rs = build_root_system_label(args.type_label)
-    if args.nu0 is None or args.cap_d is None:
-        params = conv.default_params(rs, r=args.r, re_nu=args.re_nu, big_d=args.big_d,
-                                     c1=args.c1, c2=args.c2, c3=args.c3)
-        if args.nu0 is not None or args.cap_d is not None:
-            params = conv.CertificateParams(
-                rs.label, args.r, args.re_nu,
-                args.nu0 if args.nu0 is not None else params.nu0,
-                args.c1, args.c2, args.c3,
-                args.cap_d if args.cap_d is not None else params.cap_d,
-                args.big_d,
-            )
-    else:
-        params = conv.CertificateParams(rs.label, args.r, args.re_nu, args.nu0,
-                                        args.c1, args.c2, args.c3, args.cap_d, args.big_d)
-    try:
-        params.validate(rs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    params = conv.default_params(rs, r=args.r, re_nu=args.re_nu, big_d=args.big_d,
+                                 c1=args.c1, c2=args.c2, c3=args.c3)
+    given = {"nu0": args.nu0, "cap_d": args.cap_d}
+    params = dataclasses.replace(params, **{k: v for k, v in given.items() if v is not None})
+    params.validate(rs)  # a ValueError is a usage error (exit 2)
     results = conv.certify(rs, params, args.max_len, prec=args.prec)
     failures = [] if results["verdict"] == "DECAYING" else [{"verdict": results["verdict"]}]
     if args.csv:

@@ -92,6 +92,8 @@ class CertificateParams:
 def default_params(rs: FiniteRootSystem, r: Q = Q(1), re_nu: Q = Q(0), big_d: Q = Q(1),
                    c1: Q = Q(1), c2: Q = Q(1), c3: Q = Q(1), slack: int = 1) -> CertificateParams:
     """nu0 = 2h_dual + 1 and the smallest d with d*c2 integral and a >= slack."""
+    if c2 <= 0:
+        raise ValueError("constants must be positive")
     nu0 = Q(2 * dual_coxeter(rs) + 1)
     gap = nu0 - re_nu
     k = ceil(gap * c2) + slack

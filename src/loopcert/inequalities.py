@@ -193,7 +193,7 @@ def h2_vector(rs: FiniteRootSystem, w: AffineWeylElement, r: Q) -> tuple[CartanE
     """H2 with <Lambda,H2> = -r(b,b)/2 and classical part -r tilde(b)."""
     if not is_kostant(rs, w):
         raise ValueError("H2 checks require a Kostant representative")
-    tb = mat_vec_int(_coroot_matrix(rs, w.tilde.matrix), w.b)
+    tb = mat_vec_int(_coroot_matrix(rs, w.tilde), w.b)
     bb = rs.coroot_pair_form(vec(w.b), vec(w.b))
     h2 = CartanElement(tuple(-r * Q(x) for x in tb), -r * bb / 2, Q(0))
     ell = w.length if w.length is not None else length_im(rs, w)
@@ -242,7 +242,7 @@ def h3_vector(
     if not is_kostant(rs, w):
         raise ValueError("H3 checks require a Kostant representative")
     h_cl = sample.h_g.classical
-    cor = _coroot_matrix(rs, w.tilde.matrix)
+    cor = _coroot_matrix(rs, w.tilde)
     th = tuple(sum((Q(cor[i][j]) * h_cl[j] for j in range(rs.rank)), Q(0)) for i in range(rs.rank))
     hb = rs.coroot_pair_form(h_cl, vec(w.b))
     h3 = CartanElement(th, sample.lambda_pairing + hb, Q(0))
@@ -368,7 +368,7 @@ class _H3Kernel:
         self.top_num, self.top_den = top.numerator * self.den, top.denominator
         e = envelope["E"]
         self.e_num, self.e_den = e.numerator * self.den, e.denominator
-        self.cor = _coroot_matrix(rs, w.tilde.matrix)
+        self.cor = _coroot_matrix(rs, w.tilde)
         g_den = lcm(*(g.denominator for row in rs.coroot_form for g in row))
         self.gram = tuple(tuple(int(g * g_den) for g in row) for row in rs.coroot_form)
         self.gram_b = mat_vec_int(self.gram, w.b)
@@ -432,7 +432,7 @@ class InequalityReport:
 
 
 def _wid(w: AffineWeylElement) -> dict:
-    return {"tilde": [list(r) for r in w.tilde.matrix], "b": list(w.b), "length": w.length}
+    return {"tilde": [list(r) for r in w.tilde], "b": list(w.b), "length": w.length}
 
 
 def lemma22_constants(rs: FiniteRootSystem, layers) -> dict:
@@ -646,14 +646,16 @@ def verify(
     r: Q = Q(1),
     t: Q = Q(1, 2),
 ) -> InequalityReport:
-    """Dispatch for the CLI verify subcommand; r and t reach the audits
-    (thm32, cor34) only."""
+    """Dispatch for the CLI verify subcommand; samples, r and t reach the
+    audits (thm32, cor34) only, which need at least one sample."""
     if lemma == "lemma22":
         return verify_lemma22(rs, max_len)
     if lemma == "lemma23":
         return verify_lemma23(rs, max_len)
     if lemma == "lemma351":
         return verify_lemma351(rs, max_len)
+    if lemma in ("thm32", "cor34") and samples < 1:
+        raise ValueError(f"{lemma} needs --samples >= 1, got {samples}")
     if lemma == "thm32":
         return run_audit(rs, max_len, samples, max(1, samples // 10), seed, r, t, with_corollary=False)
     if lemma == "cor34":

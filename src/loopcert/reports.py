@@ -23,12 +23,6 @@ def q_json(x) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def q_parse(obj) -> Q:
-    if isinstance(obj, dict):
-        return Q(obj["num"], obj["den"])
-    return Q(obj)
-
-
 def q_str(x) -> str:
     x = Q(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

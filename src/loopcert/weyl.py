@@ -1,7 +1,8 @@
 """Affine Weyl group in canonical semidirect coordinates.
 
-An element is stored as a pair ``(tilde, b)`` with ``tilde`` in the classical
-Weyl group and ``b`` in the coroot lattice, realizing ``w = tilde . T_b``
+An element is stored as a pair ``(tilde, b)`` with ``tilde`` a classical Weyl
+element, kept as its integer matrix on simple-root coordinates, and ``b`` in
+the coroot lattice, realizing ``w = tilde . T_b``
 under *function composition*: acting on a weight, the translation ``T_b``
 (``lam -> lam + <lam, b> iota`` on classical weights) applies first and the
 classical part second.  The two product forms are interchangeable through
@@ -23,7 +24,7 @@ from functools import lru_cache
 
 from .affine import AffineRoot, AffineWeight, CartanElement, affine_pairing, affine_simple_coroots, affine_simple_roots
 from .cartan import FiniteRootSystem, RootSystemError, Weight
-from .linalg import Vec, mat_inverse, vec, vec_add, vec_scale
+from .linalg import mat_inverse, mat_vec, vec, vec_add, vec_scale
 
 IntVec = tuple[int, ...]
 IntMat = tuple[tuple[int, ...], ...]
@@ -35,23 +36,6 @@ class EnumerationLimit(RuntimeError):
 
 class ScanBoundError(RuntimeError):
     """The |n| <= l(w)+2 scan window missed inverted roots; convention bug."""
-
-
-@dataclass(frozen=True)
-class FiniteWeylElement:
-    """Classical Weyl element as its integer matrix on simple-root coordinates."""
-
-    matrix: IntMat
-
-    def apply_root(self, beta) -> IntVec:
-        return tuple(sum(self.matrix[i][j] * beta[j] for j in range(len(beta))) for i in range(len(self.matrix)))
-
-    def apply_weight(self, coords: Vec) -> Vec:
-        return tuple(sum((Q(self.matrix[i][j]) * coords[j] for j in range(len(coords))), Q(0)) for i in range(len(self.matrix)))
-
-
-def finite_identity(rank: int) -> FiniteWeylElement:
-    return FiniteWeylElement(tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)))
 
 
 @lru_cache(maxsize=None)
@@ -73,17 +57,18 @@ def _coroot_matrix(rs: FiniteRootSystem, matrix: IntMat) -> IntMat:
 class AffineWeylElement:
     """Canonical pair (tilde, b); equality and hash use only the pair."""
 
-    tilde: FiniteWeylElement
+    tilde: IntMat  # classical part: integer matrix on simple-root coordinates
     b: IntVec
     word: tuple[int, ...] | None = field(default=None, compare=False)
     length: int | None = field(default=None, compare=False)
 
     def sort_key(self):
-        return (self.b, self.tilde.matrix)
+        return (self.b, self.tilde)
 
 
 def identity_element(rs: FiniteRootSystem) -> AffineWeylElement:
-    return AffineWeylElement(finite_identity(rs.rank), (0,) * rs.rank, word=(), length=0)
+    one = tuple(tuple(1 if i == j else 0 for j in range(rs.rank)) for i in range(rs.rank))
+    return AffineWeylElement(one, (0,) * rs.rank, word=(), length=0)
 
 
 def generator(rs: FiniteRootSystem, i: int) -> AffineWeylElement:
@@ -91,19 +76,19 @@ def generator(rs: FiniteRootSystem, i: int) -> AffineWeylElement:
     if not 1 <= i <= rs.rank + 1:
         raise RootSystemError(f"reflection index {i} out of range")
     b = rs.highest_coroot if i > rs.rank else (0,) * rs.rank
-    return AffineWeylElement(FiniteWeylElement(rs.reflections[i - 1]), b, word=(i,), length=1)
+    return AffineWeylElement(rs.reflections[i - 1], b, word=(i,), length=1)
 
 
 def multiply(rs: FiniteRootSystem, u: AffineWeylElement, v: AffineWeylElement) -> AffineWeylElement:
-    vt_inv = _coroot_matrix(rs, _int_inverse(v.tilde.matrix))
+    vt_inv = _coroot_matrix(rs, _int_inverse(v.tilde))
     b = tuple(x + y for x, y in zip(mat_vec_int(vt_inv, u.b), v.b))
-    return AffineWeylElement(FiniteWeylElement(mat_mul_int(u.tilde.matrix, v.tilde.matrix)), b)
+    return AffineWeylElement(mat_mul_int(u.tilde, v.tilde), b)
 
 
 def inverse(rs: FiniteRootSystem, w: AffineWeylElement) -> AffineWeylElement:
-    t_inv = _int_inverse(w.tilde.matrix)
-    cor = _coroot_matrix(rs, w.tilde.matrix)
-    return AffineWeylElement(FiniteWeylElement(t_inv), tuple(-x for x in mat_vec_int(cor, w.b)))
+    t_inv = _int_inverse(w.tilde)
+    cor = _coroot_matrix(rs, w.tilde)
+    return AffineWeylElement(t_inv, tuple(-x for x in mat_vec_int(cor, w.b)))
 
 
 def mat_vec_int(m: IntMat, x: IntVec) -> IntVec:
@@ -139,7 +124,7 @@ def act_on_root(rs: FiniteRootSystem, w: AffineWeylElement, a: AffineRoot) -> Af
     if a.is_imaginary:
         return a
     beta = a.classical_part
-    return AffineRoot(w.tilde.apply_root(beta), a.n + pair_int(rs, beta, w.b))
+    return AffineRoot(mat_vec_int(w.tilde, beta), a.n + pair_int(rs, beta, w.b))
 
 
 def act_on_weight(rs: FiniteRootSystem, w: AffineWeylElement, lam: AffineWeight) -> AffineWeight:
@@ -149,9 +134,9 @@ def act_on_weight(rs: FiniteRootSystem, w: AffineWeylElement, lam: AffineWeight)
     -lam_Lambda nu(tilde b) and the iota coefficient gains
     <lam_cl, b> - lam_Lambda (b,b)/2.
     """
-    cor = _coroot_matrix(rs, w.tilde.matrix)
+    cor = _coroot_matrix(rs, w.tilde)
     tb = mat_vec_int(cor, w.b)
-    cl = w.tilde.apply_weight(lam.classical.coords)
+    cl = mat_vec(w.tilde, lam.classical.coords)
     if lam.lam != 0:
         cl = vec_add(cl, vec_scale(-lam.lam, rs.coweight_vector(vec(tb))))
     bb = rs.coroot_pair_form(vec(w.b), vec(w.b))
@@ -161,7 +146,7 @@ def act_on_weight(rs: FiniteRootSystem, w: AffineWeylElement, lam: AffineWeight)
 
 def act_on_cartan(rs: FiniteRootSystem, w: AffineWeylElement, x: CartanElement) -> CartanElement:
     """w (m h_iota + h + r D) = [-r(b,b)/2 + (h,b) + m] h_iota - r tilde(b) + tilde(h) + r D."""
-    cor = _coroot_matrix(rs, w.tilde.matrix)
+    cor = _coroot_matrix(rs, w.tilde)
     h, m, r = x.classical, x.h_iota, x.d
     bb = rs.coroot_pair_form(vec(w.b), vec(w.b))
     hb = rs.coroot_pair_form(h, vec(w.b))
@@ -200,7 +185,7 @@ def from_word(rs: FiniteRootSystem, word) -> AffineWeylElement:
         b = vec_add(b, vec_scale(n_k, rs.fundamental_coweights[k]))
     if any(x.denominator != 1 for x in b):
         raise RootSystemError(f"translation part {b} not in the coroot lattice; convention bug")
-    elem = AffineWeylElement(FiniteWeylElement(matrix), tuple(int(x) for x in b))
+    elem = AffineWeylElement(matrix, tuple(int(x) for x in b))
     length = length_im(rs, elem)
     return AffineWeylElement(elem.tilde, elem.b, word=word if len(word) == length else None, length=length)
 
@@ -221,7 +206,7 @@ def length_im(rs: FiniteRootSystem, w: AffineWeylElement) -> int:
     """
     total = 0
     for alpha in rs.positive_roots:
-        chi = 1 if any(c < 0 for c in w.tilde.apply_root(alpha)) else 0
+        chi = 1 if any(c < 0 for c in mat_vec_int(w.tilde, alpha)) else 0
         total += abs(pair_int(rs, alpha, w.b) - chi)
     return total
 
@@ -282,6 +267,10 @@ def reduced_word(rs: FiniteRootSystem, w: AffineWeylElement) -> tuple[int, ...]:
 # inverted root sets
 
 
+def _root_key(a: AffineRoot):
+    return (a.n, a.classical_part)
+
+
 @dataclass(frozen=True)
 class InvertedRootSet:
     owner: AffineWeylElement
@@ -300,7 +289,7 @@ def inverted_roots_word(rs: FiniteRootSystem, w: AffineWeylElement) -> InvertedR
         beta = act_on_root(rs, prefix, simples[letter - 1])
         out.append(beta)
         prefix = multiply(rs, prefix, generator(rs, letter))
-    roots = tuple(sorted(out, key=lambda a: (a.n, a.classical_part)))
+    roots = tuple(sorted(out, key=_root_key))
     if len(set(roots)) != len(word):
         raise RootSystemError("word construction produced repeated inverted roots")
     return InvertedRootSet(w, roots)
@@ -308,34 +297,43 @@ def inverted_roots_word(rs: FiniteRootSystem, w: AffineWeylElement) -> InvertedR
 
 def inverted_roots_scan(rs: FiniteRootSystem, w: AffineWeylElement) -> InvertedRootSet:
     """Scan construction: positive real roots beta + n iota, 0 <= n <= l(w)+2,
-    sent negative by w^{-1}.  The count must equal l(w)."""
+    sent negative by w^{-1}.  The count must equal l(w).
+
+    iota is fixed, so w^{-1}(beta + n iota) = w^{-1}(beta) + n iota: each
+    classical root is acted on once, and every candidate n in the window is
+    tested on the shifted iota coefficient."""
     ell = w.length if w.length is not None else length_im(rs, w)
     w_inv = inverse(rs, w)
+    positive = rs.positive_root_set
     out = []
-    all_roots = list(rs.positive_roots) + [tuple(-c for c in r) for r in rs.positive_roots]
-    for n in range(0, ell + 3):
-        for beta in all_roots:
-            if n == 0 and any(c < 0 for c in beta):
-                continue
-            cand = AffineRoot(beta, n)
-            img = act_on_root(rs, w_inv, cand)
-            if not img.is_positive(rs):
-                out.append(cand)
+    for beta in rs.root_set:
+        img = act_on_root(rs, w_inv, AffineRoot(beta, 0))
+        img_negative = img.classical_part not in positive
+        for n in range(0 if beta in positive else 1, ell + 3):
+            k = img.n + n
+            if k < 0 or (k == 0 and img_negative):
+                out.append(AffineRoot(beta, n))
     if len(out) != ell:
         raise ScanBoundError(f"scan found {len(out)} inverted roots, expected {ell}")
-    return InvertedRootSet(w, tuple(sorted(out, key=lambda a: (a.n, a.classical_part))))
+    return InvertedRootSet(w, tuple(sorted(out, key=_root_key)))
+
+
+def _negated(roots) -> tuple[AffineRoot, ...]:
+    return tuple(sorted((a.negate() for a in roots), key=_root_key))
 
 
 def neg_inverted(rs: FiniteRootSystem, w: AffineWeylElement) -> tuple[AffineRoot, ...]:
-    """The set w^{-1} . Delta_w of negative roots made positive by w."""
-    inv = inverse(rs, w)
-    flipped = [act_on_root(rs, inv, a) for a in inverted_roots_scan(rs, w).roots]
-    return tuple(sorted(flipped, key=lambda a: (a.n, a.classical_part)))
+    """The set w^{-1} . Delta_w of negative roots made positive by w.
+
+    A negative gamma has w(gamma) > 0 iff -gamma > 0 is sent negative by w,
+    i.e. -gamma lies in Delta_{w^{-1}}; so the set is -Delta_{w^{-1}}
+    (N(w^{-1}) = -w^{-1} N(w))."""
+    return _negated(inverted_roots_scan(rs, inverse(rs, w)).roots)
 
 
 def neg_inverted_of_inverse(rs: FiniteRootSystem, w: AffineWeylElement) -> tuple[AffineRoot, ...]:
-    """Delta_{-, w^{-1}} = w . Delta_{w^{-1}}: support of the H1 coefficients."""
-    return neg_inverted(rs, inverse(rs, w))
+    """Delta_{-, w^{-1}} = w . Delta_{w^{-1}} = -Delta_w: support of the H1 coefficients."""
+    return _negated(inverted_roots_scan(rs, w).roots)
 
 
 def gamma_closed_form_report(rs: FiniteRootSystem, w: AffineWeylElement) -> dict:
@@ -352,9 +350,9 @@ def gamma_closed_form_report(rs: FiniteRootSystem, w: AffineWeylElement) -> dict
     for k in range(r - 1, -1, -1):
         suffix[k] = multiply(rs, suffix[k + 1], generator(rs, word[k]))
     variant_a = sorted((act_on_root(rs, suffix[k], simples[word[k] - 1]) for k in range(r)),
-                       key=lambda a: (a.n, a.classical_part))
+                       key=_root_key)
     variant_b = sorted((act_on_root(rs, suffix[k + 1], simples[word[k] - 1]).negate() for k in range(r)),
-                       key=lambda a: (a.n, a.classical_part))
+                       key=_root_key)
     return {
         "defining": defining,
         "variant_a_matches": variant_a == defining,
@@ -366,27 +364,24 @@ def gamma_closed_form_report(rs: FiniteRootSystem, w: AffineWeylElement) -> dict
 # Kostant coset representatives
 
 
+def _inverse_simple_images(rs: FiniteRootSystem, w: AffineWeylElement):
+    """w^{-1} alpha_i for the classical simple roots, i = 1..l, in order."""
+    w_inv = inverse(rs, w)
+    for a in affine_simple_roots(rs)[: rs.rank]:
+        yield act_on_root(rs, w_inv, a)
+
+
 def is_kostant(rs: FiniteRootSystem, w: AffineWeylElement) -> bool:
     """w lies in the minimal-length coset representatives of W \\ W_affine:
     w^{-1} alpha_i > 0 for every classical simple root."""
-    w_inv = inverse(rs, w)
-    for i in range(rs.rank):
-        a = AffineRoot(tuple(1 if j == i else 0 for j in range(rs.rank)), 0)
-        if not act_on_root(rs, w_inv, a).is_positive(rs):
-            return False
-    return True
+    return all(img.is_positive(rs) for img in _inverse_simple_images(rs, w))
 
 
 def kappa(rs: FiniteRootSystem, w: AffineWeylElement) -> list[tuple[IntVec, int]]:
     """Decompositions w^{-1} alpha_i = sigma_i + kappa_i iota for i = 1..l."""
-    if not is_kostant(rs, w):
+    images = list(_inverse_simple_images(rs, w))
+    if not all(img.is_positive(rs) for img in images):
         raise RootSystemError("kappa is only defined on Kostant representatives")
-    w_inv = inverse(rs, w)
-    out = []
-    for i in range(rs.rank):
-        a = AffineRoot(tuple(1 if j == i else 0 for j in range(rs.rank)), 0)
-        img = act_on_root(rs, w_inv, a)
-        if img.n < 0 or not rs.is_root(img.classical_part):
-            raise RootSystemError("kappa decomposition violated; convention bug")
-        out.append((img.classical_part, img.n))
-    return out
+    if any(img.n < 0 or not rs.is_root(img.classical_part) for img in images):
+        raise RootSystemError("kappa decomposition violated; convention bug")
+    return [(img.classical_part, img.n) for img in images]

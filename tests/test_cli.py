@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
@@ -259,3 +261,71 @@ def test_config_file_rules(tmp_path, capsys, cfg, argv, expected):
     assert rc == 0
     key, value = expected
     assert json.loads(capsys.readouterr().out)["config"][key] == value
+
+
+@pytest.mark.parametrize("lemma", ["thm32", "cor34"])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_audit_needs_a_sample(tmp_path, lemma, samples):
+    proc = run_cli(["verify", lemma, "--type", "A1", "--max-len", "2", "--samples", samples], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "--samples >= 1" in proc.stderr
+
+
+def test_certify_c2_zero_is_usage_error(tmp_path):
+    for extra in ([], ["--nu0", "9/2", "--d", "10"]):
+        proc = run_cli(["certify", "--type", "A1", "--max-len", "4", "--c2", "0", *extra], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: constants must be positive\n"
+
+
+@pytest.mark.parametrize("nu0, cap_d", [(None, None), ("9/2", None), (None, "10"), ("9/2", "10")])
+def test_certify_params_from_flags(monkeypatch, nu0, cap_d):
+    # --nu0/--d replace the default's fields one by one; the default d is the
+    # one for the default nu0 (A1: nu0 = 5, d = (ceil(6 * 3/2) + 1) / (3/2))
+    from loopcert import cli, convergence
+
+    seen = []
+
+    def certify(rs, params, max_len, prec):
+        seen.append(params)
+        return {"verdict": "DECAYING", "shells": []}
+
+    monkeypatch.setattr(convergence, "certify", certify)
+    argv = ["certify", "--type", "A1", "--max-len", "4", "--r", "2", "--re-nu", "-1",
+            "--c1", "2", "--c2", "3/2", "--c3", "1/2", "--big-d", "1/3"]
+    argv += ["--nu0", nu0] if nu0 else []
+    argv += ["--d", cap_d] if cap_d else []
+    cli.cmd_certify(cli.build_parser().parse_args(argv))
+    expected = convergence.CertificateParams(
+        "A1", Q(2), Q(-1), Q(nu0 or 5), Q(2), Q(3, 2), Q(1, 2), Q(cap_d or Q(20, 3)), Q(1, 3))
+    assert seen == [expected]
+
+
+# sha256 of outputs that must stay byte-identical (default seed, no LOOPCERT_
+# overrides): stdout is the full report, the JSONL file the emitted elements
+LEMMA23_C2_SHA256 = "2901ec228b0fb8393b921633ae1ee7b71c83d82566e0a2a0e4a7250de28c7c4e"
+LEMMA351_G2_SHA256 = "d045489bb523534f7a15b247bbf25ed83a91f0fbbd690b1f5cd3c22736c12587"
+ENUMERATE_G2_KOSTANT_SHA256 = "9fe5c9313fd6f3f1a1f154623b566f407357175547c9a36c694a9d10d9145a10"
+ENUMERATE_G2_KOSTANT_JSONL_SHA256 = "0e3179210b65fc08611867976488d53d7336b02a3cf307088048e333b1aeb441"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "lemma23", "--type", "C2", "--max-len", "8"], LEMMA23_C2_SHA256),
+    (["verify", "lemma351", "--type", "G2", "--max-len", "8"], LEMMA351_G2_SHA256),
+])
+def test_verify_report_unchanged(monkeypatch, capsys, argv, digest):
+    for name in ("SEED", "PREC", "OUT_DIR"):
+        monkeypatch.delenv("LOOPCERT_" + name, raising=False)
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out) == digest
+
+
+def test_enumerate_kostant_unchanged(tmp_path, capsys):
+    out = tmp_path / "g2.jsonl"
+    assert main(["weyl", "enumerate", "--type", "G2", "--max-len", "6", "--kostant", "--out", str(out)]) == 0
+    assert _sha256(capsys.readouterr().out) == ENUMERATE_G2_KOSTANT_SHA256
+    assert _sha256(out.read_text()) == ENUMERATE_G2_KOSTANT_JSONL_SHA256

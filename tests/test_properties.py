@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from loopcert import inequalities as ineq
 from loopcert import weyl
-from loopcert.affine import AffineWeight, CartanElement, affine_pairing
+from loopcert.affine import AffineRoot, AffineWeight, CartanElement, affine_pairing
 from loopcert.cartan import RootSystemError, Weight, build_root_system_label
 from loopcert.linalg import mat_inverse
 
@@ -74,6 +74,31 @@ def test_word_path_equals_scan_path(label, data):
 
 
 @each_type
+def test_flipped_sets_and_kostant_by_definition(label):
+    # every element up to MAX_LEN: the flipped sets against their defining
+    # property, and is_kostant/kappa against w^{-1} alpha_i from act_on_root
+    rs = build_root_system_label(label)
+    simples = [AffineRoot(tuple(int(i == j) for j in range(rs.rank)), 0) for i in range(rs.rank)]
+    kostant_seen = 0
+    for depth, w in _enumerated(label):
+        w_inv = weyl.inverse(rs, w)
+        for gammas, u in ((weyl.neg_inverted(rs, w), w), (weyl.neg_inverted_of_inverse(rs, w), w_inv)):
+            assert len(gammas) == len(set(gammas)) == depth
+            for gamma in gammas:
+                assert not gamma.is_positive(rs) and weyl.act_on_root(rs, u, gamma).is_positive(rs)
+        images = [weyl.act_on_root(rs, w_inv, a) for a in simples]
+        kostant = all(img.is_positive(rs) for img in images)
+        assert weyl.is_kostant(rs, w) == kostant
+        if kostant:
+            kostant_seen += 1
+            assert weyl.kappa(rs, w) == [(img.classical_part, img.n) for img in images]
+        else:
+            with pytest.raises(RootSystemError):
+                weyl.kappa(rs, w)
+    assert kostant_seen > 1
+
+
+@each_type
 @PROPERTY
 @given(data=st.data())
 def test_action_duality(label, data):
@@ -109,7 +134,7 @@ def _mat_mul(a, b):
 def test_coroot_matrix_is_the_dual_action(label, data):
     # D M D^{-1} against the defining (A M^{-1} A^{-1})^T, in Fractions
     rs = build_root_system_label(label)
-    m = weyl.from_word(rs, data.draw(words(label))).tilde.matrix
+    m = weyl.from_word(rs, data.draw(words(label))).tilde
     a = tuple(tuple(Q(e) for e in row) for row in rs.cartan.entries)
     m_inv = mat_inverse(tuple(tuple(Q(e) for e in row) for row in m))
     dual = _mat_mul(_mat_mul(a, m_inv), mat_inverse(a))
