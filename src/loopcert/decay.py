@@ -21,19 +21,33 @@ differences) plus that tail bound.  An independent telescoping oracle (exact
 antiderivative evaluation between sign changes) cross-checks the quadrature
 for N >= 1.
 
-The hot loops run in fixed point, on Python integers scaled by 2^F: the
-Horner evaluation of P_N inside the integrand (F = working precision + 40,
-coefficients pre-shifted per (N, F)), the Newton iteration behind the
-Gauss-Legendre tables (F = prec + 60), and the sigma_hat grid and phase
-recurrence (F = precision_bits + 40).  Each docstring states its truncation
-error; values cross into mpf only at the ends.
+The hot loops run on Python integers, most in fixed point scaled by 2^F:
+
+* the quadrature panels of l1_norm and l2_norm (_sigma_deriv_panel,
+  F = working precision + 40): per Gauss-Legendre node, Horner for P_N in
+  x^2, the powers of 1/(1-x^2) and exp_fixed, summed exactly and converted
+  to mpf once per panel.  Its absolute error against the same rule in exact
+  arithmetic is at most the docstring's sum over the nodes of weight times
+  (d/2 + 2) g + (4N + _EXP_FIXED_ULPS + 8) |p| g + 1 units of 2^-F (primitive
+  polynomial value p, factor g = (1-x^2)^(-2N) e^{-1/(1-x^2)}), far below the
+  panel tolerances;
+* the root refinement of sign_change_roots: bisection on dyadic m / 2^k with
+  exact integer signs, then Newton's method at G = prec + 80;
+* the pointwise sigma_deriv_mp (the reference the telescoping oracle and the
+  tests use): Horner for P_N at F = working precision + 40, with the other
+  factors in mpf;
+* the Newton iteration behind the Gauss-Legendre tables (F = prec + 60);
+* the sigma_hat grid and phase recurrence (F = precision_bits + 40).
+
+Each docstring states its truncation error; values cross into mpf only at
+the ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from operator import add, mul, sub
 from typing import NamedTuple
@@ -59,23 +73,6 @@ class RationalPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return self.scale * acc
-
-    def eval_mpf(self, x):
-        acc = mp.mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc * mp.mpf(self.scale.numerator) / self.scale.denominator
-
-    def eval_int_sign(self, p: int, q: int) -> int:
-        """Exact sign at the rational p/q (q > 0): sum c_k p^k q^(d-k)."""
-        d = self.degree
-        total = 0
-        pk = 1
-        for k, c in enumerate(self.coeffs):
-            total += c * pk * q ** (d - k)
-            pk *= p
-        s = (total > 0) - (total < 0)
-        return s if self.scale > 0 else -s
 
 
 def _content_reduce(raw: list[int], scale: Q) -> RationalPolynomial:
@@ -218,9 +215,9 @@ def _isolate_01(coeffs: list[int], lo: Q, hi: Q, depth: int, out: list) -> None:
     mid = (lo + hi) / 2
     if depth <= 0:
         # unresolved cluster: keep only if the end signs certify a sign change
-        s_lo = sum(c * lo.numerator**k * lo.denominator ** (d - k) for k, c in enumerate(coeffs))
-        s_hi = sum(c * hi.numerator**k * hi.denominator ** (d - k) for k, c in enumerate(coeffs))
-        if (s_lo > 0) != (s_hi > 0):
+        # (coeffs is p on [lo, hi] mapped onto [0, 1], so its ends are the
+        # values at 0 and 1)
+        if (coeffs[0] > 0) != (sum(coeffs) > 0):
             out.append((lo, hi))
         return
     if sum(right) == 0:  # p(mid) == 0 exactly
@@ -270,49 +267,65 @@ def _isolated_intervals(n: int) -> tuple:
     return tuple(sorted(out))
 
 
+def _dyadic_value(coeffs, m: int, k: int) -> int:
+    """2^(k d) p(m / 2^k) for p = sum coeffs[i] x^i of degree d, exactly, by
+    homogeneous Horner on integers."""
+    d = len(coeffs) - 1
+    acc = 0
+    for i in range(d, -1, -1):
+        acc = acc * m + (coeffs[i] << (k * (d - i)))
+    return acc
+
+
 @lru_cache(maxsize=None)
 def sign_change_roots(n: int, prec: int) -> tuple:
-    """Sign-change roots of P_n in (0, 1): exact isolation, then rational
-    bisection and a Newton polish, all on the deflated polynomial (whose sign
-    is nonzero at the interval ends)."""
-    poly = _deflated_poly(n)
+    """Sign-change roots of P_n in (0, 1), as mpf at prec + 40 bits, all on
+    the deflated polynomial (whose sign is nonzero at the interval ends).
+
+    Each isolating interval from the exact isolation is dyadic; it is halved
+    40 times on m / 2^k with exact integer signs (_dyadic_value).  Newton's
+    method then runs on integers scaled by 2^G, G = prec + 80: p and p' by
+    Horner with one floor per step, so p is off by fewer than d and p' by
+    fewer than d^2 units of 2^-G, and the iteration stops once a step is below 2^-(prec+20) or
+    after 8 steps."""
+    coeffs = _deflated_poly(n).coeffs
+    g = prec + 80
+    shifted = [c << g for c in reversed(coeffs)]
+    out = []
+    for lo, hi in _isolated_intervals(n):
+        if lo == hi:
+            out.append(lo)
+            continue
+        k = max(lo.denominator, hi.denominator).bit_length() - 1
+        m = int(lo * 2**k)  # lo = m / 2^k and hi = (m + 1) / 2^k
+        v_lo = _dyadic_value(coeffs, m, k)
+        assert v_lo != 0
+        s_lo = v_lo > 0
+        for _ in range(40):
+            m, k = 2 * m + 1, k + 1  # the midpoint
+            v_mid = _dyadic_value(coeffs, m, k)
+            if v_mid == 0:
+                break
+            if (v_mid > 0) != s_lo:
+                m -= 1
+        else:
+            # the midpoint of the final interval [m / 2^k, (m + 1) / 2^k]
+            m, k = 2 * m + 1, k + 1
+        x = m << (g - k)
+        for _ in range(8):
+            p = dp = 0
+            for c in shifted:
+                dp = ((dp * x) >> g) + p
+                p = ((p * x) >> g) + c
+            if dp == 0:
+                break
+            step = (p << g) // dp
+            x -= step
+            if abs(step) < 1 << (g - prec - 20):
+                break
+        out.append(Q(x, 1 << g))
     with mp.workprec(prec + 40):
-        out = []
-        for lo, hi in _isolated_intervals(n):
-            if lo == hi:
-                out.append(mp.mpf(lo.numerator) / lo.denominator)
-                continue
-            s_lo = poly.eval_int_sign(lo.numerator, lo.denominator)
-            assert s_lo != 0
-            for _ in range(40):
-                mid = (lo + hi) / 2
-                s_mid = poly.eval_int_sign(mid.numerator, mid.denominator)
-                if s_mid == 0:
-                    lo = hi = mid
-                    break
-                if s_mid == s_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            x = (mp.mpf(lo.numerator) / lo.denominator + mp.mpf(hi.numerator) / hi.denominator) / 2
-            for _ in range(8):
-                f = poly.eval_mpf(x)
-                df = _poly_deriv_mpf(poly, x)
-                if df == 0:
-                    break
-                step = f / df
-                x -= step
-                if abs(step) < mp.mpf(2) ** (-(prec + 20)):
-                    break
-            out.append(x)
-        return tuple(sorted(out))
-
-
-def _poly_deriv_mpf(poly: RationalPolynomial, x):
-    acc = mp.mpf(0)
-    for k in range(poly.degree, 0, -1):
-        acc = acc * x + k * poly.coeffs[k]
-    return acc * mp.mpf(poly.scale.numerator) / poly.scale.denominator
+        return tuple(mp.mpf(x.numerator) / x.denominator for x in sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -372,44 +385,113 @@ def _panel_integral(f, a, b, order: int):
     return half * mp.fsum(w * f(mid + half * x) for x, w in gauss_legendre(order, mp.prec))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre_fixed(order: int, prec: int) -> tuple:
+    """gauss_legendre(order, prec) as (node, weight) integers scaled by 2^F,
+    F = prec + 40, each floored from its mpf."""
+    f = prec + 40
+    return tuple((to_fixed(x._mpf_, f), to_fixed(w._mpf_, f)) for x, w in gauss_legendre(order, prec))
+
+
+def _sigma_deriv_panel(n: int, power: int, a, b, order: int):
+    """GL(order) of sigma^(n)^power over [a, b], 0 <= a < b < 1, power 1 or 2,
+    on Python integers scaled by 2^F, F = working precision + 40.
+
+    Per node x_j = (a + b)/2 + t_j (b - a)/2, floored to F bits: P_n by
+    Horner in y = x^2 (kept exact at 2F bits) over the nonzero coefficients
+    of _horner_table, times x once for odd n; v = 1/u, u = 1 - x^2; u^(-2n)
+    as v^(2n) by squaring; and e^(-v) = 2^k e^r with r in [0, ln 2) from
+    exp_fixed.  The weighted sum of the node values (or their squares) is
+    exact; it crosses into mpf once, times scale^power.
+
+    Truncation, in units of 2^-F, for the primitive polynomial (P_n / scale)
+    and first order in 2^-F: node j's value is off by at most
+        e_j = (d/2 + 2) g_j + (4n + _EXP_FIXED_ULPS + 8) |p_j| g_j + 1,
+    with d the degree of P_n, p_j = P_n(x_j) / scale and
+    g_j = u_j^(-2n) e^(-1/u_j): the Horner steps floor fewer than d/2 + 1
+    times at |x| < 1, v^(2n) carries a relative error of at most 4n units,
+    e^(-v) one of _EXP_FIXED_ULPS + 3, and the final shift floors once.  So
+    the result is within |scale|^power (b - a)/2 sum_j w_j B_j units of the
+    same rule done exactly at the nodes x_j, with B_j = e_j for power 1 and
+    (2 |p_j| g_j + e_j) e_j for power 2, plus three roundings to the working
+    precision.  A value below 2^-F (near 1 - delta, where e^(-1/u)
+    underflows) is returned as 0 within that bound.
+
+    The integer nodes and weights are within 2 units of the exact
+    Gauss-Legendre ones, and x_j within 3 units of the exact node of [a, b],
+    which moves the result from the exact rule by at most
+    (b - a)/2 sum_j (2 |f_j| + 3 w_j |f'_j|) more units, to first order,
+    f = (sigma^(n))^power."""
+    f = mp.prec + 40
+    coeffs, scale = _horner_table(n, f)
+    coeffs = coeffs[::2]  # P_n has the parity of n: every other coefficient is 0
+    lo, hi = to_fixed(a._mpf_, f), to_fixed(b._mpf_, f)
+    mid2, half2 = lo + hi, hi - lo  # (a + b) and (b - a), scaled by 2^F
+    one = 1 << f
+    ln2 = ln2_fixed(f + 20)
+    total = 0
+    for t, w in _gauss_legendre_fixed(order, mp.prec):
+        x = ((mid2 << f) + half2 * t) >> (f + 1)
+        y = x * x  # exact, scaled by 2^(2F)
+        acc = 0
+        for c in coeffs:
+            acc = ((acc * y) >> (2 * f)) + c
+        if n & 1:
+            acc = (acc * x) >> f
+        v = (one << (2 * f)) // ((one << f) - y)  # 1/u, u = 1 - x^2
+        g, base, e = one, v, 2 * n
+        while e:
+            if e & 1:
+                g = (g * base) >> f
+            e >>= 1
+            if e:
+                base = (base * base) >> f
+        k, r = divmod(-v << 20, ln2)  # -v = k ln 2 + r, 0 <= r < ln 2
+        value = (acc * g * exp_fixed(r >> 20, f)) >> (2 * f - k)  # 2^k with k < 0
+        total += w * value**power
+    # w scaled by 2^F, value^power by 2^(power F), (b - a) / 2 by 2^(F + 1)
+    return mp.ldexp(total * half2, -((power + 2) * f + 1)) * scale**power
+
+
 _MAX_DEPTH = 12
 
 
-def _adaptive_panel(f, a, b, tol, order: int = 24, depth: int = 0, coarse=None):
-    """(value, error estimate, depth-cap hits) of the integral of f over
-    [a, b]: GL(2 order) where it is within tol of GL(order), else bisected.
-    The estimate is the sum of |GL(2 order) - GL(order)| over the accepted
-    pieces, not a bound.  A piece still off by more than tol at depth
-    _MAX_DEPTH is accepted and counted as a cap hit.  `coarse` is GL(order)
-    on [a, b] when the caller has it already."""
+def _adaptive_panel(panel, a, b, tol, order: int = 24, depth: int = 0, coarse=None):
+    """(value, error estimate, depth-cap hits) of the integral that
+    panel(a, b, order) approximates by GL(order): GL(2 order) where it is
+    within tol of GL(order), else bisected.  The estimate is the sum of
+    |GL(2 order) - GL(order)| over the accepted pieces, not a bound.  A piece
+    still off by more than tol at depth _MAX_DEPTH is accepted and counted as
+    a cap hit.  `coarse` is GL(order) on [a, b] when the caller has it
+    already."""
     if coarse is None:
-        coarse = _panel_integral(f, a, b, order)
-    fine = _panel_integral(f, a, b, 2 * order)
+        coarse = panel(a, b, order)
+    fine = panel(a, b, 2 * order)
     err = abs(fine - coarse)
     if err <= tol:
         return fine, err, 0
     if depth >= _MAX_DEPTH:
         return fine, err, 1
     mid = (a + b) / 2
-    left = _adaptive_panel(f, a, mid, tol / 2, order, depth + 1)
-    right = _adaptive_panel(f, mid, b, tol / 2, order, depth + 1)
+    left = _adaptive_panel(panel, a, mid, tol / 2, order, depth + 1)
+    right = _adaptive_panel(panel, mid, b, tol / 2, order, depth + 1)
     return left[0] + right[0], left[1] + right[1], left[2] + right[2]
 
 
-def _rough_pass(f, bounds) -> tuple:
+def _rough_pass(panel, bounds) -> tuple:
     """GL24 on each panel between consecutive bounds, and the sum of their
     absolute values, which anchors the panel tolerances."""
-    coarse = [_panel_integral(f, a, b, 24) for a, b in zip(bounds, bounds[1:])]
+    coarse = [panel(a, b, 24) for a, b in zip(bounds, bounds[1:])]
     return coarse, mp.fsum(abs(c) for c in coarse)
 
 
-def _adaptive_sum(f, bounds, coarse, tol) -> tuple:
+def _adaptive_sum(panel, bounds, coarse, tol) -> tuple:
     """(sum of |integral|, error estimate, depth-cap hits) over the panels,
     each refined from its rough-pass value."""
     total = err = mp.mpf(0)
     hits = 0
     for a, b, c in zip(bounds, bounds[1:], coarse):
-        val, e, h = _adaptive_panel(f, a, b, tol, coarse=c)
+        val, e, h = _adaptive_panel(panel, a, b, tol, coarse=c)
         total += abs(val)
         err += e
         hits += h
@@ -455,13 +537,13 @@ def l1_norm(n: int, precision_bits: int = 256) -> dict:
         bounds.extend(geo)
         bounds.append(top)
 
-        f = lambda x: sigma_deriv_mp(n, x)
+        panel = partial(_sigma_deriv_panel, n, 1)
         # norms grow like (2n)^(2n); the error target is relative, so anchor
         # the panel tolerances to a rough first-pass magnitude
-        coarse, rough = _rough_pass(f, bounds)
+        coarse, rough = _rough_pass(panel, bounds)
         scale = max(rough, mp.mpf(2) ** (-precision_bits))
         tol = scale * target / (2 * len(bounds))
-        total, err, hits = _adaptive_sum(f, bounds, coarse, tol)
+        total, err, hits = _adaptive_sum(panel, bounds, coarse, tol)
         total = 2 * total + tail  # parity: |sigma^(n)| is even
         err = 2 * (err + tail)
         if not total > 0:
@@ -656,6 +738,8 @@ def fourier_decay_fit(r_min, r_max, samples: int, precision_bits: int = 256) -> 
     sqrt(2 pi)."""
     if not 0 < r_min < r_max:
         raise ValueError("need 0 < r_min < r_max")
+    if samples < 2:
+        raise ValueError(f"the fit needs --samples >= 2, got {samples}")
     with mp.workprec(precision_bits + 40):
         rs = [mp.mpf(r_min) * (mp.mpf(r_max) / r_min) ** (mp.mpf(k) / (samples - 1)) for k in range(samples)]
         xs, ys = [], []
@@ -715,12 +799,12 @@ def l2_norm(n: int, precision_bits: int = 256):
     """||sigma^(n)||_2 on (-1,1); the squared integrand is smooth (no kinks),
     so root splitting is unnecessary."""
     with mp.workprec(precision_bits + 40):
-        g2 = lambda x: sigma_deriv_mp(n, x) ** 2
+        panel = partial(_sigma_deriv_panel, n, 2)
         delta = mp.mpf(1) / (2 * (precision_bits + 4 * n + 40))
         bounds = [mp.mpf(0), mp.mpf(1) / 2, mp.mpf(3) / 4, mp.mpf(7) / 8, 1 - delta]
-        coarse, rough = _rough_pass(g2, bounds)
+        coarse, rough = _rough_pass(panel, bounds)
         tol = max(rough, mp.mpf(2) ** (-precision_bits)) * mp.mpf(2) ** (-(precision_bits // 2) - 8) / 8
-        right, _, _ = _adaptive_sum(g2, bounds, coarse, tol)  # every panel value is positive
+        right, _, _ = _adaptive_sum(panel, bounds, coarse, tol)  # every panel value is positive
         return mp.sqrt(2 * right)
 
 

@@ -271,6 +271,13 @@ def test_audit_needs_a_sample(tmp_path, lemma, samples):
     assert proc.stderr.startswith("error:") and "--samples >= 1" in proc.stderr
 
 
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_fourier_fit_needs_two_samples(capsys, samples):
+    assert main(["decay", "fourier", "--range", "50,60", "--samples", samples]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--samples >= 2" in err
+
+
 def test_certify_c2_zero_is_usage_error(tmp_path):
     for extra in ([], ["--nu0", "9/2", "--d", "10"]):
         proc = run_cli(["certify", "--type", "A1", "--max-len", "4", "--c2", "0", *extra], tmp_path)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction as Q
@@ -14,6 +16,7 @@ from loopcert.cli import main
 # sha256 of the report without its config and schema_version, as compact
 # sort_keys JSON
 FOURIER_REPORT_SHA256 = "fd3cacd1a69b8f525f8e1b523c9109f1125de112e6973cbf202b537814369e73"
+L1_REPORTS_SHA256 = "245195f25c2eb234c3fcd6be126929e40e78271262303af815e26317804dcff3"
 
 
 def test_derivative_poly_base_cases():
@@ -55,13 +58,40 @@ def test_root_isolation_exactness():
     # every isolated interval carries exactly one sign change, verified with
     # exact integer arithmetic at the endpoints of the deflated polynomial
     for n in range(2, 16):
-        poly = decay._deflated_poly(n)
+        coeffs = decay._deflated_poly(n).coeffs
         for lo, hi in decay._isolated_intervals(n):
             if lo == hi:
                 continue
-            s_lo = poly.eval_int_sign(lo.numerator, lo.denominator)
-            s_hi = poly.eval_int_sign(hi.numerator, hi.denominator)
-            assert s_lo != 0 and s_hi != 0 and s_lo != s_hi
+            k = max(lo.denominator, hi.denominator).bit_length() - 1
+            assert lo * 2**k + 1 == hi * 2**k  # dyadic, one step of 2^-k wide
+            v_lo = decay._dyadic_value(coeffs, int(lo * 2**k), k)
+            v_hi = decay._dyadic_value(coeffs, int(hi * 2**k), k)
+            assert v_lo != 0 and v_hi != 0 and (v_lo > 0) != (v_hi > 0)
+
+
+def test_dyadic_value_matches_rational_evaluation():
+    rng = random.Random(5)
+    for n in (3, 9, 17):
+        poly = decay._deflated_poly(n)
+        for _ in range(20):
+            k = rng.randrange(0, 60)
+            m = rng.randrange(0, 2**k + 1)
+            exact = sum(c * Q(m, 2**k) ** i for i, c in enumerate(poly.coeffs))
+            assert decay._dyadic_value(poly.coeffs, m, k) == exact * 2 ** (k * poly.degree), (n, m, k)
+
+
+def test_sign_change_roots_within_target():
+    # every refined root lies within 2^-(prec+20) of the root of the deflated
+    # polynomial found by mpmath at 700 bits; near the clustered roots at
+    # x -> 1, Newton on an mpf Horner at prec + 40 bits misses this target
+    prec = 256
+    for n in range(1, 21):
+        coeffs = decay._deflated_poly(n).coeffs
+        roots = decay.sign_change_roots(n, prec)
+        with mp.workprec(700):
+            for r in roots:
+                ref = mp.findroot(lambda x: mp.polyval(coeffs[::-1], x), mp.mpf(r))
+                assert abs(ref - r) <= mp.ldexp(1, -(prec + 20)), (n, float(r))
 
 
 def test_roots_count_against_dense_scan():
@@ -209,8 +239,81 @@ def test_adaptive_panel_counts_depth_cap_hits(monkeypatch):
     # with a tolerance no piece can meet, every piece at the cap is a hit
     monkeypatch.setattr(decay, "_MAX_DEPTH", 3)
     with mp.workprec(128):
-        _, _, hits = decay._adaptive_panel(mp.exp, mp.mpf(0), mp.mpf(1), mp.mpf(-1))
+        panel = lambda a, b, order: decay._panel_integral(mp.exp, a, b, order)
+        _, _, hits = decay._adaptive_panel(panel, mp.mpf(0), mp.mpf(1), mp.mpf(-1))
     assert hits == 2**3
+
+
+def _panel_bound_terms(n: int, power: int, x):
+    """(B_j, 2 |f_j|, 3 |f'_j|) of the _sigma_deriv_panel docstring at the
+    node x, f = (sigma^(n))^power, in the units the docstring uses."""
+    poly = decay.derivative_poly(n).poly
+    scale = abs(mp.mpf(poly.scale.numerator) / poly.scale.denominator)
+    u = 1 - x * x
+    g = u ** (-2 * n) * mp.exp(-1 / u)
+    s0, s1 = decay.sigma_deriv_mp(n, x), decay.sigma_deriv_mp(n + 1, x)
+    pg = abs(s0) / scale  # |p_j| g_j
+    e = (mp.mpf(poly.degree) / 2 + 2) * g + (4 * n + decay._EXP_FIXED_ULPS + 8) * pg + 1
+    if power == 1:
+        return e * scale, 2 * abs(s0), 3 * abs(s1)
+    return (2 * pg + e) * e * scale**2, 2 * s0**2, 3 * abs(2 * s0 * s1)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 8, 20])
+def test_sigma_deriv_panel_within_bound(n, power):
+    # the fixed-point panel against GL24 of the pointwise sigma_deriv_mp at
+    # prec + 100, at the working precision l1_norm uses (256 + 60 bits); the
+    # allowance is the docstring's truncation bound plus its node and weight
+    # term, both in units of 2^-F, and three roundings at the working precision
+    prec = 316
+    f = prec + 40
+    delta = mp.mpf(1) / (2 * (256 + 4 * n + 40))
+    with mp.workprec(prec):
+        panels = [(mp.mpf(0), mp.mpf(1) / 4), (mp.mpf("0.55"), mp.mpf("0.8")), (1 - 2 * delta, 1 - delta)]
+    for a, b in panels:
+        with mp.workprec(prec):
+            value = decay._sigma_deriv_panel(n, power, a, b, 24)
+        with mp.workprec(prec + 100):
+            ref = decay._panel_integral(lambda x: decay.sigma_deriv_mp(n, x) ** power, a, b, 24)
+            half = (b - a) / 2
+            bound = node = mp.mpf(0)
+            for t, w in decay.gauss_legendre(24, mp.prec):
+                big_b, two_f, three_df = _panel_bound_terms(n, power, (a + b) / 2 + half * t)
+                bound += w * big_b
+                node += two_f + w * three_df
+            allowed = mp.ldexp(half * (bound + node), -f) + 3 * mp.ldexp(abs(ref), -prec)
+            assert abs(value - ref) <= allowed, (n, power, float(a))
+
+
+def test_exp_fixed_error_on_reduced_arguments():
+    # _sigma_deriv_panel reduces e^(-v) to 2^k e^r with 0 <= r < ln 2 and
+    # assumes exp_fixed(r, F) within _EXP_FIXED_ULPS units there too
+    rng = random.Random(6)
+    for f in (336, 356):
+        with mp.workprec(f + 80):
+            top = int(mp.ldexp(mp.ln2, f))
+        worst = 0
+        for _ in range(400):
+            r = rng.randrange(0, top)
+            with mp.workprec(f + 80):
+                exact = mp.ldexp(mp.exp(mp.ldexp(r, -f)), f)
+            worst = max(worst, abs(exp_fixed(r, f) - exact))
+        assert worst <= 16 <= decay._EXP_FIXED_ULPS, (f, worst)
+
+
+def test_l1_reports_unchanged():
+    # sha256 of the 20 `decay l1 --n N` reports (N = 1..20) without config and
+    # schema_version, as one compact sort_keys JSON list, from the mpf
+    # pointwise integrand and the Fraction bisection with mpf Newton polish
+    bodies = []
+    for n in range(1, 21):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["decay", "l1", "--n", str(n)]) == 0
+        doc = json.loads(out.getvalue())
+        bodies.append({k: v for k, v in doc.items() if k not in ("config", "schema_version")})
+    assert hashlib.sha256(json.dumps(bodies, sort_keys=True).encode()).hexdigest() == L1_REPORTS_SHA256
 
 
 def test_fourier_envelope_evaluates_each_scan_point_once(monkeypatch):
