@@ -137,12 +137,13 @@ def criterion_7_decay_suite(seed: int, prec: int) -> tuple[bool, str]:
     prec = max(prec, 256)
     with mp.workprec(prec + 64):
         # ||sigma'||_1 = 2/e to 1e-9
-        norm1 = decay.l1_norm(1, prec)["norm"]
+        l1 = decay.l1_norm(1, prec)
+        norm1 = l1["norm"]
         target = 2 / mp.exp(1)
         if abs(norm1 - target) / target > mp.mpf("1e-9"):
             return False, f"||sigma'||_1 = {mp.nstr(norm1, 15)} != 2/e"
         # ratio chain bounded by its N=1 value
-        base = decay.l1_norm(1, prec)["ln"] - 2 * mp.log(2)
+        base = l1["ln"] - 2 * mp.log(2)
         for n in range(2, 21):
             ratio = decay.l1_norm(n, prec)["ln"] - 2 * n * mp.log(2 * n)
             if ratio > base + mp.mpf("1e-12"):

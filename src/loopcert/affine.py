@@ -124,16 +124,3 @@ def affine_pairing(rs: FiniteRootSystem, lam: AffineWeight, x: CartanElement) ->
         raise RootSystemError("rank mismatch in affine pairing")
     return rs.pairing(lam.classical.coords, x.classical) + lam.iota * x.d + lam.lam * x.h_iota
 
-
-def affine_form(rs: FiniteRootSystem, lam: AffineWeight, mu: AffineWeight) -> Q:
-    """Invariant symmetric form on the extended dual space.
-
-    Characterized by: restriction to classical weights is (.,.),
-    (iota|iota) = (iota|classical) = 0, (Lambda|Lambda) = (Lambda|classical) = 0,
-    and (iota|Lambda) = 1 (equivalent to (a_{l+1}|Lambda) = 1).
-    """
-    return (
-        rs.weight_form(lam.classical.coords, mu.classical.coords)
-        + lam.iota * mu.lam
-        + lam.lam * mu.iota
-    )

@@ -166,21 +166,6 @@ class Weight:
     def __rmul__(self, c) -> "Weight":
         return Weight(vec_scale(c, self.coords))
 
-    def to_fundamental(self, rs: "FiniteRootSystem") -> Vec:
-        """Coordinates in the fundamental-weight basis, i.e. <lam, h_j>."""
-        return tuple(rs.pairing(self.coords, row) for row in _unit_rows(rs.rank))
-
-    @staticmethod
-    def from_fundamental(rs: "FiniteRootSystem", fund: Vec) -> "Weight":
-        coords = zero_vec(rs.rank)
-        for j, c in enumerate(fund):
-            coords = vec_add(coords, vec_scale(c, rs.fundamental_weights[j]))
-        return Weight(coords)
-
-
-def _unit_rows(n: int):
-    return tuple(tuple(Q(1) if j == i else Q(0) for j in range(n)) for i in range(n))
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteRootSystem:

@@ -37,7 +37,7 @@ from mpmath import mp
 from .cartan import FiniteRootSystem
 from .linalg import vec
 from .reports import q_str
-from .weyl import AffineWeylElement, enumerate_by_length, is_kostant, length_im
+from .weyl import AffineWeylElement, element_length, enumerate_by_length, is_kostant
 
 CERT_CAVEAT = (
     "per-cell bound terms only; the inner coset sum within each Bruhat cell "
@@ -125,7 +125,7 @@ class CellBound:
 
 def cell_bound(rs: FiniteRootSystem, w: AffineWeylElement, params: CertificateParams) -> CellBound:
     """Exact N and p_w; only the final logarithms are floating point."""
-    ell = w.length if w.length is not None else length_im(rs, w)
+    ell = element_length(rs, w)
     n_exact = params.cap_d * params.c2 * (ell + 1)
     n_int = int(ceil(n_exact))  # rounding up only strengthens the bound
     bb = rs.coroot_pair_form(vec(w.b), vec(w.b))

@@ -68,12 +68,6 @@ class RationalPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval_q(self, x: Q) -> Q:
-        acc = Q(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return self.scale * acc
-
 
 def _content_reduce(raw: list[int], scale: Q) -> RationalPolynomial:
     while len(raw) > 1 and raw[-1] == 0:
@@ -85,24 +79,17 @@ def _content_reduce(raw: list[int], scale: Q) -> RationalPolynomial:
     return RationalPolynomial(tuple(c // g for c in raw), scale * g)
 
 
-@dataclass(frozen=True)
-class DerivativeRep:
-    """sigma^(n) = poly * (1-x^2)^(-2n) * sigma on (-1,1)."""
-
-    n: int
-    poly: RationalPolynomial
-
-
 @lru_cache(maxsize=None)
-def derivative_poly(n: int) -> DerivativeRep:
+def derivative_poly(n: int) -> RationalPolynomial:
+    """P_n, with sigma^(n) = P_n * (1-x^2)^(-2n) * sigma on (-1,1)."""
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
     if n == 0:
-        return DerivativeRep(0, RationalPolynomial((1,)))
+        return RationalPolynomial((1,))
     prev = derivative_poly(n - 1)
     k = n - 1
-    scale = prev.poly.scale
-    p = list(prev.poly.coeffs)
+    scale = prev.scale
+    p = list(prev.coeffs)
     dp = [i * c for i, c in enumerate(p)][1:] or [0]
     # (1-x^2)^2 = 1 - 2x^2 + x^4
     out = [0] * (len(p) + 4)
@@ -117,7 +104,7 @@ def derivative_poly(n: int) -> DerivativeRep:
     rep = _content_reduce(out, scale)
     if rep.degree > 3 * n:
         raise AssertionError("derivative polynomial degree bound violated")
-    return DerivativeRep(n, rep)
+    return rep
 
 
 def _to_mpf(x):
@@ -126,18 +113,11 @@ def _to_mpf(x):
     return mp.mpf(x)
 
 
-def sigma_mp(x):
-    ax = abs(x)
-    if ax >= 1:
-        return mp.mpf(0)
-    return mp.e ** (-1 / (1 - x * x))
-
-
 @lru_cache(maxsize=None)
 def _horner_table(n: int, f: int) -> tuple:
     """The primitive coefficients of P_n, highest degree first, each shifted
     left by f bits, and the scale of P_n as an mpf at f - 40 bits."""
-    poly = derivative_poly(n).poly
+    poly = derivative_poly(n)
     with mp.workprec(f - 40):
         scale = mp.mpf(poly.scale.numerator) / poly.scale.denominator
     return tuple(c << f for c in reversed(poly.coeffs)), scale
@@ -252,9 +232,9 @@ def _deflate_at_one(coeffs: list[int]) -> list[int]:
 def _deflated_poly(n: int) -> RationalPolynomial:
     """P_n with its x = 0 and x = 1 roots divided out; shares every interior
     root of (0,1) with P_n and has nonzero sign at both interval ends."""
-    rep = derivative_poly(n)
-    coeffs = _deflate_at_one(_deflate_at_zero(list(rep.poly.coeffs)))
-    return RationalPolynomial(tuple(coeffs), rep.poly.scale)
+    poly = derivative_poly(n)
+    coeffs = _deflate_at_one(_deflate_at_zero(list(poly.coeffs)))
+    return RationalPolynomial(tuple(coeffs), poly.scale)
 
 
 @lru_cache(maxsize=None)
@@ -501,8 +481,8 @@ def _adaptive_sum(panel, bounds, coarse, tol) -> tuple:
 def _endpoint_tail_bound(n: int, delta):
     """Rigorous bound for the integral of |sigma^(n)| over (1-delta, 1):
     2^{2n-1} * Gamma(2n-1, 1/(2 delta)) times the coefficient l1 norm."""
-    rep = derivative_poly(n)
-    coeff_sum = sum(abs(c) for c in rep.poly.coeffs) * abs(rep.poly.scale)
+    poly = derivative_poly(n)
+    coeff_sum = sum(abs(c) for c in poly.coeffs) * abs(poly.scale)
     v0 = 1 / (2 * delta)
     return mp.mpf(coeff_sum.numerator) / coeff_sum.denominator * mp.mpf(2) ** (2 * n - 1) * mp.gammainc(2 * n - 1, v0)
 
@@ -711,7 +691,10 @@ def sigma_hat(r, precision_bits: int = 256):
     return value
 
 
-def fourier_envelope(r, precision_bits: int = 256, scan: int = 5):
+ENVELOPE_SCAN = 5  # points per phase period; odd, so the middle one is r
+
+
+def fourier_envelope(r, precision_bits: int = 256):
     """Local envelope of |sigma_hat| near r: the transform oscillates with
     phase sqrt(2 pi r), so the max of |sigma_hat| over one phase period
     estimates the r^{-3/4} e^{-sqrt(2 pi r)} envelope without landing on a
@@ -721,11 +704,11 @@ def fourier_envelope(r, precision_bits: int = 256, scan: int = 5):
         window = mp.sqrt(2 * mp.pi * r)
         at_r = abs(sigma_hat(r, precision_bits))
         best_r, best = r, at_r
-        for k in range(scan):
-            rk = r - window / 2 + window * k / (scan - 1)
+        for k in range(ENVELOPE_SCAN):
+            rk = r - window / 2 + window * k / (ENVELOPE_SCAN - 1)
             if rk <= 0:
                 continue
-            # the middle of an odd scan lands on r itself
+            # the middle point lands on r itself
             v = at_r if rk == r else abs(sigma_hat(rk, precision_bits))
             if v > best:
                 best_r, best = rk, v

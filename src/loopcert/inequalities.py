@@ -42,25 +42,27 @@ from .reports import derive_seed, q_str
 from .weyl import (
     AffineWeylElement,
     _coroot_matrix,
+    element_length,
     enumerate_by_length,
-    gamma_closed_form_report,
     is_kostant,
     kappa,
-    length_im,
     mat_vec_int,
     neg_inverted_of_inverse,
     pair_int,
 )
 
 
+LNT_BITS = 64  # slack exponent of the ln(t) bracket
+
+
 @lru_cache(maxsize=None)
-def lnt_bounds(t: Q, bits: int = 64) -> tuple[Q, Q]:
-    """Rational lo <= ln(t) <= hi with 2^-bits slack on each side."""
+def lnt_bounds(t: Q) -> tuple[Q, Q]:
+    """Rational lo <= ln(t) <= hi with 2^-LNT_BITS slack on each side."""
     if t <= 0:
         raise ValueError("t must be positive")
-    with mp.workprec(bits + 64):
+    with mp.workprec(LNT_BITS + 64):
         val = mp.log(mp.mpf(t.numerator) / t.denominator)
-        eps = mp.mpf(2) ** (-bits)
+        eps = mp.mpf(2) ** (-LNT_BITS)
         lo = Q(mp.nstr(val - eps, 40, strip_zeros=False))
         hi = Q(mp.nstr(val + eps, 40, strip_zeros=False))
     assert lo < hi
@@ -115,10 +117,10 @@ class SiegelSample:
     def lambda_pairing(self) -> Q:
         return self.h_g.h_iota
 
-    def validate(self, rs: FiniteRootSystem, bits: int = 64) -> None:
+    def validate(self, rs: FiniteRootSystem) -> None:
         if self.r <= 0 or not 0 < self.t < 1 or self.h_g.d != 0:
             raise ValueError("Siegel sample outside parameter domain")
-        lo, _ = lnt_bounds(self.t, bits)
+        lo, _ = lnt_bounds(self.t)
         for i in range(rs.rank):
             alpha = tuple(1 if j == i else 0 for j in range(rs.rank))
             if rs.pairing(vec(alpha), self.h_g.classical) <= lo:
@@ -138,8 +140,8 @@ def sample_h1(rs: FiniteRootSystem, w: AffineWeylElement, rng: random.Random, on
     return H1Sample(w, coeffs)
 
 
-def sample_siegel(rs: FiniteRootSystem, rng: random.Random, r: Q, t: Q, bits: int = 64) -> SiegelSample:
-    _, hi = lnt_bounds(t, bits)
+def sample_siegel(rs: FiniteRootSystem, rng: random.Random, r: Q, t: Q) -> SiegelSample:
+    _, hi = lnt_bounds(t)
     ht = sum(rs.highest_root)
     budget = r - hi * (1 + ht)
     assert budget > 0
@@ -169,7 +171,7 @@ def h1_vector(rs: FiniteRootSystem, sample: H1Sample) -> tuple[CartanElement, di
     lam = lambda_pair(h1)
     omegas = h1.classical
     c1 = growth_constant_c1(rs)
-    ell = sample.w.length if sample.w.length is not None else length_im(rs, sample.w)
+    ell = element_length(rs, sample.w)
     sandwich_lhs = -sum(
         (Q(2) / rs.root_norm2(sigma)) * omegas[j] * kap_j
         for j, (sigma, kap_j) in enumerate(kap)
@@ -196,7 +198,7 @@ def h2_vector(rs: FiniteRootSystem, w: AffineWeylElement, r: Q) -> tuple[CartanE
     tb = mat_vec_int(_coroot_matrix(rs, w.tilde), w.b)
     bb = rs.coroot_pair_form(vec(w.b), vec(w.b))
     h2 = CartanElement(tuple(-r * Q(x) for x in tb), -r * bb / 2, Q(0))
-    ell = w.length if w.length is not None else length_im(rs, w)
+    ell = element_length(rs, w)
     d_j = [pair_int(rs, tuple(1 if k == j else 0 for k in range(rs.rank)), tb) for j in range(rs.rank)]
     q_j = list(tb)
     rho_h2 = rho_pair(h2)
@@ -210,14 +212,14 @@ def h2_vector(rs: FiniteRootSystem, w: AffineWeylElement, r: Q) -> tuple[CartanE
     return h2, checks
 
 
-def siegel_envelope(rs: FiniteRootSystem, r: Q, t: Q, bits: int = 64) -> dict:
+def siegel_envelope(rs: FiniteRootSystem, r: Q, t: Q) -> dict:
     """Sound rational envelope for the H3 checks.
 
     Every Siegel-valid H_g satisfies ln t < <alpha_i, H_g,cl> < r - ln_t*ht,
     hence |<omega_j, H3>| <= E with E = max_j |omega_j|_1 * ht * M_x, where
     ht is the height of the highest root and M_x the per-coordinate bound.
     """
-    lo, hi = lnt_bounds(t, bits)
+    lo, hi = lnt_bounds(t)
     ht = sum(rs.highest_root)
     x_up = r - lo * ht
     m_x = max(-lo, x_up)
@@ -246,7 +248,7 @@ def h3_vector(
     th = tuple(sum((Q(cor[i][j]) * h_cl[j] for j in range(rs.rank)), Q(0)) for i in range(rs.rank))
     hb = rs.coroot_pair_form(h_cl, vec(w.b))
     h3 = CartanElement(th, sample.lambda_pairing + hb, Q(0))
-    ell = w.length if w.length is not None else length_im(rs, w)
+    ell = element_length(rs, w)
     h_norm_up = sqrt_upper(rs.coroot_pair_form(h_cl, h_cl))
     c3 = abs(sample.lambda_pairing) + h_norm_up * b_norm_rate
     checks = {
@@ -268,7 +270,7 @@ def verify_corollary(
 ) -> dict:
     """Composite check x >= D y^{-1/(C(l(w)+1))} in the exact log domain:
     margin = <rho,H> + <Lambda,H>/(C(l+1)) - ln D must be >= 0."""
-    ell = w.length if w.length is not None else length_im(rs, w)
+    ell = element_length(rs, w)
     h = h1 + h2 + h3
     ln_x = rho_pair(h)
     ln_y = lambda_pair(h)
@@ -295,7 +297,7 @@ class _H1Kernel:
         self.support = flipped_support(rs, w)
         coroots = [coroot(rs, g) for g in self.support]
         sandwich = [Q(2) / rs.root_norm2(sigma) * kap_j for sigma, kap_j in kappa(rs, w)]
-        ell = w.length if w.length is not None else length_im(rs, w)
+        ell = element_length(rs, w)
         growth = c1 * (ell + 1)
         self.scale = lcm(growth.denominator, *(x.h_iota.denominator for x in coroots),
                          *(x.denominator for x in sandwich))
@@ -373,7 +375,7 @@ class _H3Kernel:
         self.gram = tuple(tuple(int(g * g_den) for g in row) for row in rs.coroot_form)
         self.gram_b = mat_vec_int(self.gram, w.b)
         self.form_den = self.den * g_den  # (H_cl, b) = <H, gram_b> / form_den
-        self.ell_plus_1 = (w.length if w.length is not None else length_im(rs, w)) + 1
+        self.ell_plus_1 = element_length(rs, w) + 1
         self.rate = rate
 
     def sample(self, rng: random.Random) -> tuple[tuple[int, ...], int]:
@@ -492,12 +494,6 @@ def verify_lemma22(rs: FiniteRootSystem, max_len: int) -> InequalityReport:
         "Eprime": float(sqrt_upper(ep_sq)),
     }
     rep.records.append({"elements_checked": checked})
-    # open-question bookkeeping: which closed form of the flipped set matches
-    # the defining property (both, when the final reflection is folded in)
-    sample = [w for layer in layers[: min(5, len(layers))] for w in layer][:40]
-    a_ok = all(gamma_closed_form_report(rs, w)["variant_a_matches"] for w in sample)
-    b_ok = all(gamma_closed_form_report(rs, w)["variant_b_matches"] for w in sample)
-    rep.records.append({"gamma_closed_form_a_matches": a_ok, "gamma_closed_form_b_matches": b_ok})
     return rep
 
 

@@ -93,18 +93,21 @@ def leading_principal_minors(m: Mat) -> list[Q]:
     return out
 
 
-def sqrt_upper(q: Q, bits: int = 48) -> Q:
-    """Dyadic upper bound for sqrt(q), q >= 0, within 2^(1-bits) absolutely."""
+SQRT_BITS = 48  # sqrt_upper returns a multiple of 2^-SQRT_BITS
+
+
+def sqrt_upper(q: Q) -> Q:
+    """Dyadic upper bound for sqrt(q), q >= 0, within 2^(1-SQRT_BITS) absolutely."""
     if q < 0:
         raise ValueError("negative input")
     if q == 0:
         return Q(0)
     n, d = q.numerator, q.denominator
-    big = n * d << (2 * bits)  # sqrt(q) * 2^bits = sqrt(big) / d
+    big = n * d << (2 * SQRT_BITS)  # sqrt(q) * 2^SQRT_BITS = sqrt(big) / d
     r = isqrt(big)
     if r * r < big:
         r += 1
     x = -(-r // d)
-    out = Q(x, 1 << bits)
+    out = Q(x, 1 << SQRT_BITS)
     assert out * out >= q
     return out

@@ -211,6 +211,11 @@ def length_im(rs: FiniteRootSystem, w: AffineWeylElement) -> int:
     return total
 
 
+def element_length(rs: FiniteRootSystem, w: AffineWeylElement) -> int:
+    """l(w): the stored length when enumeration or from_word set it, else IM."""
+    return w.length if w.length is not None else length_im(rs, w)
+
+
 def enumerate_by_length(rs: FiniteRootSystem, max_len: int, cap: int = 10**7) -> list[list[AffineWeylElement]]:
     """BFS layers of the affine Weyl group up to the given length.
 
@@ -273,7 +278,6 @@ def _root_key(a: AffineRoot):
 
 @dataclass(frozen=True)
 class InvertedRootSet:
-    owner: AffineWeylElement
     roots: tuple[AffineRoot, ...]
 
 
@@ -292,7 +296,7 @@ def inverted_roots_word(rs: FiniteRootSystem, w: AffineWeylElement) -> InvertedR
     roots = tuple(sorted(out, key=_root_key))
     if len(set(roots)) != len(word):
         raise RootSystemError("word construction produced repeated inverted roots")
-    return InvertedRootSet(w, roots)
+    return InvertedRootSet(roots)
 
 
 def inverted_roots_scan(rs: FiniteRootSystem, w: AffineWeylElement) -> InvertedRootSet:
@@ -302,7 +306,7 @@ def inverted_roots_scan(rs: FiniteRootSystem, w: AffineWeylElement) -> InvertedR
     iota is fixed, so w^{-1}(beta + n iota) = w^{-1}(beta) + n iota: each
     classical root is acted on once, and every candidate n in the window is
     tested on the shifted iota coefficient."""
-    ell = w.length if w.length is not None else length_im(rs, w)
+    ell = element_length(rs, w)
     w_inv = inverse(rs, w)
     positive = rs.positive_root_set
     out = []
@@ -315,49 +319,16 @@ def inverted_roots_scan(rs: FiniteRootSystem, w: AffineWeylElement) -> InvertedR
                 out.append(AffineRoot(beta, n))
     if len(out) != ell:
         raise ScanBoundError(f"scan found {len(out)} inverted roots, expected {ell}")
-    return InvertedRootSet(w, tuple(sorted(out, key=_root_key)))
+    return InvertedRootSet(tuple(sorted(out, key=_root_key)))
 
 
 def _negated(roots) -> tuple[AffineRoot, ...]:
     return tuple(sorted((a.negate() for a in roots), key=_root_key))
 
 
-def neg_inverted(rs: FiniteRootSystem, w: AffineWeylElement) -> tuple[AffineRoot, ...]:
-    """The set w^{-1} . Delta_w of negative roots made positive by w.
-
-    A negative gamma has w(gamma) > 0 iff -gamma > 0 is sent negative by w,
-    i.e. -gamma lies in Delta_{w^{-1}}; so the set is -Delta_{w^{-1}}
-    (N(w^{-1}) = -w^{-1} N(w))."""
-    return _negated(inverted_roots_scan(rs, inverse(rs, w)).roots)
-
-
 def neg_inverted_of_inverse(rs: FiniteRootSystem, w: AffineWeylElement) -> tuple[AffineRoot, ...]:
     """Delta_{-, w^{-1}} = w . Delta_{w^{-1}} = -Delta_w: support of the H1 coefficients."""
     return _negated(inverted_roots_scan(rs, w).roots)
-
-
-def gamma_closed_form_report(rs: FiniteRootSystem, w: AffineWeylElement) -> dict:
-    """Compare the two closed forms for the flipped set against the defining
-    property.  With my word order, candidate A applies the suffix including
-    the k-th letter to a_{m_k}; candidate B negates the strict-suffix image."""
-    word = reduced_word(rs, w)
-    simples = affine_simple_roots(rs)
-    defining = list(neg_inverted(rs, w))
-    r = len(word)
-    # gamma_k = w^{-1} beta_k = g_{m_r} o ... o g_{m_k} applied to a_{m_k};
-    # build the reversed-suffix products accordingly
-    suffix = [identity_element(rs)] * (r + 1)
-    for k in range(r - 1, -1, -1):
-        suffix[k] = multiply(rs, suffix[k + 1], generator(rs, word[k]))
-    variant_a = sorted((act_on_root(rs, suffix[k], simples[word[k] - 1]) for k in range(r)),
-                       key=_root_key)
-    variant_b = sorted((act_on_root(rs, suffix[k + 1], simples[word[k] - 1]).negate() for k in range(r)),
-                       key=_root_key)
-    return {
-        "defining": defining,
-        "variant_a_matches": variant_a == defining,
-        "variant_b_matches": variant_b == defining,
-    }
 
 
 # ---------------------------------------------------------------------------

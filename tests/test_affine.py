@@ -7,7 +7,6 @@ from loopcert.affine import (
     AffineRoot,
     AffineWeight,
     CartanElement,
-    affine_form,
     affine_pairing,
     affine_simple_coroots,
     affine_simple_roots,
@@ -54,25 +53,6 @@ def test_pairing_with_degree_direction():
         for i in range(rs.rank):
             assert affine_pairing(rs, simples[i].to_weight(), d) == 0
         assert affine_pairing(rs, simples[rs.rank].to_weight(), d) == 1
-
-
-def test_affine_form_values():
-    rs = rs_of("A1")
-    i_w = iota(rs)
-    lam = lambda_(rs)
-    a2 = affine_simple_roots(rs)[1].to_weight()
-    alpha = affine_simple_roots(rs)[0].to_weight()
-    assert affine_form(rs, i_w, i_w) == 0
-    assert affine_form(rs, a2, a2) == 2
-    assert affine_form(rs, alpha, a2) == -2
-    assert affine_form(rs, lam, lam) == 0
-    assert affine_form(rs, a2, lam) == 1
-    for rs_label in ("A2", "G2"):
-        rs = rs_of(rs_label)
-        for i in range(rs.rank):
-            ai = affine_simple_roots(rs)[i].to_weight()
-            assert affine_form(rs, iota(rs), ai) == 0
-            assert affine_form(rs, lambda_(rs), ai) == 0
 
 
 def test_coroot_map():
@@ -154,14 +134,3 @@ def test_duality_componentwise_randomized():
             + lam.lam * x.h_iota
         )
         assert affine_pairing(rs, lam, x) == split
-
-
-def test_extended_gram_rank():
-    from loopcert.linalg import mat_inverse
-
-    for label in ("A1", "A2", "G2"):
-        rs = rs_of(label)
-        basis = [a.to_weight() for a in affine_simple_roots(rs)] + [lambda_(rs)]
-        gram = tuple(tuple(affine_form(rs, u, v) for v in basis) for u in basis)
-        # full rank l+2 on {a_1..a_{l+1}, Lambda}: invertibility is exactly nondegeneracy
-        mat_inverse(gram)

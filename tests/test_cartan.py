@@ -5,7 +5,6 @@ import pytest
 from loopcert.cartan import (
     CartanMatrix,
     RootSystemError,
-    Weight,
     build_root_system,
     build_root_system_label,
 )
@@ -122,14 +121,6 @@ def test_rho_half_sum(label):
     rs = build_root_system_label(label)
     half = tuple(Q(sum(r[i] for r in rs.positive_roots), 2) for i in range(rs.rank))
     assert rs.rho == half
-
-
-def test_weight_coordinate_round_trip():
-    rs = build_root_system_label("G2")
-    w = Weight(vec((Q(3, 7), Q(-2, 5))))
-    fund = w.to_fundamental(rs)
-    back = Weight.from_fundamental(rs, fund)
-    assert back.coords == w.coords
 
 
 def test_highest_root_dominates():

@@ -310,9 +310,11 @@ def test_certify_params_from_flags(monkeypatch, nu0, cap_d):
 
 # sha256 of outputs that must stay byte-identical (default seed, no LOOPCERT_
 # overrides): stdout is the full report, the JSONL file the emitted elements
-LEMMA23_C2_SHA256 = "2901ec228b0fb8393b921633ae1ee7b71c83d82566e0a2a0e4a7250de28c7c4e"
-LEMMA351_G2_SHA256 = "d045489bb523534f7a15b247bbf25ed83a91f0fbbd690b1f5cd3c22736c12587"
-ENUMERATE_G2_KOSTANT_SHA256 = "9fe5c9313fd6f3f1a1f154623b566f407357175547c9a36c694a9d10d9145a10"
+LEMMA23_C2_SHA256 = "56cec28eb3801bbc7a793fbef9e6adce139c060e850c76b8bf5b29f843241fa5"
+LEMMA351_G2_SHA256 = "49649b602711b0009d8643dcf63e5ca9cd516683e94b62cb0ee3c7f00fe4f2bd"
+LEMMA22_A2_SHA256 = "f3b01f04c15a80b00f7d8fe2899f6d1b7ee681f783eb09c3a5323d7b2aa6fb77"
+LEMMA22_G2_SHA256 = "6b16021432e39ef13b46f52c83458d90febe4bf741dd9b998def8f25970a65ca"
+ENUMERATE_G2_KOSTANT_SHA256 = "c123947669fa1e751d88f58262e8c5686d165767c2f724739215009e2fcd34dd"
 ENUMERATE_G2_KOSTANT_JSONL_SHA256 = "0e3179210b65fc08611867976488d53d7336b02a3cf307088048e333b1aeb441"
 
 
@@ -323,6 +325,8 @@ def _sha256(text: str) -> str:
 @pytest.mark.parametrize("argv, digest", [
     (["verify", "lemma23", "--type", "C2", "--max-len", "8"], LEMMA23_C2_SHA256),
     (["verify", "lemma351", "--type", "G2", "--max-len", "8"], LEMMA351_G2_SHA256),
+    (["verify", "lemma22", "--type", "A2", "--max-len", "8"], LEMMA22_A2_SHA256),
+    (["verify", "lemma22", "--type", "G2", "--max-len", "8"], LEMMA22_G2_SHA256),
 ])
 def test_verify_report_unchanged(monkeypatch, capsys, argv, digest):
     for name in ("SEED", "PREC", "OUT_DIR"):

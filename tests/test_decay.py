@@ -19,11 +19,26 @@ FOURIER_REPORT_SHA256 = "fd3cacd1a69b8f525f8e1b523c9109f1125de112e6973cbf202b537
 L1_REPORTS_SHA256 = "245195f25c2eb234c3fcd6be126929e40e78271262303af815e26317804dcff3"
 
 
+def _eval_q(poly, x: Q) -> Q:
+    """P(x) exactly, by Horner in rationals."""
+    acc = Q(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return poly.scale * acc
+
+
+def _sigma_mp(x):
+    """sigma(x) = e^{-1/(1-x^2)} on (-1,1), 0 outside."""
+    if abs(x) >= 1:
+        return mp.mpf(0)
+    return mp.e ** (-1 / (1 - x * x))
+
+
 def test_derivative_poly_base_cases():
-    assert decay.derivative_poly(0).poly.coeffs == (1,)
-    p1 = decay.derivative_poly(1).poly
+    assert decay.derivative_poly(0).coeffs == (1,)
+    p1 = decay.derivative_poly(1)
     assert p1.scale * Q(p1.coeffs[1]) == -2 and p1.coeffs[0] == 0
-    p2 = decay.derivative_poly(2).poly
+    p2 = decay.derivative_poly(2)
     # P_2 = 6x^4 - 2
     assert [p2.scale * c for c in p2.coeffs] == [-2, 0, 0, 0, 6]
 
@@ -35,9 +50,9 @@ def test_sigma_second_derivative_at_zero():
 
 def test_parity_up_to_40():
     for n in range(41):
-        rep = decay.derivative_poly(n)
-        assert rep.poly.degree <= 3 * n
-        for k, c in enumerate(rep.poly.coeffs):
+        poly = decay.derivative_poly(n)
+        assert poly.degree <= 3 * n
+        for k, c in enumerate(poly.coeffs):
             if (k - n) % 2:
                 assert c == 0, (n, k)
 
@@ -50,7 +65,7 @@ def test_rep_matches_finite_differences():
             for _ in range(5):
                 x = mp.mpf(rng.uniform(-0.9, 0.9))
                 exact = decay.sigma_deriv_mp(n, x)
-                approx = mp.diff(decay.sigma_mp, x, n)
+                approx = mp.diff(_sigma_mp, x, n)
                 assert abs(approx - exact) <= mp.mpf("1e-8") * max(abs(exact), mp.mpf("1e-20")), (n, x)
 
 
@@ -201,7 +216,7 @@ def test_gauss_legendre_exact_on_even_powers():
 def _sigma_deriv_reference(n: int, x: Q, prec: int):
     """(sigma^(n)(x), (1-x^2)^(-2n) e^{-1/(1-x^2)}) at the dyadic x: P_n
     exactly in rationals, the other factors in mpf at prec + 100."""
-    p = decay.derivative_poly(n).poly.eval_q(x)
+    p = _eval_q(decay.derivative_poly(n), x)
     u = 1 - x * x
     with mp.workprec(prec + 100):
         um = mp.mpf(u.numerator) / u.denominator
@@ -216,7 +231,7 @@ def test_sigma_deriv_fixed_point_within_horner_bound():
     prec = 316
     f = prec + 40
     for n in range(1, 21):
-        poly = decay.derivative_poly(n).poly
+        poly = decay.derivative_poly(n)
         delta = Q(1, 2 * (256 + 4 * n + 40))
         with mp.workprec(prec):
             points = list(decay.sign_change_roots(n, 256)) + [1 - mp.mpf(delta.numerator) / delta.denominator]
@@ -247,7 +262,7 @@ def test_adaptive_panel_counts_depth_cap_hits(monkeypatch):
 def _panel_bound_terms(n: int, power: int, x):
     """(B_j, 2 |f_j|, 3 |f'_j|) of the _sigma_deriv_panel docstring at the
     node x, f = (sigma^(n))^power, in the units the docstring uses."""
-    poly = decay.derivative_poly(n).poly
+    poly = decay.derivative_poly(n)
     scale = abs(mp.mpf(poly.scale.numerator) / poly.scale.denominator)
     u = 1 - x * x
     g = u ** (-2 * n) * mp.exp(-1 / u)

@@ -265,23 +265,32 @@ def test_inverted_roots_paths_agree(label, max_len):
             assert a == b and len(a) == depth
 
 
-def test_neg_inverted_defining_property():
-    rs = rs_of("A2")
-    for layer in weyl.enumerate_by_length(rs, 6):
-        for w in layer:
-            for gamma in weyl.neg_inverted(rs, w):
-                assert not gamma.is_positive(rs)
-                assert weyl.act_on_root(rs, w, gamma).is_positive(rs)
+def _root_key(a):
+    return (a.n, a.classical_part)
 
 
 def test_gamma_closed_forms_reported():
+    # the flipped set w^{-1} . Delta_w is -Delta_{w^{-1}} by definition.  With
+    # w = g_{m_1} ... g_{m_r}, closed form A applies the suffix from the k-th
+    # letter on to a_{m_k}; closed form B negates the strict-suffix image
     rs = rs_of("A2")
+    simples = weyl.affine_simple_roots(rs)
     matches_a = matches_b = 0
     for layer in weyl.enumerate_by_length(rs, 5):
         for w in layer:
-            rep = weyl.gamma_closed_form_report(rs, w)
-            matches_a += rep["variant_a_matches"]
-            matches_b += rep["variant_b_matches"]
+            defining = sorted((a.negate() for a in weyl.inverted_roots_scan(rs, weyl.inverse(rs, w)).roots),
+                              key=_root_key)
+            word = weyl.reduced_word(rs, w)
+            r = len(word)
+            suffix = [weyl.identity_element(rs)] * (r + 1)
+            for k in range(r - 1, -1, -1):
+                suffix[k] = weyl.multiply(rs, suffix[k + 1], weyl.generator(rs, word[k]))
+            variant_a = sorted((weyl.act_on_root(rs, suffix[k], simples[word[k] - 1]) for k in range(r)),
+                               key=_root_key)
+            variant_b = sorted((weyl.act_on_root(rs, suffix[k + 1], simples[word[k] - 1]).negate()
+                                for k in range(r)), key=_root_key)
+            matches_a += variant_a == defining
+            matches_b += variant_b == defining
     total = sum(len(l) for l in weyl.enumerate_by_length(rs, 5))
     # the defining property is the oracle; both closed forms coincide with it
     assert matches_a == total and matches_b == total
