@@ -265,7 +265,10 @@ def cmd_decay(args) -> Report:
     if args.decay_command == "fourier":
         from mpmath import mp
 
-        r_min, r_max = (float(x) for x in args.range.split(","))
+        bounds = args.range.split(",")
+        if len(bounds) != 2:
+            raise UsageError(f"--range needs r_min,r_max, got {args.range!r}")
+        r_min, r_max = (float(x) for x in bounds)
         fit = decay.fourier_decay_fit(r_min, r_max, args.samples, args.prec)
         results = {
             "exponent_coeff": mp.nstr(fit["exponent_coeff"], 20),

@@ -278,6 +278,20 @@ def test_fourier_fit_needs_two_samples(capsys, samples):
     assert err.startswith("error:") and "--samples >= 2" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["decay", "convert", "--c", "0", "--C", "1", "--y", "739/100"], "need c > 0, C > 0 and y > 1"),
+    (["decay", "convert", "--c", "-1", "--C", "1", "--y", "739/100"], "need c > 0, C > 0 and y > 1"),
+    (["decay", "convert", "--c", "1", "--C", "0", "--y", "739/100"], "need c > 0, C > 0 and y > 1"),
+    (["decay", "convert", "--c", "1", "--C=-1/2", "--y", "739/100"], "need c > 0, C > 0 and y > 1"),
+    (["decay", "fourier", "--range", "50"], "--range needs r_min,r_max"),
+    (["decay", "fourier", "--range", "50,60,70"], "--range needs r_min,r_max"),
+], ids=["c-zero", "c-negative", "C-zero", "C-negative", "range-one-value", "range-three-values"])
+def test_decay_bad_values_are_usage_errors(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_certify_c2_zero_is_usage_error(tmp_path):
     for extra in ([], ["--nu0", "9/2", "--d", "10"]):
         proc = run_cli(["certify", "--type", "A1", "--max-len", "4", "--c2", "0", *extra], tmp_path)
@@ -327,7 +341,7 @@ def _sha256(text: str) -> str:
     (["verify", "lemma351", "--type", "G2", "--max-len", "8"], LEMMA351_G2_SHA256),
     (["verify", "lemma22", "--type", "A2", "--max-len", "8"], LEMMA22_A2_SHA256),
     (["verify", "lemma22", "--type", "G2", "--max-len", "8"], LEMMA22_G2_SHA256),
-])
+], ids=["lemma23-C2", "lemma351-G2", "lemma22-A2", "lemma22-G2"])
 def test_verify_report_unchanged(monkeypatch, capsys, argv, digest):
     for name in ("SEED", "PREC", "OUT_DIR"):
         monkeypatch.delenv("LOOPCERT_" + name, raising=False)

@@ -34,6 +34,13 @@ def _sigma_mp(x):
     return mp.e ** (-1 / (1 - x * x))
 
 
+def _panel_integral(f, a, b, order: int):
+    """GL(order) of f over [a, b] in mpf at the working precision."""
+    half = (b - a) / 2
+    mid = (a + b) / 2
+    return half * mp.fsum(w * f(mid + half * x) for x, w in decay.gauss_legendre(order, mp.prec))
+
+
 def test_derivative_poly_base_cases():
     assert decay.derivative_poly(0).coeffs == (1,)
     p1 = decay.derivative_poly(1)
@@ -254,7 +261,7 @@ def test_adaptive_panel_counts_depth_cap_hits(monkeypatch):
     # with a tolerance no piece can meet, every piece at the cap is a hit
     monkeypatch.setattr(decay, "_MAX_DEPTH", 3)
     with mp.workprec(128):
-        panel = lambda a, b, order: decay._panel_integral(mp.exp, a, b, order)
+        panel = lambda a, b, order: _panel_integral(mp.exp, a, b, order)
         _, _, hits = decay._adaptive_panel(panel, mp.mpf(0), mp.mpf(1), mp.mpf(-1))
     assert hits == 2**3
 
@@ -290,7 +297,7 @@ def test_sigma_deriv_panel_within_bound(n, power):
         with mp.workprec(prec):
             value = decay._sigma_deriv_panel(n, power, a, b, 24)
         with mp.workprec(prec + 100):
-            ref = decay._panel_integral(lambda x: decay.sigma_deriv_mp(n, x) ** power, a, b, 24)
+            ref = _panel_integral(lambda x: decay.sigma_deriv_mp(n, x) ** power, a, b, 24)
             half = (b - a) / 2
             bound = node = mp.mpf(0)
             for t, w in decay.gauss_legendre(24, mp.prec):
@@ -435,6 +442,30 @@ def test_fourier_fit_small_window():
 def test_parseval_lower_precision():
     pv = decay.parseval_check(4, 128)
     assert pv["rel_diff"] < mp.mpf("1e-6")
+
+
+@pytest.mark.parametrize("n, r_cut, steps", [(0, 9, 23), (2, 20, 50)])
+def test_parseval_trapezoid_against_gl_panels(monkeypatch, n, r_cut, steps):
+    # the truncated r-side integral, recovered from lhs and tail, is within
+    # the tail of GL-48 on width-3 panels (at most) of the same integrand, and
+    # the trapezoid costs one sigma_hat call per node
+    calls = []
+    real = decay.sigma_hat
+
+    def counting(r, bits):
+        calls.append(r)
+        return real(r, bits)
+
+    monkeypatch.setattr(decay, "sigma_hat", counting)
+    pv = decay.parseval_check(n, 128, r_cut=r_cut)
+    assert len(calls) == steps + 1
+    with mp.workprec(168):
+        trapezoid = pv["lhs"] ** 2 / 2 - pv["tail"]
+        f = lambda r: real(r, 128) ** 2 * r ** (2 * n)
+        panels = -(-r_cut // 3)
+        gl = mp.fsum(_panel_integral(f, mp.mpf(r_cut) * k / panels, mp.mpf(r_cut) * (k + 1) / panels, 48)
+                     for k in range(panels))
+        assert abs(trapezoid - gl) < pv["tail"]
 
 
 def test_moment_to_pointwise_brute_force():
