@@ -197,6 +197,9 @@ class FiniteRootSystem:
     sym: tuple[int, ...]  # integer symmetrizer, proportional to d, min 1
     highest_coroot: tuple[int, ...]  # h_theta in simple-coroot coordinates
     reflections: tuple  # root-coordinate matrices of s_1..s_l and s_theta
+    sym_cartan: tuple[tuple[int, ...], ...]  # B = diag(sym) A, the integer invariant form
+    sym_cartan_adj: tuple[tuple[int, ...], ...]  # adj(B) = det(B) B^{-1}
+    sym_cartan_det: int  # det(B) > 0
 
     @property
     def label(self) -> str:
@@ -334,6 +337,14 @@ def build_root_system(series: str, rank: int) -> FiniteRootSystem:
     reflections.append(tuple(
         tuple((k == j) - highest[k] * theta_pair[j] for j in range(rank)) for k in range(rank)))
 
+    # B = diag(sym) A is symmetric and integral; W_fin preserves it (M^T B M = B)
+    sym_cartan = tuple(tuple(sym[i] * a[i][j] for j in range(rank)) for i in range(rank))
+    sym_det = leading_principal_minors(sym_cartan)[-1]
+    # B^{-1} = A^{-1} diag(sym)^{-1}
+    sym_adj = tuple(tuple(sym_det * a_inv[i][j] / sym[j] for j in range(rank)) for i in range(rank))
+    if any(x.denominator != 1 for row in sym_adj for x in row):
+        raise RootSystemError("adjugate of the symmetrized Cartan matrix is not integral")
+
     return FiniteRootSystem(
         series=series,
         rank=rank,
@@ -352,6 +363,9 @@ def build_root_system(series: str, rank: int) -> FiniteRootSystem:
         sym=sym,
         highest_coroot=highest_coroot,
         reflections=tuple(reflections),
+        sym_cartan=sym_cartan,
+        sym_cartan_adj=tuple(tuple(int(x) for x in row) for row in sym_adj),
+        sym_cartan_det=int(sym_det),
     )
 
 

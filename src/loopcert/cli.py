@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -182,12 +183,15 @@ def cmd_roots(args) -> Report:
 
 def cmd_weyl_enumerate(args) -> Report:
     rs = build_root_system_label(args.type_label)
-    layers = weyl.enumerate_by_length(rs, args.max_len)
+    if args.kostant:
+        layers = weyl.enumerate_kostant(rs, args.max_len)
+        counts = weyl.full_layer_sizes(rs, layers)
+    else:
+        layers = weyl.enumerate_by_length(rs, args.max_len)
+        counts = [len(layer) for layer in layers]
     lines = []
     for layer in layers:
         for w in layer:
-            if args.kostant and not weyl.is_kostant(rs, w):
-                continue
             lines.append(
                 {
                     "tilde_matrix": [list(r) for r in w.tilde],
@@ -202,7 +206,6 @@ def cmd_weyl_enumerate(args) -> Report:
             for line in lines:
                 fh.write(json.dumps(line, sort_keys=True) + "\n")
         args.out = None  # the JSONL file owns the path; envelope goes to stdout
-    counts = [len(layer) for layer in layers]
     return Report("weyl_enumerate", _config_echo(args), {"counts": counts, "emitted": len(lines)})
 
 
@@ -268,7 +271,16 @@ def cmd_decay(args) -> Report:
         bounds = args.range.split(",")
         if len(bounds) != 2:
             raise UsageError(f"--range needs r_min,r_max, got {args.range!r}")
-        r_min, r_max = (float(x) for x in bounds)
+        try:
+            r_min, r_max = (float(x) for x in bounds)
+        except ValueError:
+            raise UsageError(f"--range needs numbers r_min,r_max, got {args.range!r}") from None
+        if not (math.isfinite(r_min) and math.isfinite(r_max)):
+            raise UsageError(f"--range bounds must be finite, got {args.range!r}")
+        limit = decay.envelope_r_max()
+        if r_max > limit:
+            raise UsageError(f"--range r_max must be <= {limit}: the envelope scan reaches r + sqrt(2 pi r)/2 "
+                             f"and the oscillation grid covers |r| <= {decay.GRID_R_MAX}; got {args.range!r}")
         fit = decay.fourier_decay_fit(r_min, r_max, args.samples, args.prec)
         results = {
             "exponent_coeff": mp.nstr(fit["exponent_coeff"], 20),

@@ -37,7 +37,7 @@ from mpmath import mp
 from .cartan import FiniteRootSystem
 from .linalg import vec
 from .reports import q_str
-from .weyl import AffineWeylElement, element_length, enumerate_by_length, is_kostant
+from .weyl import AffineWeylElement, element_length, enumerate_kostant, full_layer_sizes
 
 CERT_CAVEAT = (
     "per-cell bound terms only; the inner coset sum within each Bruhat cell "
@@ -157,10 +157,10 @@ def compensated_sum(values):
 
 
 def growth_census(rs: FiniteRootSystem, max_len: int) -> dict:
-    layers = enumerate_by_length(rs, max_len)
-    full = [len(layer) for layer in layers]
-    kost = [sum(1 for w in layer if is_kostant(rs, w)) for layer in layers]
-    return {"full": full, "kostant": kost}
+    """Layer sizes of the affine Weyl group and of its Kostant representatives;
+    the full sizes are the W_fin convolution of the Kostant ones."""
+    layers = enumerate_kostant(rs, max_len)
+    return {"full": full_layer_sizes(rs, layers), "kostant": [len(layer) for layer in layers]}
 
 
 def certify(rs: FiniteRootSystem, params: CertificateParams, max_len: int, prec: int = 256) -> dict:
@@ -168,12 +168,12 @@ def certify(rs: FiniteRootSystem, params: CertificateParams, max_len: int, prec:
     semantics.  All shell statistics are deterministic at fixed precision."""
     params.validate(rs)
     with mp.workprec(prec):
-        layers = enumerate_by_length(rs, max_len)
+        layers = enumerate_kostant(rs, max_len)
         shells = []
         partial = mp.mpf(0)
         partials = []
         for length, layer in enumerate(layers):
-            cells = [cell_bound(rs, w, params) for w in layer if is_kostant(rs, w)]
+            cells = [cell_bound(rs, w, params) for w in layer]
             terms = sorted((mp.e**c.log_term for c in cells), reverse=True)
             shell_sum = compensated_sum(terms)
             partial += shell_sum

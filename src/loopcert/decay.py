@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache, partial
-from math import gcd
+from math import floor, gcd, pi, sqrt
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -558,6 +558,7 @@ _EXP_FIXED_ULPS = 1 << 10
 # rounded far below a unit).
 _CONV_ULPS = 2
 _TRIG_GUARD = 20
+GRID_R_MAX = 512  # sigma_hat's oscillation grids serve |r| <= GRID_R_MAX
 
 
 class _OscillationGrid(NamedTuple):
@@ -636,8 +637,8 @@ def _sigma_hat_bounded(r, precision_bits: int) -> tuple:
     f = precision_bits + 40
     with mp.workprec(f):
         r = _to_mpf(r)
-        if abs(r) > 512:
-            raise ValueError("fixed oscillation grid only covers |r| <= 512")
+        if abs(r) > GRID_R_MAX:
+            raise ValueError(f"fixed oscillation grid only covers |r| <= {GRID_R_MAX}")
         grid = _oscillation_grid(precision_bits, 512 if abs(r) <= 128 else 2048)
     with mp.workprec(f + _TRIG_GUARD):
         half = mp.pi * r * grid.h  # phase advance over half a panel
@@ -686,6 +687,14 @@ def sigma_hat(r, precision_bits: int = 256):
 
 
 ENVELOPE_SCAN = 5  # points per phase period; odd, so the middle one is r
+
+
+def envelope_r_max() -> float:
+    """Largest r, rounded down to 0.01, whose envelope scan window
+    r + sqrt(2 pi r)/2 stays on the oscillation grid (|r| <= GRID_R_MAX)."""
+    c = sqrt(2 * pi) / 2
+    x = (sqrt(c * c + 4 * GRID_R_MAX) - c) / 2  # positive root of x^2 + c x = GRID_R_MAX
+    return floor(x * x * 100) / 100
 
 
 def fourier_envelope(r, precision_bits: int = 256):

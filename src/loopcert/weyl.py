@@ -14,6 +14,16 @@ by tests rather than trusted from notation.
 Group law and inverse in canonical coordinates:
 
     (u, a) * (v, b) = (u v, v^{-1} a + b)        (u, a)^{-1} = (u^{-1}, -u a)
+
+The classical inverse is integral and closed-form, u^{-1} = B^{-1} u^T B with
+B = diag(sym) A the invariant form, so the group law runs on Python ints.
+
+Every w factors uniquely as v u with v in W_fin, u a Kostant representative
+and l(w) = l(v) + l(u), and the representatives are closed under prefixes of
+reduced words (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.4.4).
+Consumers that read only the representatives enumerate them directly
+(:func:`enumerate_kostant`); the full census counts are the W_fin convolution
+of the Kostant counts (:func:`full_layer_sizes`).
 """
 
 from __future__ import annotations
@@ -24,10 +34,13 @@ from functools import lru_cache
 
 from .affine import AffineRoot, AffineWeight, CartanElement, affine_pairing, affine_simple_coroots, affine_simple_roots
 from .cartan import FiniteRootSystem, RootSystemError, Weight
-from .linalg import mat_inverse, mat_vec, vec, vec_add, vec_scale
+from .linalg import mat_vec, vec, vec_add, vec_scale
 
 IntVec = tuple[int, ...]
 IntMat = tuple[tuple[int, ...], ...]
+
+
+ENUMERATION_CAP = 10**7  # elements a BFS may hold before it gives up
 
 
 class EnumerationLimit(RuntimeError):
@@ -39,9 +52,16 @@ class ScanBoundError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _int_inverse(matrix: IntMat) -> IntMat:
-    inv = mat_inverse(tuple(tuple(Q(e) for e in row) for row in matrix))
-    return tuple(tuple(int(e) for e in row) for row in inv)
+def _int_inverse(rs: FiniteRootSystem, matrix: IntMat) -> IntMat:
+    """M^{-1} = B^{-1} M^T B for a classical element's root matrix M, where
+    B = diag(sym) A is the integer invariant form (M^T B M = B).  Computed as
+    adj(B) (M^T B) // det(B): every product is an int and the division exact."""
+    b = rs.sym_cartan
+    n = rs.rank
+    mtb = [[sum(matrix[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    det = rs.sym_cartan_det
+    return tuple(tuple(sum(adj_row[k] * mtb[k][j] for k in range(n)) // det for j in range(n))
+                 for adj_row in rs.sym_cartan_adj)
 
 
 def _coroot_matrix(rs: FiniteRootSystem, matrix: IntMat) -> IntMat:
@@ -80,13 +100,13 @@ def generator(rs: FiniteRootSystem, i: int) -> AffineWeylElement:
 
 
 def multiply(rs: FiniteRootSystem, u: AffineWeylElement, v: AffineWeylElement) -> AffineWeylElement:
-    vt_inv = _coroot_matrix(rs, _int_inverse(v.tilde))
+    vt_inv = _coroot_matrix(rs, _int_inverse(rs, v.tilde))
     b = tuple(x + y for x, y in zip(mat_vec_int(vt_inv, u.b), v.b))
     return AffineWeylElement(mat_mul_int(u.tilde, v.tilde), b)
 
 
 def inverse(rs: FiniteRootSystem, w: AffineWeylElement) -> AffineWeylElement:
-    t_inv = _int_inverse(w.tilde)
+    t_inv = _int_inverse(rs, w.tilde)
     cor = _coroot_matrix(rs, w.tilde)
     return AffineWeylElement(t_inv, tuple(-x for x in mat_vec_int(cor, w.b)))
 
@@ -216,17 +236,16 @@ def element_length(rs: FiniteRootSystem, w: AffineWeylElement) -> int:
     return w.length if w.length is not None else length_im(rs, w)
 
 
-def enumerate_by_length(rs: FiniteRootSystem, max_len: int, cap: int = 10**7) -> list[list[AffineWeylElement]]:
-    """BFS layers of the affine Weyl group up to the given length.
-
-    Deterministic: each layer is sorted by canonical key.  Every element
-    carries its BFS word (reduced by construction) and depth as length.
-    """
+def _bfs(rs: FiniteRootSystem, max_len: int, cap: int, keep) -> list[list[AffineWeylElement]]:
+    """BFS layers up to max_len of the elements reached through products that
+    ``keep(rs, prod)`` accepts (every product when ``keep`` is None).  Each
+    layer is sorted by canonical key; every element carries its BFS word
+    (reduced by construction) and depth as length."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     gens = [generator(rs, i) for i in range(1, rs.rank + 2)]
     identity = identity_element(rs)
-    seen = {(identity.tilde, identity.b)}
+    seen = {(identity.tilde, identity.b)}  # enumerated or rejected
     layers = [[identity]]
     total = 1
     for depth in range(1, max_len + 1):
@@ -237,6 +256,9 @@ def enumerate_by_length(rs: FiniteRootSystem, max_len: int, cap: int = 10**7) ->
                 key = (prod.tilde, prod.b)
                 if key in seen or key in nxt:
                     continue
+                if keep is not None and not keep(rs, prod):
+                    seen.add(key)
+                    continue
                 nxt[key] = AffineWeylElement(prod.tilde, prod.b, word=w.word + (i,), length=depth)
         layer = sorted(nxt.values(), key=AffineWeylElement.sort_key)
         total += len(layer)
@@ -245,6 +267,41 @@ def enumerate_by_length(rs: FiniteRootSystem, max_len: int, cap: int = 10**7) ->
         seen.update(nxt.keys())
         layers.append(layer)
     return layers
+
+
+def enumerate_by_length(
+    rs: FiniteRootSystem, max_len: int, cap: int = ENUMERATION_CAP
+) -> list[list[AffineWeylElement]]:
+    """BFS layers of the affine Weyl group up to the given length."""
+    return _bfs(rs, max_len, cap, None)
+
+
+def enumerate_kostant(rs: FiniteRootSystem, max_len: int) -> list[list[AffineWeylElement]]:
+    """BFS layers of the Kostant representatives ^J W of W_fin \\ W_affine.
+
+    ^J W is closed under taking prefixes of reduced words (Bjorner-Brenti,
+    Prop. 2.4.4), so keeping only the Kostant products still reaches all of
+    it, and the parents of a Kostant element are Kostant: elements, words and
+    layer order equal those of :func:`enumerate_by_length` filtered by
+    :func:`is_kostant`."""
+    return _bfs(rs, max_len, ENUMERATION_CAP, is_kostant)
+
+
+def full_layer_sizes(rs: FiniteRootSystem, kostant_layers) -> list[int]:
+    """Layer sizes of the whole affine Weyl group from its Kostant layers:
+    w = v u uniquely with v in W_fin, u in ^J W and l(w) = l(v) + l(u)
+    (Bjorner-Brenti, Prop. 2.4.4), so the count at length n is
+    sum_j fin[j] kost[n - j].  fin comes from a BFS of W_fin: the classical
+    reflections acting on tilde alone."""
+    kost = [len(layer) for layer in kostant_layers]
+    layer = {identity_element(rs).tilde}
+    seen = set(layer)
+    fin = [1]
+    while len(fin) < len(kost):
+        layer = {mat_mul_int(v, s) for v in layer for s in rs.reflections[: rs.rank]} - seen
+        seen |= layer
+        fin.append(len(layer))
+    return [sum(fin[j] * kost[n - j] for j in range(n + 1)) for n in range(len(kost))]
 
 
 def reduced_word(rs: FiniteRootSystem, w: AffineWeylElement) -> tuple[int, ...]:

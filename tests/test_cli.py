@@ -285,7 +285,11 @@ def test_fourier_fit_needs_two_samples(capsys, samples):
     (["decay", "convert", "--c", "1", "--C=-1/2", "--y", "739/100"], "need c > 0, C > 0 and y > 1"),
     (["decay", "fourier", "--range", "50"], "--range needs r_min,r_max"),
     (["decay", "fourier", "--range", "50,60,70"], "--range needs r_min,r_max"),
-], ids=["c-zero", "c-negative", "C-zero", "C-negative", "range-one-value", "range-three-values"])
+    (["decay", "fourier", "--range", "50,r"], "--range needs numbers r_min,r_max"),
+    (["decay", "fourier", "--range", "50,inf"], "--range bounds must be finite"),
+    (["decay", "fourier", "--range", "50,500"], "--range r_max must be <= 484.41"),
+], ids=["c-zero", "c-negative", "C-zero", "C-negative", "range-one-value", "range-three-values",
+        "range-not-a-number", "range-not-finite", "range-past-grid"])
 def test_decay_bad_values_are_usage_errors(capsys, argv, message):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -330,6 +334,10 @@ LEMMA22_A2_SHA256 = "f3b01f04c15a80b00f7d8fe2899f6d1b7ee681f783eb09c3a5323d7b2aa
 LEMMA22_G2_SHA256 = "6b16021432e39ef13b46f52c83458d90febe4bf741dd9b998def8f25970a65ca"
 ENUMERATE_G2_KOSTANT_SHA256 = "c123947669fa1e751d88f58262e8c5686d165767c2f724739215009e2fcd34dd"
 ENUMERATE_G2_KOSTANT_JSONL_SHA256 = "0e3179210b65fc08611867976488d53d7336b02a3cf307088048e333b1aeb441"
+CENSUS_C2_SHA256 = "d49dd657982736f9bd736aef1ff4a344020c61c39fc7aba2bbb9d73ddc30537f"
+CENSUS_C2_CSV_SHA256 = "34a3dfc89963645bef852ffc86c220306d09890459134d38d6ce7af578377251"
+CENSUS_E6_SHA256 = "aad1ed6a541e388cfa5a7cc42a7f8efdbf3c4fc3db50d5b91d1db6878a547565"
+CERTIFY_C2_SHA256 = "6d8ca3624ecbcd06f963c60509924f3373be3f28ef17de63369d3ee475397ab2"
 
 
 def _sha256(text: str) -> str:
@@ -354,3 +362,20 @@ def test_enumerate_kostant_unchanged(tmp_path, capsys):
     assert main(["weyl", "enumerate", "--type", "G2", "--max-len", "6", "--kostant", "--out", str(out)]) == 0
     assert _sha256(capsys.readouterr().out) == ENUMERATE_G2_KOSTANT_SHA256
     assert _sha256(out.read_text()) == ENUMERATE_G2_KOSTANT_JSONL_SHA256
+
+
+@pytest.mark.parametrize("argv, digest, csv_digest", [
+    (["weyl", "census", "--type", "C2", "--max-len", "16"], CENSUS_C2_SHA256, CENSUS_C2_CSV_SHA256),
+    (["weyl", "census", "--type", "E6", "--max-len", "3"], CENSUS_E6_SHA256, None),
+    (["certify", "--type", "C2", "--max-len", "30", "--r", "80", "--re-nu", "0", "--d", "9"], CERTIFY_C2_SHA256, None),
+], ids=["census-C2", "census-E6", "certify-C2"])
+def test_kostant_sweep_report_unchanged(monkeypatch, capsys, tmp_path, argv, digest, csv_digest):
+    # sweeps over the Kostant representatives alone (census full counts from the
+    # W_fin convolution) must print what a full-group BFS filtered by is_kostant prints
+    for name in ("SEED", "PREC", "OUT_DIR"):
+        monkeypatch.delenv("LOOPCERT_" + name, raising=False)
+    out = tmp_path / "census.csv"
+    assert main(argv + (["--out", str(out)] if csv_digest else [])) == 0
+    assert _sha256(capsys.readouterr().out) == digest
+    if csv_digest:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest

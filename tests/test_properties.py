@@ -142,6 +142,32 @@ def test_coroot_matrix_is_the_dual_action(label, data):
 
 
 @each_type
+def test_enumerate_kostant_is_the_filtered_bfs(label):
+    # same elements, words, lengths and layer order as the full BFS filtered by
+    # is_kostant; the W_fin convolution gives the full layer sizes, and the
+    # translation-norm rate over the Kostant layers is the full one
+    rs = build_root_system_label(label)
+    full = weyl.enumerate_by_length(rs, MAX_LEN[label])
+    kost = weyl.enumerate_kostant(rs, MAX_LEN[label])
+
+    def records(layers):
+        return [[(w.tilde, w.b, w.word, w.length) for w in layer] for layer in layers]
+
+    assert records(kost) == records([[w for w in layer if weyl.is_kostant(rs, w)] for layer in full])
+    assert weyl.full_layer_sizes(rs, kost) == [len(layer) for layer in full]
+    assert ineq.b_norm_rate(rs, kost) == ineq.b_norm_rate(rs, full)
+
+
+@each_type
+def test_int_inverse_on_every_finite_matrix_reached(label):
+    rs = build_root_system_label(label)
+    one = weyl.identity_element(rs).tilde
+    for m in {w.tilde for _, w in _enumerated(label)}:
+        inv = weyl._int_inverse(rs, m)
+        assert _mat_mul(inv, m) == one == _mat_mul(m, inv)
+
+
+@each_type
 def test_generators_are_the_one_letter_words(label):
     rs = build_root_system_label(label)
     for i in range(1, rs.rank + 2):
