@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .linalg import (
     Mat,
@@ -192,14 +194,20 @@ class FiniteRootSystem:
     d: tuple[Q, ...]  # (alpha_i, alpha_i)/2 per simple root
     coroot_form: Mat  # (h_i, h_j)
     positive_root_set: frozenset
-    root_set: frozenset  # positive and negative roots
-    root_norms: dict  # root -> (beta, beta), over root_set
+    root_norms: dict  # root -> (beta, beta), over the positive and negative roots
     sym: tuple[int, ...]  # integer symmetrizer, proportional to d, min 1
     highest_coroot: tuple[int, ...]  # h_theta in simple-coroot coordinates
-    reflections: tuple  # root-coordinate matrices of s_1..s_l and s_theta
-    sym_cartan: tuple[tuple[int, ...], ...]  # B = diag(sym) A, the integer invariant form
-    sym_cartan_adj: tuple[tuple[int, ...], ...]  # adj(B) = det(B) B^{-1}
-    sym_cartan_det: int  # det(B) > 0
+    # the +-root index: roots[k] = positive_roots[k] for k < P and roots[~k] =
+    # -roots[k], so a negative index ~k names -beta_k and ~ negates
+    roots: tuple[tuple[int, ...], ...]
+    root_index: dict  # root -> its signed index in roots
+    highest_index: int  # index of the highest root; the simple roots are 0..l-1
+    # (perm, shift) of the generators w_1..w_{l+1} over the positive roots:
+    # w(beta_k + n iota) = roots[perm[k]] + (n + shift[k]) iota
+    generators: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    # b = sum_i <alpha_i, b> omega_i^vee: b_k = sum_i <alpha_i, b> coweight_cols[k][i] / coweight_den
+    coweight_cols: tuple[tuple[int, ...], ...]
+    coweight_den: int
 
     @property
     def label(self) -> str:
@@ -230,7 +238,7 @@ class FiniteRootSystem:
             raise RootSystemError(f"{tuple(beta)} is not a root of {self.label}") from None
 
     def is_root(self, beta) -> bool:
-        return tuple(beta) in self.root_set
+        return tuple(beta) in self.root_index
 
     def coroot_of(self, beta) -> Vec:
         """h_beta in simple-coroot coordinates: c_i d_i / d_beta for beta = sum c_i alpha_i."""
@@ -299,12 +307,17 @@ def build_root_system(series: str, rank: int) -> FiniteRootSystem:
         raise RootSystemError("highest root does not dominate coordinatewise")
 
     d_raw = symmetrizer(a)
-    norm_raw = sum(
-        Q(highest[i]) * Q(highest[j]) * d_raw[i] * a[i][j]
-        for i in range(rank)
-        for j in range(rank)
-    )
-    d = tuple(x * Q(2) / norm_raw for x in d_raw)
+    sym = tuple(int(x) for x in d_raw)
+    if sym != tuple(d_raw):
+        raise RootSystemError("symmetrizer is not integral")
+    # B = diag(sym) A is the integer invariant form: (beta, beta) = 2 beta^T B beta / theta^T B theta
+    sym_cartan = tuple(tuple(sym[i] * a[i][j] for j in range(rank)) for i in range(rank))
+
+    def quad(beta) -> int:
+        return sum(x * sum(map(mul, row, beta)) for x, row in zip(beta, sym_cartan) if x)
+
+    theta_quad = quad(highest)
+    d = tuple(Q(2 * x, theta_quad) for x in sym)
     form = tuple(tuple(d[i] * a[i][j] for j in range(rank)) for i in range(rank))
     coroot_form = tuple(tuple(Q(a[i][j]) / d[j] for j in range(rank)) for i in range(rank))
 
@@ -321,29 +334,30 @@ def build_root_system(series: str, rank: int) -> FiniteRootSystem:
     if rho != half_sum:
         raise RootSystemError("rho as weight sum disagrees with half-sum of positive roots")
 
-    roots = ordered + [tuple(-c for c in r) for r in ordered]
-    root_norms = {r: bilinear(form, vec(r), vec(r)) for r in roots}
+    n_pos = len(ordered)
+    roots = tuple(ordered) + tuple(tuple(-c for c in r) for r in reversed(ordered))
+    root_index = {r: k for k, r in enumerate(ordered)}
+    root_index.update((roots[~k], ~k) for k in range(n_pos))
+    root_norms = {}
+    for k, r in enumerate(ordered):
+        root_norms[r] = root_norms[roots[~k]] = Q(2 * quad(r), theta_quad)
     # (highest, highest) = 2, so h_theta = sum theta_i d_i h_i
     highest_coroot = tuple(int(highest[i] * d[i]) for i in range(rank))
-    sym = tuple(int(x) for x in d_raw)
-    if highest_coroot != tuple(highest[i] * d[i] for i in range(rank)) or sym != tuple(d_raw):
-        raise RootSystemError("highest coroot or symmetrizer is not integral")
-    # s_i: lam -> lam - <lam, h_i> alpha_i; s_theta: lam -> lam - <lam, h_theta> theta
-    reflections = []
-    for i in range(rank):
-        reflections.append(tuple(
-            tuple((k == j) - (a[i][j] if k == i else 0) for j in range(rank)) for k in range(rank)))
-    theta_pair = [sum(a[t][j] * highest_coroot[t] for t in range(rank)) for j in range(rank)]
-    reflections.append(tuple(
-        tuple((k == j) - highest[k] * theta_pair[j] for j in range(rank)) for k in range(rank)))
+    if highest_coroot != tuple(highest[i] * d[i] for i in range(rank)):
+        raise RootSystemError("highest coroot is not integral")
 
-    # B = diag(sym) A is symmetric and integral; W_fin preserves it (M^T B M = B)
-    sym_cartan = tuple(tuple(sym[i] * a[i][j] for j in range(rank)) for i in range(rank))
-    sym_det = leading_principal_minors(sym_cartan)[-1]
-    # B^{-1} = A^{-1} diag(sym)^{-1}
-    sym_adj = tuple(tuple(sym_det * a_inv[i][j] / sym[j] for j in range(rank)) for i in range(rank))
-    if any(x.denominator != 1 for row in sym_adj for x in row):
-        raise RootSystemError("adjugate of the symmetrized Cartan matrix is not integral")
+    # s_i: beta -> beta - <beta, h_i> alpha_i, and w_{l+1} = (s_theta, h_theta):
+    # beta -> beta - <beta, h_theta> theta, shifted by <beta, h_theta> iota
+    generators = []
+    for i in range(rank):
+        images = [r[:i] + (r[i] - cpair(r, i),) + r[i + 1:] for r in ordered]
+        generators.append((tuple(root_index[x] for x in images), (0,) * n_pos))
+    theta_pair = [sum(a[t][j] * highest_coroot[t] for t in range(rank)) for j in range(rank)]
+    shifts = tuple(sum(map(mul, theta_pair, r)) for r in ordered)
+    images = [tuple(c - p * t for c, t in zip(r, highest)) for r, p in zip(ordered, shifts)]
+    generators.append((tuple(root_index[x] for x in images), shifts))
+
+    coweight_den = lcm(*(c.denominator for row in coweights for c in row))
 
     return FiniteRootSystem(
         series=series,
@@ -358,14 +372,15 @@ def build_root_system(series: str, rank: int) -> FiniteRootSystem:
         d=d,
         coroot_form=coroot_form,
         positive_root_set=frozenset(ordered),
-        root_set=frozenset(roots),
         root_norms=root_norms,
         sym=sym,
         highest_coroot=highest_coroot,
-        reflections=tuple(reflections),
-        sym_cartan=sym_cartan,
-        sym_cartan_adj=tuple(tuple(int(x) for x in row) for row in sym_adj),
-        sym_cartan_det=int(sym_det),
+        roots=roots,
+        root_index=root_index,
+        highest_index=root_index[highest],
+        generators=tuple(generators),
+        coweight_cols=tuple(zip(*(tuple(int(c * coweight_den) for c in row) for row in coweights))),
+        coweight_den=coweight_den,
     )
 
 

@@ -357,10 +357,8 @@ class _H3Kernel:
         step = budget / (2 * ht * DRAW_SCALE)  # x_j = hi + U_j * step, U_j the uniform draw
         d_x = lcm(hi.denominator, step.denominator)
         self.x0, self.dx = int(hi * d_x), int(step * d_x)
-        cow = rs.fundamental_coweights
-        k = lcm(*(c.denominator for row in cow for c in row))
-        self.coweight_cols = tuple(zip(*(tuple(int(c * k) for c in row) for row in cow)))
-        self.den = d_x * k
+        self.coweight_cols = rs.coweight_cols
+        self.den = d_x * rs.coweight_den
         a = rs.cartan.entries
         n = rs.rank
         # <alpha_i, h> = sum_j a[j][i] h_j and <theta, h> = sum_j (A theta)_j h_j

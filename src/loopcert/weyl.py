@@ -1,22 +1,30 @@
-"""Affine Weyl group in canonical semidirect coordinates.
+"""Affine Weyl group as permutations of the affine real roots.
 
-An element is stored as a pair ``(tilde, b)`` with ``tilde`` a classical Weyl
-element, kept as its integer matrix on simple-root coordinates, and ``b`` in
-the coroot lattice, realizing ``w = tilde . T_b``
-under *function composition*: acting on a weight, the translation ``T_b``
-(``lam -> lam + <lam, b> iota`` on classical weights) applies first and the
-classical part second.  The two product forms are interchangeable through
-``T_{tilde b} tilde = tilde T_b``; which of the paper-style forms the stored
-pair feeds into each formula below is pinned down by the executable ground
+An element w is stored by two integer tables over the positive roots
+beta_k of the finite root system (Casselman, "Computation in Coxeter
+groups", Electron. J. Combin. 2002: reflection tables):
+
+    w(beta_k + n iota) = roots[perm[k]] + (n + shift[k]) iota
+
+with ``roots`` the +-root index of the root-system context, where index ~k
+names -beta_k.  The negative half follows by sign symmetry, perm[~k] =
+~perm[k] and shift[~k] = -shift[k], so every group operation is a lookup:
+
+    (u v).perm[k] = u.perm[v.perm[k]]     (u v).shift[k] = u.shift[v.perm[k]] + v.shift[k]
+    u^{-1}.perm[u.perm[k]] = k            u^{-1}.shift[u.perm[k]] = -u.shift[k]
+
+The canonical pair ``(tilde, b)``, read off the tables at the simple roots,
+stays on every element for reports, sort keys and the actions on weights
+and Cartan elements: ``tilde`` is a classical Weyl element as its integer
+matrix on simple-root coordinates, ``b`` lies in the coroot lattice, and
+``w = tilde . T_b`` under *function composition*: acting on a weight, the
+translation ``T_b`` (``lam -> lam + <lam, b> iota`` on classical weights)
+applies first and the classical part second.  So
+``w(beta + n iota) = tilde(beta) + (n + <beta, b>) iota``: column i of tilde
+is roots[perm[i]] and shift[i] = <alpha_i, b>.  Which of the paper-style
+forms feeds each formula below is pinned down by the executable ground
 truths (BFS word length and the duality of the two actions), and is covered
 by tests rather than trusted from notation.
-
-Group law and inverse in canonical coordinates:
-
-    (u, a) * (v, b) = (u v, v^{-1} a + b)        (u, a)^{-1} = (u^{-1}, -u a)
-
-The classical inverse is integral and closed-form, u^{-1} = B^{-1} u^T B with
-B = diag(sym) A the invariant form, so the group law runs on Python ints.
 
 Every w factors uniquely as v u with v in W_fin, u a Kostant representative
 and l(w) = l(v) + l(u), and the representatives are closed under prefixes of
@@ -30,9 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property
+from operator import add, invert, mul, neg
 
-from .affine import AffineRoot, AffineWeight, CartanElement, affine_pairing, affine_simple_coroots, affine_simple_roots
+from .affine import AffineRoot, AffineWeight, CartanElement
 from .cartan import FiniteRootSystem, RootSystemError, Weight
 from .linalg import mat_vec, vec, vec_add, vec_scale
 
@@ -51,19 +60,6 @@ class ScanBoundError(RuntimeError):
     """The |n| <= l(w)+2 scan window missed inverted roots; convention bug."""
 
 
-@lru_cache(maxsize=None)
-def _int_inverse(rs: FiniteRootSystem, matrix: IntMat) -> IntMat:
-    """M^{-1} = B^{-1} M^T B for a classical element's root matrix M, where
-    B = diag(sym) A is the integer invariant form (M^T B M = B).  Computed as
-    adj(B) (M^T B) // det(B): every product is an int and the division exact."""
-    b = rs.sym_cartan
-    n = rs.rank
-    mtb = [[sum(matrix[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    det = rs.sym_cartan_det
-    return tuple(tuple(sum(adj_row[k] * mtb[k][j] for k in range(n)) // det for j in range(n))
-                 for adj_row in rs.sym_cartan_adj)
-
-
 def _coroot_matrix(rs: FiniteRootSystem, matrix: IntMat) -> IntMat:
     """Coroot-coordinate action of the element with root matrix M: the
     similarity D M D^{-1}, D = diag(rs.sym).  Invariance of the form,
@@ -75,49 +71,86 @@ def _coroot_matrix(rs: FiniteRootSystem, matrix: IntMat) -> IntMat:
 
 @dataclass(frozen=True)
 class AffineWeylElement:
-    """Canonical pair (tilde, b); equality and hash use only the pair."""
+    """w by its tables over the positive roots of ``rs``; equality and hash
+    use only the tables, which determine w."""
 
-    tilde: IntMat  # classical part: integer matrix on simple-root coordinates
-    b: IntVec
+    rs: FiniteRootSystem = field(compare=False, repr=False)
+    perm: IntVec  # signed index of tilde(beta_k) in rs.roots
+    shift: IntVec  # <beta_k, b>
     word: tuple[int, ...] | None = field(default=None, compare=False)
     length: int | None = field(default=None, compare=False)
+
+    @cached_property
+    def tilde(self) -> IntMat:
+        """Classical part on simple-root coordinates: column i is tilde(alpha_i)."""
+        roots = self.rs.roots
+        return tuple(zip(*(roots[x] for x in self.perm[: self.rs.rank])))
+
+    @cached_property
+    def b(self) -> IntVec:
+        """Translation part in simple-coroot coordinates: sum_i <alpha_i, b> omega_i^vee."""
+        rs = self.rs
+        pairs = self.shift[: rs.rank]
+        return tuple(sum(map(mul, pairs, col)) // rs.coweight_den for col in rs.coweight_cols)
 
     def sort_key(self):
         return (self.b, self.tilde)
 
 
 def identity_element(rs: FiniteRootSystem) -> AffineWeylElement:
-    one = tuple(tuple(1 if i == j else 0 for j in range(rs.rank)) for i in range(rs.rank))
-    return AffineWeylElement(one, (0,) * rs.rank, word=(), length=0)
+    n_pos = len(rs.positive_roots)
+    return AffineWeylElement(rs, tuple(range(n_pos)), (0,) * n_pos, word=(), length=0)
 
 
 def generator(rs: FiniteRootSystem, i: int) -> AffineWeylElement:
     """Simple reflection w_i, 1-based; w_{l+1} has canonical pair (s_{a0}, h_{a0})."""
     if not 1 <= i <= rs.rank + 1:
         raise RootSystemError(f"reflection index {i} out of range")
-    b = rs.highest_coroot if i > rs.rank else (0,) * rs.rank
-    return AffineWeylElement(rs.reflections[i - 1], b, word=(i,), length=1)
+    return AffineWeylElement(rs, *rs.generators[i - 1], word=(i,), length=1)
+
+
+def _full(perm: IntVec, shift: IntVec) -> tuple[IntVec, IntVec]:
+    """Both halves of the tables: entry ~k holds the image of -beta_k."""
+    return perm + tuple(map(invert, reversed(perm))), shift + tuple(map(neg, reversed(shift)))
+
+
+def _compose(u_full: tuple[IntVec, IntVec], perm: IntVec, shift: IntVec) -> tuple[IntVec, IntVec]:
+    """Tables of u v from u's full tables and v's tables: (u v)(beta) = u(v(beta))."""
+    u_perm, u_shift = u_full
+    return tuple(map(u_perm.__getitem__, perm)), tuple(map(add, map(u_shift.__getitem__, perm), shift))
+
+
+def _simple_image(rs: FiniteRootSystem, perm: IntVec, shift: IntVec, i: int) -> tuple[int, int]:
+    """w(a_i) = roots[x] + n iota as (x, n), i = 1..l+1; a_{l+1} = -theta + iota."""
+    if i <= rs.rank:
+        return perm[i - 1], shift[i - 1]
+    t = rs.highest_index
+    return ~perm[t], 1 - shift[t]
+
+
+def _positive(x: int, n: int) -> bool:
+    """roots[x] + n iota > 0."""
+    return n > 0 or (n == 0 and x >= 0)
 
 
 def multiply(rs: FiniteRootSystem, u: AffineWeylElement, v: AffineWeylElement) -> AffineWeylElement:
-    vt_inv = _coroot_matrix(rs, _int_inverse(rs, v.tilde))
-    b = tuple(x + y for x, y in zip(mat_vec_int(vt_inv, u.b), v.b))
-    return AffineWeylElement(mat_mul_int(u.tilde, v.tilde), b)
+    return AffineWeylElement(rs, *_compose(_full(u.perm, u.shift), v.perm, v.shift))
 
 
 def inverse(rs: FiniteRootSystem, w: AffineWeylElement) -> AffineWeylElement:
-    t_inv = _int_inverse(rs, w.tilde)
-    cor = _coroot_matrix(rs, w.tilde)
-    return AffineWeylElement(t_inv, tuple(-x for x in mat_vec_int(cor, w.b)))
+    """w(beta_k) = roots[y] + s iota gives w^{-1}(roots[y]) = beta_k - s iota."""
+    perm = [0] * len(w.perm)
+    shift = [0] * len(w.perm)
+    for k, (y, s) in enumerate(zip(w.perm, w.shift)):
+        if y >= 0:
+            perm[y], shift[y] = k, -s
+        else:
+            perm[~y], shift[~y] = ~k, s
+    return AffineWeylElement(rs, tuple(perm), tuple(shift))
 
 
 def mat_vec_int(m: IntMat, x: IntVec) -> IntVec:
     return tuple(sum(m[i][j] * x[j] for j in range(len(x))) for i in range(len(m)))
-
-
-def mat_mul_int(a: IntMat, b: IntMat) -> IntMat:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
 
 
 def pair_int(rs: FiniteRootSystem, beta, h) -> int:
@@ -130,21 +163,17 @@ def pair_int(rs: FiniteRootSystem, beta, h) -> int:
 # actions
 
 
-def reflect(rs: FiniteRootSystem, i: int, lam: AffineWeight) -> AffineWeight:
-    """Simple affine reflection on the dual space: lam - <lam, h_i> a_i."""
-    if not 1 <= i <= rs.rank + 1:
-        raise RootSystemError(f"reflection index {i} out of range")
-    h_i = affine_simple_coroots(rs)[i - 1]
-    a_i = affine_simple_roots(rs)[i - 1].to_weight()
-    return lam - affine_pairing(rs, lam, h_i) * a_i
-
-
 def act_on_root(rs: FiniteRootSystem, w: AffineWeylElement, a: AffineRoot) -> AffineRoot:
     """w(beta + n iota) = tilde(beta) + (n + <beta, b>) iota; iota-multiples are fixed."""
     if a.is_imaginary:
         return a
-    beta = a.classical_part
-    return AffineRoot(mat_vec_int(w.tilde, beta), a.n + pair_int(rs, beta, w.b))
+    try:
+        x = rs.root_index[a.classical_part]
+    except KeyError:
+        raise RootSystemError(f"{a.classical_part} is not a root of {rs.label}") from None
+    if x >= 0:
+        return AffineRoot(rs.roots[w.perm[x]], a.n + w.shift[x])
+    return AffineRoot(rs.roots[~w.perm[~x]], a.n - w.shift[~x])
 
 
 def act_on_weight(rs: FiniteRootSystem, w: AffineWeylElement, lam: AffineWeight) -> AffineWeight:
@@ -180,38 +209,8 @@ def act_on_cartan(rs: FiniteRootSystem, w: AffineWeylElement, x: CartanElement) 
 # words, length, enumeration
 
 
-def from_word(rs: FiniteRootSystem, word) -> AffineWeylElement:
-    """Canonical form recovered from the action on classical simple roots.
-
-    Applying the word's reflections to each alpha_i gives
-    ``w alpha_i = tilde(alpha_i) + <alpha_i, b> iota``; the classical parts
-    assemble the matrix of tilde and the iota coefficients determine b through
-    the fundamental coweights.  Raises if b lands outside the coroot lattice.
-    """
-    word = tuple(int(i) for i in word)
-    cols = []
-    iotas = []
-    for k in range(rs.rank):
-        mu = AffineRoot(tuple(1 if j == k else 0 for j in range(rs.rank)), 0).to_weight()
-        for letter in reversed(word):
-            mu = reflect(rs, letter, mu)
-        if any(c.denominator != 1 for c in mu.classical.coords) or mu.iota.denominator != 1 or mu.lam != 0:
-            raise RootSystemError("word action left the root lattice; convention bug")
-        cols.append(tuple(int(c) for c in mu.classical.coords))
-        iotas.append(int(mu.iota))
-    matrix = tuple(tuple(cols[k][i] for k in range(rs.rank)) for i in range(rs.rank))
-    b = (Q(0),) * rs.rank
-    for k, n_k in enumerate(iotas):
-        b = vec_add(b, vec_scale(n_k, rs.fundamental_coweights[k]))
-    if any(x.denominator != 1 for x in b):
-        raise RootSystemError(f"translation part {b} not in the coroot lattice; convention bug")
-    elem = AffineWeylElement(matrix, tuple(int(x) for x in b))
-    length = length_im(rs, elem)
-    return AffineWeylElement(elem.tilde, elem.b, word=word if len(word) == length else None, length=length)
-
-
 def length_im(rs: FiniteRootSystem, w: AffineWeylElement) -> int:
-    """Iwahori-Matsumoto length from the canonical pair:
+    """Iwahori-Matsumoto length from the tables:
 
         l(w) = sum over alpha > 0 of |<alpha, b> - chi_neg(tilde alpha)|.
 
@@ -224,47 +223,45 @@ def length_im(rs: FiniteRootSystem, w: AffineWeylElement) -> int:
     chi(tilde^{-1} alpha) variant matches only in rank 1 where every
     classical element is an involution.
     """
-    total = 0
-    for alpha in rs.positive_roots:
-        chi = 1 if any(c < 0 for c in mat_vec_int(w.tilde, alpha)) else 0
-        total += abs(pair_int(rs, alpha, w.b) - chi)
-    return total
+    return sum(abs(s - (x < 0)) for x, s in zip(w.perm, w.shift))
 
 
 def element_length(rs: FiniteRootSystem, w: AffineWeylElement) -> int:
-    """l(w): the stored length when enumeration or from_word set it, else IM."""
+    """l(w): the stored length when enumeration set it, else IM."""
     return w.length if w.length is not None else length_im(rs, w)
 
 
-def _bfs(rs: FiniteRootSystem, max_len: int, cap: int, keep) -> list[list[AffineWeylElement]]:
-    """BFS layers up to max_len of the elements reached through products that
-    ``keep(rs, prod)`` accepts (every product when ``keep`` is None).  Each
-    layer is sorted by canonical key; every element carries its BFS word
-    (reduced by construction) and depth as length."""
+def _bfs(rs: FiniteRootSystem, max_len: int, cap: int, kostant: bool) -> list[list[AffineWeylElement]]:
+    """BFS layers up to max_len, of the whole group or (``kostant``) of the
+    Kostant representatives.  Each layer is sorted by canonical key; every
+    element carries its BFS word (reduced by construction) and depth as length.
+
+    w g_i lies one layer up iff w(a_i) > 0, and otherwise one layer down, so
+    only those products are formed and no earlier layer is consulted.  For
+    Kostant w, (w g_i)^{-1} alpha_j = g_i(w^{-1} alpha_j) is negative iff
+    w^{-1} alpha_j = a_i, so w g_i is Kostant iff w(a_i) is no classical
+    simple root."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    gens = [generator(rs, i) for i in range(1, rs.rank + 2)]
-    identity = identity_element(rs)
-    seen = {(identity.tilde, identity.b)}  # enumerated or rejected
-    layers = [[identity]]
+    rank = rs.rank
+    layers = [[identity_element(rs)]]
     total = 1
     for depth in range(1, max_len + 1):
         nxt = {}
-        for w in layers[depth - 1]:
-            for i, g in enumerate(gens, start=1):
-                prod = multiply(rs, w, g)
-                key = (prod.tilde, prod.b)
-                if key in seen or key in nxt:
+        for w in layers[-1]:
+            full = _full(w.perm, w.shift)
+            for i, g in enumerate(rs.generators, start=1):
+                x, n = _simple_image(rs, w.perm, w.shift, i)
+                if not _positive(x, n) or (kostant and n == 0 and x < rank):
                     continue
-                if keep is not None and not keep(rs, prod):
-                    seen.add(key)
-                    continue
-                nxt[key] = AffineWeylElement(prod.tilde, prod.b, word=w.word + (i,), length=depth)
+                perm, shift = _compose(full, *g)
+                key = perm[:rank] + shift[:rank]  # the images of the simple roots fix w
+                if key not in nxt:
+                    nxt[key] = AffineWeylElement(rs, perm, shift, word=w.word + (i,), length=depth)
         layer = sorted(nxt.values(), key=AffineWeylElement.sort_key)
         total += len(layer)
         if total > cap:
             raise EnumerationLimit(f"enumeration exceeded cap of {cap} elements")
-        seen.update(nxt.keys())
         layers.append(layer)
     return layers
 
@@ -273,7 +270,7 @@ def enumerate_by_length(
     rs: FiniteRootSystem, max_len: int, cap: int = ENUMERATION_CAP
 ) -> list[list[AffineWeylElement]]:
     """BFS layers of the affine Weyl group up to the given length."""
-    return _bfs(rs, max_len, cap, None)
+    return _bfs(rs, max_len, cap, False)
 
 
 def enumerate_kostant(rs: FiniteRootSystem, max_len: int) -> list[list[AffineWeylElement]]:
@@ -284,7 +281,7 @@ def enumerate_kostant(rs: FiniteRootSystem, max_len: int) -> list[list[AffineWey
     it, and the parents of a Kostant element are Kostant: elements, words and
     layer order equal those of :func:`enumerate_by_length` filtered by
     :func:`is_kostant`."""
-    return _bfs(rs, max_len, ENUMERATION_CAP, is_kostant)
+    return _bfs(rs, max_len, ENUMERATION_CAP, True)
 
 
 def full_layer_sizes(rs: FiniteRootSystem, kostant_layers) -> list[int]:
@@ -292,14 +289,17 @@ def full_layer_sizes(rs: FiniteRootSystem, kostant_layers) -> list[int]:
     w = v u uniquely with v in W_fin, u in ^J W and l(w) = l(v) + l(u)
     (Bjorner-Brenti, Prop. 2.4.4), so the count at length n is
     sum_j fin[j] kost[n - j].  fin comes from a BFS of W_fin: the classical
-    reflections acting on tilde alone."""
+    generators composed on perm alone, one layer up where v(alpha_i) > 0."""
     kost = [len(layer) for layer in kostant_layers]
-    layer = {identity_element(rs).tilde}
-    seen = set(layer)
+    reflections = [perm for perm, _ in rs.generators[: rs.rank]]
+    layer = {identity_element(rs).perm}
     fin = [1]
     while len(fin) < len(kost):
-        layer = {mat_mul_int(v, s) for v in layer for s in rs.reflections[: rs.rank]} - seen
-        seen |= layer
+        nxt = set()
+        for v in layer:
+            full = v + tuple(map(invert, reversed(v)))
+            nxt.update(tuple(map(full.__getitem__, s)) for i, s in enumerate(reflections) if v[i] >= 0)
+        layer = nxt
         fin.append(len(layer))
     return [sum(fin[j] * kost[n - j] for j in range(n + 1)) for n in range(len(kost))]
 
@@ -308,17 +308,13 @@ def reduced_word(rs: FiniteRootSystem, w: AffineWeylElement) -> tuple[int, ...]:
     """Reduced word via right-descent peeling: i is a descent iff w(a_i) < 0."""
     if w.word is not None:
         return w.word
-    simples = affine_simple_roots(rs)
     letters: list[int] = []
-    cur = w
-    cur_len = length_im(rs, cur)
-    while cur_len > 0:
+    perm, shift = w.perm, w.shift
+    for _ in range(length_im(rs, w)):
         for i in range(1, rs.rank + 2):
-            img = act_on_root(rs, cur, simples[i - 1])
-            if not img.is_positive(rs):
-                cur = multiply(rs, cur, generator(rs, i))
+            if not _positive(*_simple_image(rs, perm, shift, i)):
+                perm, shift = _compose(_full(perm, shift), *rs.generators[i - 1])
                 letters.append(i)
-                cur_len -= 1
                 break
         else:
             raise RootSystemError("no descent found; convention bug")
@@ -343,13 +339,13 @@ def inverted_roots_word(rs: FiniteRootSystem, w: AffineWeylElement) -> InvertedR
     set is {prefix_{k-1}(a_{m_k})} where prefix_k is the product of the first
     k letters."""
     word = reduced_word(rs, w)
-    simples = affine_simple_roots(rs)
-    out = []
     prefix = identity_element(rs)
-    for k, letter in enumerate(word):
-        beta = act_on_root(rs, prefix, simples[letter - 1])
-        out.append(beta)
-        prefix = multiply(rs, prefix, generator(rs, letter))
+    perm, shift = prefix.perm, prefix.shift
+    out = []
+    for letter in word:
+        x, n = _simple_image(rs, perm, shift, letter)
+        out.append(AffineRoot(rs.roots[x], n))
+        perm, shift = _compose(_full(perm, shift), *rs.generators[letter - 1])
     roots = tuple(sorted(out, key=_root_key))
     if len(set(roots)) != len(word):
         raise RootSystemError("word construction produced repeated inverted roots")
@@ -360,20 +356,19 @@ def inverted_roots_scan(rs: FiniteRootSystem, w: AffineWeylElement) -> InvertedR
     """Scan construction: positive real roots beta + n iota, 0 <= n <= l(w)+2,
     sent negative by w^{-1}.  The count must equal l(w).
 
-    iota is fixed, so w^{-1}(beta + n iota) = w^{-1}(beta) + n iota: each
-    classical root is acted on once, and every candidate n in the window is
-    tested on the shifted iota coefficient."""
+    Each classical root is the image roots[y] or roots[~y] of one +-beta_k,
+    w(beta_k) = roots[y] + s iota, so w^{-1}(roots[y] + n iota) =
+    beta_k + (n - s) iota is negative iff n < s, and
+    w^{-1}(roots[~y] + n iota) = -beta_k + (n + s) iota iff n <= -s: the
+    inverted n of each root form a range read off the tables."""
     ell = element_length(rs, w)
-    w_inv = inverse(rs, w)
-    positive = rs.positive_root_set
+    roots = rs.roots
+    stop = ell + 3
     out = []
-    for beta in rs.root_set:
-        img = act_on_root(rs, w_inv, AffineRoot(beta, 0))
-        img_negative = img.classical_part not in positive
-        for n in range(0 if beta in positive else 1, ell + 3):
-            k = img.n + n
-            if k < 0 or (k == 0 and img_negative):
-                out.append(AffineRoot(beta, n))
+    for y, s in zip(w.perm, w.shift):
+        lo, lo_neg = (0, 1) if y >= 0 else (1, 0)  # n >= 1 on negative classical roots
+        out.extend(AffineRoot(roots[y], n) for n in range(lo, min(s, stop)))
+        out.extend(AffineRoot(roots[~y], n) for n in range(lo_neg, min(1 - s, stop)))
     if len(out) != ell:
         raise ScanBoundError(f"scan found {len(out)} inverted roots, expected {ell}")
     return InvertedRootSet(tuple(sorted(out, key=_root_key)))
@@ -392,24 +387,31 @@ def neg_inverted_of_inverse(rs: FiniteRootSystem, w: AffineWeylElement) -> tuple
 # Kostant coset representatives
 
 
-def _inverse_simple_images(rs: FiniteRootSystem, w: AffineWeylElement):
-    """w^{-1} alpha_i for the classical simple roots, i = 1..l, in order."""
-    w_inv = inverse(rs, w)
-    for a in affine_simple_roots(rs)[: rs.rank]:
-        yield act_on_root(rs, w_inv, a)
+def _inverse_simple_images(rs: FiniteRootSystem, w: AffineWeylElement) -> list[tuple[int, int]]:
+    """w^{-1} alpha_i = roots[x] + n iota as (x, n) for i = 1..l: alpha_i is
+    the image of beta_k (x = k, n = -shift[k]) or of -beta_k (x = ~k,
+    n = shift[k])."""
+    perm, shift = w.perm, w.shift
+    out = []
+    for i in range(rs.rank):
+        if i in perm:
+            k = perm.index(i)
+            out.append((k, -shift[k]))
+        else:
+            k = perm.index(~i)
+            out.append((~k, shift[k]))
+    return out
 
 
 def is_kostant(rs: FiniteRootSystem, w: AffineWeylElement) -> bool:
     """w lies in the minimal-length coset representatives of W \\ W_affine:
     w^{-1} alpha_i > 0 for every classical simple root."""
-    return all(img.is_positive(rs) for img in _inverse_simple_images(rs, w))
+    return all(_positive(x, n) for x, n in _inverse_simple_images(rs, w))
 
 
 def kappa(rs: FiniteRootSystem, w: AffineWeylElement) -> list[tuple[IntVec, int]]:
     """Decompositions w^{-1} alpha_i = sigma_i + kappa_i iota for i = 1..l."""
-    images = list(_inverse_simple_images(rs, w))
-    if not all(img.is_positive(rs) for img in images):
+    images = _inverse_simple_images(rs, w)
+    if not all(_positive(x, n) for x, n in images):
         raise RootSystemError("kappa is only defined on Kostant representatives")
-    if any(img.n < 0 or not rs.is_root(img.classical_part) for img in images):
-        raise RootSystemError("kappa decomposition violated; convention bug")
-    return [(img.classical_part, img.n) for img in images]
+    return [(rs.roots[x], n) for x, n in images]

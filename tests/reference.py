@@ -1,0 +1,111 @@
+"""Independent references for the Weyl-group tests.
+
+``reflect`` and ``from_word`` act by Fraction reflections on weights, so they
+reach an element without the generator tables.  The ``ref_*`` functions are
+the matrix-form formulas on canonical pairs (tilde, b): the classical part as
+an integer matrix on simple-root coordinates, b in simple-coroot coordinates,
+w(beta + n iota) = tilde(beta) + (n + <beta, b>) iota.  The classical inverse
+is taken in Fractions.
+"""
+
+from fractions import Fraction as Q
+
+from loopcert import weyl
+from loopcert.affine import AffineWeight, affine_pairing, affine_simple_coroots, affine_simple_roots
+from loopcert.cartan import FiniteRootSystem, RootSystemError
+from loopcert.linalg import mat_inverse, vec_add, vec_scale
+
+
+def reflect(rs: FiniteRootSystem, i: int, lam: AffineWeight) -> AffineWeight:
+    """Simple affine reflection on the dual space: lam - <lam, h_i> a_i."""
+    if not 1 <= i <= rs.rank + 1:
+        raise RootSystemError(f"reflection index {i} out of range")
+    h_i = affine_simple_coroots(rs)[i - 1]
+    a_i = affine_simple_roots(rs)[i - 1].to_weight()
+    return lam - affine_pairing(rs, lam, h_i) * a_i
+
+
+def from_pair(rs: FiniteRootSystem, tilde, b) -> weyl.AffineWeylElement:
+    """The element with canonical pair (tilde, b), by its tables."""
+    perm = tuple(rs.root_index[weyl.mat_vec_int(tilde, beta)] for beta in rs.positive_roots)
+    shift = tuple(weyl.pair_int(rs, beta, b) for beta in rs.positive_roots)
+    return weyl.AffineWeylElement(rs, perm, shift)
+
+
+def from_word(rs: FiniteRootSystem, word) -> weyl.AffineWeylElement:
+    """Canonical form recovered from the action on classical simple roots.
+
+    Applying the word's reflections to each alpha_i gives
+    ``w alpha_i = tilde(alpha_i) + <alpha_i, b> iota``; the classical parts
+    assemble the matrix of tilde and the iota coefficients determine b through
+    the fundamental coweights.  Raises if b lands outside the coroot lattice.
+    The word is kept when it is reduced.
+    """
+    word = tuple(int(i) for i in word)
+    cols = []
+    iotas = []
+    for k in range(rs.rank):
+        mu = affine_simple_roots(rs)[k].to_weight()
+        for letter in reversed(word):
+            mu = reflect(rs, letter, mu)
+        if any(c.denominator != 1 for c in mu.classical.coords) or mu.iota.denominator != 1 or mu.lam != 0:
+            raise RootSystemError("word action left the root lattice; convention bug")
+        cols.append(tuple(int(c) for c in mu.classical.coords))
+        iotas.append(int(mu.iota))
+    matrix = tuple(tuple(cols[k][i] for k in range(rs.rank)) for i in range(rs.rank))
+    b = (Q(0),) * rs.rank
+    for k, n_k in enumerate(iotas):
+        b = vec_add(b, vec_scale(n_k, rs.fundamental_coweights[k]))
+    if any(x.denominator != 1 for x in b):
+        raise RootSystemError(f"translation part {b} not in the coroot lattice; convention bug")
+    elem = from_pair(rs, matrix, tuple(int(x) for x in b))
+    length = weyl.length_im(rs, elem)
+    return weyl.AffineWeylElement(rs, elem.perm, elem.shift, word=word if len(word) == length else None,
+                                  length=length)
+
+
+def _classical_inverse(tilde):
+    inv = mat_inverse(tuple(tuple(Q(e) for e in row) for row in tilde))
+    return tuple(tuple(int(e) for e in row) for row in inv)
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
+
+
+def ref_multiply(rs: FiniteRootSystem, u, v):
+    """(u, a) * (v, b) = (u v, v^{-1} a + b)."""
+    (ut, ub), (vt, vb) = u, v
+    vt_inv = weyl._coroot_matrix(rs, _classical_inverse(vt))
+    return _mat_mul(ut, vt), tuple(x + y for x, y in zip(weyl.mat_vec_int(vt_inv, ub), vb))
+
+
+def ref_inverse(rs: FiniteRootSystem, w):
+    """(u, a)^{-1} = (u^{-1}, -u a)."""
+    t, b = w
+    return _classical_inverse(t), tuple(-x for x in weyl.mat_vec_int(weyl._coroot_matrix(rs, t), b))
+
+
+def ref_act_on_root(rs: FiniteRootSystem, w, beta, n):
+    """tilde(beta) + (n + <beta, b>) iota as (root, n)."""
+    t, b = w
+    return weyl.mat_vec_int(t, beta), n + weyl.pair_int(rs, beta, b)
+
+
+def ref_length_im(rs: FiniteRootSystem, w) -> int:
+    """sum over alpha > 0 of |<alpha, b> - chi_neg(tilde alpha)|."""
+    t, b = w
+    return sum(abs(weyl.pair_int(rs, alpha, b) - any(c < 0 for c in weyl.mat_vec_int(t, alpha)))
+               for alpha in rs.positive_roots)
+
+
+def ref_inverse_simple_images(rs: FiniteRootSystem, w):
+    """w^{-1} alpha_i as (root, n) for i = 1..l."""
+    w_inv = ref_inverse(rs, w)
+    return [ref_act_on_root(rs, w_inv, a.classical_part, 0) for a in affine_simple_roots(rs)[: rs.rank]]
+
+
+def ref_is_kostant(rs: FiniteRootSystem, w) -> bool:
+    return all(n > 0 or (n == 0 and beta in rs.positive_root_set)
+               for beta, n in ref_inverse_simple_images(rs, w))

@@ -334,6 +334,10 @@ LEMMA22_A2_SHA256 = "f3b01f04c15a80b00f7d8fe2899f6d1b7ee681f783eb09c3a5323d7b2aa
 LEMMA22_G2_SHA256 = "6b16021432e39ef13b46f52c83458d90febe4bf741dd9b998def8f25970a65ca"
 ENUMERATE_G2_KOSTANT_SHA256 = "c123947669fa1e751d88f58262e8c5686d165767c2f724739215009e2fcd34dd"
 ENUMERATE_G2_KOSTANT_JSONL_SHA256 = "0e3179210b65fc08611867976488d53d7336b02a3cf307088048e333b1aeb441"
+ENUMERATE_A2_SHA256 = "eee9f7abbf164316f608021b138830e09b02593db82ec54ba122ac9c151d65e9"
+ENUMERATE_A2_JSONL_SHA256 = "f6b6482c384398231fbc47d752a1875b6c29981c1e386cd0bf7c3965a86e6f28"
+ENUMERATE_E6_SHA256 = "f5e592e865ebfa07dd2c995ebe456089392ae7814d7b99ed640f94c78540f7ed"
+ENUMERATE_E6_JSONL_SHA256 = "84f60df60a46900e09a03deebb91b7f39319a3663eea2309af8ac45ec6c38ff2"
 CENSUS_C2_SHA256 = "d49dd657982736f9bd736aef1ff4a344020c61c39fc7aba2bbb9d73ddc30537f"
 CENSUS_C2_CSV_SHA256 = "34a3dfc89963645bef852ffc86c220306d09890459134d38d6ce7af578377251"
 CENSUS_E6_SHA256 = "aad1ed6a541e388cfa5a7cc42a7f8efdbf3c4fc3db50d5b91d1db6878a547565"
@@ -362,6 +366,19 @@ def test_enumerate_kostant_unchanged(tmp_path, capsys):
     assert main(["weyl", "enumerate", "--type", "G2", "--max-len", "6", "--kostant", "--out", str(out)]) == 0
     assert _sha256(capsys.readouterr().out) == ENUMERATE_G2_KOSTANT_SHA256
     assert _sha256(out.read_text()) == ENUMERATE_G2_KOSTANT_JSONL_SHA256
+
+
+@pytest.mark.parametrize("label, max_len, digest, jsonl_digest", [
+    ("A2", "8", ENUMERATE_A2_SHA256, ENUMERATE_A2_JSONL_SHA256),
+    ("E6", "3", ENUMERATE_E6_SHA256, ENUMERATE_E6_JSONL_SHA256),
+], ids=["A2-8", "E6-3"])
+def test_enumerate_full_bfs_unchanged(tmp_path, capsys, label, max_len, digest, jsonl_digest):
+    # the full-group BFS order (elements, words, layer sort) that the length
+    # identities, C1, C8 and verify lemma22 read
+    out = tmp_path / "full.jsonl"
+    assert main(["weyl", "enumerate", "--type", label, "--max-len", max_len, "--out", str(out)]) == 0
+    assert _sha256(capsys.readouterr().out) == digest
+    assert _sha256(out.read_text()) == jsonl_digest
 
 
 @pytest.mark.parametrize("argv, digest, csv_digest", [

@@ -8,6 +8,7 @@ from loopcert import inequalities as ineq
 from loopcert import weyl
 from loopcert.cartan import build_root_system_label
 from loopcert.linalg import vec
+from reference import from_word
 
 
 def rs_of(label):
@@ -42,7 +43,7 @@ def test_cell_bound_frozen_values():
         ident = conv.cell_bound(rs, weyl.identity_element(rs), params)
         assert ident.n_exponent == 6 and ident.p_w == 1
         assert abs(ident.log_term - (6 * mp.log(6) + 1)) < mp.mpf("1e-30")
-        t_h = weyl.from_word(rs, (2, 1))  # translation, length 2, (b,b) = 2
+        t_h = from_word(rs, (2, 1))  # translation, length 2, (b,b) = 2
         cell = conv.cell_bound(rs, t_h, params)
         assert cell.n_exponent == 18 and cell.p_w == -1 + 3
         assert abs(cell.log_term - (18 * mp.log(18) + 2)) < mp.mpf("1e-30")

@@ -16,6 +16,8 @@ from loopcert import weyl
 from loopcert.affine import AffineRoot, AffineWeight, CartanElement, affine_pairing
 from loopcert.cartan import RootSystemError, Weight, build_root_system_label
 from loopcert.linalg import mat_inverse
+import reference
+from reference import from_pair, from_word
 
 # type -> the longest words and BFS layers drawn from
 MAX_LEN = {"A1": 8, "A2": 6, "A3": 5, "A4": 4, "B2": 6, "B3": 5, "B4": 4,
@@ -47,7 +49,7 @@ rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 @given(data=st.data())
 def test_group_axioms(label, data):
     rs = build_root_system_label(label)
-    u, v, x = (weyl.from_word(rs, data.draw(words(label))) for _ in range(3))
+    u, v, x = (from_word(rs, data.draw(words(label))) for _ in range(3))
     e = weyl.identity_element(rs)
     assert weyl.multiply(rs, e, u) == u == weyl.multiply(rs, u, e)
     assert weyl.multiply(rs, u, weyl.inverse(rs, u)) == e == weyl.multiply(rs, weyl.inverse(rs, u), u)
@@ -69,7 +71,7 @@ def test_im_length_equals_bfs_depth_and_inverted_count(label, data):
 @given(data=st.data())
 def test_word_path_equals_scan_path(label, data):
     rs = build_root_system_label(label)
-    w = weyl.from_word(rs, data.draw(words(label)))
+    w = from_word(rs, data.draw(words(label)))
     assert weyl.inverted_roots_word(rs, w).roots == weyl.inverted_roots_scan(rs, w).roots
 
 
@@ -103,7 +105,7 @@ def test_flipped_sets_and_kostant_by_definition(label):
 @given(data=st.data())
 def test_action_duality(label, data):
     rs = build_root_system_label(label)
-    w = weyl.from_word(rs, data.draw(words(label)))
+    w = from_word(rs, data.draw(words(label)))
     coords = st.lists(rationals, min_size=rs.rank, max_size=rs.rank).map(tuple)
     lam = AffineWeight(Weight(data.draw(coords)), data.draw(rationals), data.draw(rationals))
     x = CartanElement(data.draw(coords), data.draw(rationals), data.draw(rationals))
@@ -117,11 +119,11 @@ def test_action_duality(label, data):
 @given(data=st.data())
 def test_reduced_word_round_trip(label, data):
     rs = build_root_system_label(label)
-    w = weyl.from_word(rs, data.draw(words(label)))
-    bare = weyl.AffineWeylElement(w.tilde, w.b)  # no stored word: reduced_word peels descents
+    w = from_word(rs, data.draw(words(label)))
+    bare = from_pair(rs, w.tilde, w.b)  # no stored word: reduced_word peels descents
     word = weyl.reduced_word(rs, bare)
     assert len(word) == weyl.length_im(rs, w)
-    assert weyl.from_word(rs, word) == w
+    assert from_word(rs, word) == w
 
 
 def _mat_mul(a, b):
@@ -134,7 +136,7 @@ def _mat_mul(a, b):
 def test_coroot_matrix_is_the_dual_action(label, data):
     # D M D^{-1} against the defining (A M^{-1} A^{-1})^T, in Fractions
     rs = build_root_system_label(label)
-    m = weyl.from_word(rs, data.draw(words(label))).tilde
+    m = from_word(rs, data.draw(words(label))).tilde
     a = tuple(tuple(Q(e) for e in row) for row in rs.cartan.entries)
     m_inv = mat_inverse(tuple(tuple(Q(e) for e in row) for row in m))
     dual = _mat_mul(_mat_mul(a, m_inv), mat_inverse(a))
@@ -160,11 +162,48 @@ def test_enumerate_kostant_is_the_filtered_bfs(label):
 
 @each_type
 def test_int_inverse_on_every_finite_matrix_reached(label):
+    # the table inverse on every element up to MAX_LEN: w w^{-1} = e = w^{-1} w,
+    # and its classical part inverts every finite matrix reached
     rs = build_root_system_label(label)
-    one = weyl.identity_element(rs).tilde
-    for m in {w.tilde for _, w in _enumerated(label)}:
-        inv = weyl._int_inverse(rs, m)
-        assert _mat_mul(inv, m) == one == _mat_mul(m, inv)
+    e = weyl.identity_element(rs)
+    for _, w in _enumerated(label):
+        w_inv = weyl.inverse(rs, w)
+        assert weyl.multiply(rs, w, w_inv) == e == weyl.multiply(rs, w_inv, w)
+        assert _mat_mul(w_inv.tilde, w.tilde) == e.tilde == _mat_mul(w.tilde, w_inv.tilde)
+
+
+def _pair(w):
+    return (w.tilde, w.b)
+
+
+@each_type
+@PROPERTY
+@given(data=st.data())
+def test_tables_match_matrix_form(label, data):
+    # multiply, inverse and act_on_root on the tables against the (tilde, b) formulas
+    rs = build_root_system_label(label)
+    u, v = (from_word(rs, data.draw(words(label))) for _ in range(2))
+    assert _pair(weyl.multiply(rs, u, v)) == reference.ref_multiply(rs, _pair(u), _pair(v))
+    assert _pair(weyl.inverse(rs, u)) == reference.ref_inverse(rs, _pair(u))
+    for beta in rs.roots:
+        for n in range(-2, 3):
+            got = weyl.act_on_root(rs, u, AffineRoot(beta, n))
+            assert (got.classical_part, got.n) == reference.ref_act_on_root(rs, _pair(u), beta, n)
+
+
+@each_type
+def test_tables_round_trip_and_kostant_match_matrix_form(label):
+    # every element up to MAX_LEN: (tilde, b) gives back the same tables, and
+    # length_im, is_kostant and kappa agree with the (tilde, b) formulas
+    rs = build_root_system_label(label)
+    for depth, w in _enumerated(label):
+        back = from_pair(rs, w.tilde, w.b)
+        assert (back.perm, back.shift) == (w.perm, w.shift) and _pair(back) == _pair(w)
+        assert weyl.length_im(rs, w) == reference.ref_length_im(rs, _pair(w)) == depth
+        kostant = reference.ref_is_kostant(rs, _pair(w))
+        assert weyl.is_kostant(rs, w) == kostant
+        if kostant:
+            assert weyl.kappa(rs, w) == reference.ref_inverse_simple_images(rs, _pair(w))
 
 
 @each_type
@@ -172,7 +211,7 @@ def test_generators_are_the_one_letter_words(label):
     rs = build_root_system_label(label)
     for i in range(1, rs.rank + 2):
         g = weyl.generator(rs, i)
-        w = weyl.from_word(rs, (i,))
+        w = from_word(rs, (i,))
         assert g == w and (g.word, g.length) == (w.word, w.length) == ((i,), 1)
 
 
@@ -180,7 +219,8 @@ def test_generators_are_the_one_letter_words(label):
 def test_root_norms_table(label):
     rs = build_root_system_label(label)
     roots = list(rs.positive_roots) + [tuple(-c for c in r) for r in rs.positive_roots]
-    assert rs.root_set == set(roots) and rs.positive_root_set == set(rs.positive_roots)
+    assert set(rs.root_index) == set(roots) and rs.positive_root_set == set(rs.positive_roots)
+    assert all(rs.roots[x] == beta for beta, x in rs.root_index.items())
     for beta in roots:
         assert rs.root_norm2(beta) == rs.weight_form(beta, beta)
     for not_a_root in [(0,) * rs.rank, tuple(2 * c for c in rs.highest_root)]:

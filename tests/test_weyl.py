@@ -5,9 +5,10 @@ from fractions import Fraction as Q
 import pytest
 
 from loopcert import weyl
-from loopcert.affine import AffineRoot, AffineWeight, CartanElement, affine_pairing, coroot
+from loopcert.affine import AffineRoot, AffineWeight, CartanElement, affine_pairing, affine_simple_roots, coroot
 from loopcert.cartan import RootSystemError, Weight, build_root_system_label
 from loopcert.linalg import vec
+from reference import from_pair, from_word, reflect
 
 
 def rs_of(label):
@@ -24,20 +25,20 @@ def alpha_weight(rs, i):
 
 def test_reflect_examples():
     rs = rs_of("A1")
-    out = weyl.reflect(rs, 2, alpha_weight(rs, 0))
+    out = reflect(rs, 2, alpha_weight(rs, 0))
     assert out.classical.coords == (Q(-1),) and out.iota == 2 and out.lam == 0
 
     rs2 = rs_of("A2")
     lam = AffineWeight(Weight(vec((0, 0))), Q(0), Q(1))
     for i in (1, 2):
-        assert weyl.reflect(rs2, i, lam) == lam
+        assert reflect(rs2, i, lam) == lam
 
     iota = AffineWeight(Weight(vec((0, 0))), Q(1), Q(0))
     for i in (1, 2, 3):
-        assert weyl.reflect(rs2, i, iota) == iota
+        assert reflect(rs2, i, iota) == iota
 
     with pytest.raises(RootSystemError):
-        weyl.reflect(rs2, 4, iota)
+        reflect(rs2, 4, iota)
 
 
 def test_reflect_is_involution():
@@ -50,7 +51,7 @@ def test_reflect_is_involution():
             Q(rng.randrange(-9, 10)),
         )
         for i in (1, 2, 3):
-            assert weyl.reflect(rs, i, weyl.reflect(rs, i, lam)) == lam
+            assert reflect(rs, i, reflect(rs, i, lam)) == lam
 
 
 # --------------------------------------------------------------------------
@@ -59,12 +60,12 @@ def test_reflect_is_involution():
 
 def test_from_word_examples():
     rs = rs_of("A1")
-    w = weyl.from_word(rs, (2,))
+    w = from_word(rs, (2,))
     assert w.tilde == ((-1,),) and w.b == (1,) and w.length == 1
-    e = weyl.from_word(rs, ())
+    e = from_word(rs, ())
     assert e == weyl.identity_element(rs)
-    w1 = weyl.from_word(rs, (2, 1, 2, 1))
-    w2 = weyl.from_word(rs, (1, 2, 1, 2))
+    w1 = from_word(rs, (2, 1, 2, 1))
+    w2 = from_word(rs, (1, 2, 1, 2))
     assert w1 != w2 and w1.length == w2.length == 4
 
 
@@ -72,7 +73,7 @@ def test_from_word_examples():
 def test_from_word_matches_generator_products(label):
     rs = rs_of(label)
     for word in itertools.product(range(1, rs.rank + 2), repeat=3):
-        via_reflections = weyl.from_word(rs, word)
+        via_reflections = from_word(rs, word)
         prod = weyl.identity_element(rs)
         for i in word:
             prod = weyl.multiply(rs, prod, weyl.generator(rs, i))
@@ -81,7 +82,7 @@ def test_from_word_matches_generator_products(label):
 
 def test_nonreduced_word_gets_no_cached_word():
     rs = rs_of("A2")
-    w = weyl.from_word(rs, (1, 1, 2))
+    w = from_word(rs, (1, 1, 2))
     assert w.length == 1 and w.word is None
 
 
@@ -111,7 +112,7 @@ def test_act_on_cartan_examples():
     assert out == CartanElement(vec((1,)), Q(-1), Q(1))  # -h_iota + h_alpha + D
 
     # pure translation on a classical coroot: (h, b) h_iota + h
-    t = weyl.from_word(rs, (2, 1))  # T_{-h_alpha}
+    t = from_word(rs, (2, 1))  # T_{-h_alpha}
     assert t.tilde == ((1,),)
     h = CartanElement(vec((1,)), Q(0), Q(0))
     got = weyl.act_on_cartan(rs, t, h)
@@ -147,7 +148,7 @@ def test_weight_action_matches_reflections():
     for word_len in range(0, 5):
         for _ in range(20):
             word = tuple(rng.randrange(1, rs.rank + 2) for _ in range(word_len))
-            w = weyl.from_word(rs, word)
+            w = from_word(rs, word)
             lam = AffineWeight(
                 Weight(vec([Q(rng.randrange(-5, 6)) for _ in range(rs.rank)])),
                 Q(rng.randrange(-5, 6)),
@@ -155,7 +156,7 @@ def test_weight_action_matches_reflections():
             )
             step = lam
             for i in reversed(word):
-                step = weyl.reflect(rs, i, step)
+                step = reflect(rs, i, step)
             assert weyl.act_on_weight(rs, w, lam) == step
 
 
@@ -177,7 +178,7 @@ def test_coroot_equivariance():
 
 def test_length_im_examples():
     rs = rs_of("A1")
-    t = weyl.AffineWeylElement(((1,),), (1,))
+    t = from_pair(rs, ((1,),), (1,))
     assert weyl.length_im(rs, t) == 2
     assert weyl.length_im(rs, weyl.identity_element(rs)) == 0
     for label in ("A2", "C2", "G2"):
@@ -240,7 +241,7 @@ def test_lemma_2_2_window_stability():
 def test_inverted_roots_simple_reflection():
     for label in ("A2", "G2"):
         rs = rs_of(label)
-        simples = weyl.affine_simple_roots(rs)
+        simples = affine_simple_roots(rs)
         for i in range(1, rs.rank + 2):
             got = weyl.inverted_roots_word(rs, weyl.generator(rs, i)).roots
             assert got == (simples[i - 1],)
@@ -274,7 +275,7 @@ def test_gamma_closed_forms_reported():
     # w = g_{m_1} ... g_{m_r}, closed form A applies the suffix from the k-th
     # letter on to a_{m_k}; closed form B negates the strict-suffix image
     rs = rs_of("A2")
-    simples = weyl.affine_simple_roots(rs)
+    simples = affine_simple_roots(rs)
     matches_a = matches_b = 0
     for layer in weyl.enumerate_by_length(rs, 5):
         for w in layer:
@@ -344,7 +345,7 @@ def test_reduced_word_fallback():
     rs = rs_of("C2")
     for layer in weyl.enumerate_by_length(rs, 6):
         for w in layer:
-            bare = weyl.AffineWeylElement(w.tilde, w.b)
+            bare = from_pair(rs, w.tilde, w.b)
             word = weyl.reduced_word(rs, bare)
             assert len(word) == w.length
-            assert weyl.from_word(rs, word) == w
+            assert from_word(rs, word) == w
