@@ -133,7 +133,7 @@ def criterion_6_certificates(seed: int, prec: int) -> tuple[bool, str]:
 
 def criterion_7_decay_suite(seed: int, prec: int) -> tuple[bool, str]:
     """One-variable suite at 256-bit precision; see the module docstrings for
-    the quadrature contracts."""
+    the norm certificate and quadrature contracts."""
     prec = max(prec, 256)
     with mp.workprec(prec + 64):
         # ||sigma'||_1 = 2/e to 1e-9

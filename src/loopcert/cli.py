@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -47,6 +48,31 @@ def _q(text: str) -> Q:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _int_from(low: int):
+    """An argparse type: an int no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _round_out(x, digits: int, up: bool) -> str:
+    """The mpf x to `digits` significant digits, rounded up (toward +inf) or
+    down: Decimal takes the binary value exactly and rounds it once."""
+    sign, man, exp, _ = x._mpf_
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = digits, ROUND_CEILING if up else ROUND_FLOOR
+        d = Decimal(-man if sign else man)
+        return format(d * (1 << exp) if exp >= 0 else d / (1 << -exp), "g")
+
+
 def _env_default(name: str, fallback):
     """The raw environment string, or the fallback.  Argparse applies the
     flag's type to a string default only when the flag is unset, so a bad
@@ -70,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed_flag = argparse.ArgumentParser(add_help=False)
     seed_flag.add_argument("--seed", type=int, default=_env_default("seed", 20260808))
     prec_flag = argparse.ArgumentParser(add_help=False)
-    prec_flag.add_argument("--prec", type=int, default=_env_default("prec", 256), help="precision bits")
+    prec_flag.add_argument("--prec", type=_int_from(1), default=_env_default("prec", 256), help="precision bits")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", parents=[out_flags], help="emit the finite root datum as JSON")
@@ -110,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("decay", help="one-variable decay estimates")
     dsub = pd.add_subparsers(dest="decay_command", required=True)
     pl = dsub.add_parser("l1", parents=[out_flags, prec_flag], help="L1 norms of derivatives of the bump")
-    pl.add_argument("--n", required=True, type=int)
+    pl.add_argument("--n", required=True, type=_int_from(0))
     pf = dsub.add_parser("fourier", parents=[out_flags, prec_flag], help="envelope decay fit of the transform")
     pf.add_argument("--range", required=True, help="r_min,r_max")
     pf.add_argument("--samples", type=int, default=8)
@@ -260,10 +286,13 @@ def cmd_decay(args) -> Report:
             results = {
                 "n": args.n,
                 "ln_norm": mp.nstr(res["ln"], 30),
-                "abs_err": mp.nstr(res["abs_err"], 5),
+                "abs_err": _round_out(res["abs_err"], 5, up=True),
                 "ln_norm_telescoping": None if tele is None else mp.nstr(tele, 30),
                 "ratio_to_(2N)^2N": mp.nstr(res["ln"] - 2 * args.n * mp.log(2 * args.n), 20) if args.n else None,
             }
+            if res["ln_enclosure"]:
+                lo, hi = res["ln_enclosure"]
+                results["ln_norm_enclosure"] = [_round_out(lo, 30, up=False), _round_out(hi, 30, up=True)]
         return Report("decay_l1", _config_echo(args), results)
     if args.decay_command == "fourier":
         from mpmath import mp

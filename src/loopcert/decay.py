@@ -12,30 +12,26 @@ obtained by differentiating the representation once.  Coefficients grow
 superexponentially, so they are kept as big integers (content factored out)
 and every norm lives in the log domain.
 
-L1 norms are computed by panel quadrature: panels split at the sign changes
-of P_N (so the integrand is smooth per panel), subdivide geometrically toward
-the endpoints, and the last sliver (1-delta, 1) is bounded rigorously using
-|sigma^(N)| <= sum|coeffs| * (1-x)^(-2N) e^{-1/(2(1-x))}, whose integral is an
-incomplete gamma value.  The reported error is an estimate (the GL48 - GL24
-differences) plus that tail bound.  An independent telescoping oracle (exact
-antiderivative evaluation between sign changes) cross-checks the quadrature
-for N >= 1.
+For N >= 1 the L1 norm is certified: sigma^(N-1) is monotone between
+consecutive sign changes of P_N, so the integral of |sigma^(N)| telescopes to
+values of sigma^(N-1) at the exact roots, each held in a dyadic bracket
+checked by exact integer signs and evaluated in interval arithmetic
+(mpmath.iv; Moore, Kearfott and Cloud, Introduction to Interval Analysis,
+2009).  Its error is a rigorous bound.  For N = 0, and for L2 norms, adaptive
+Gauss-Legendre panels integrate the smooth integrand; that error
+(GL48 - GL24) is an estimate.
 
 The hot loops run on Python integers, most in fixed point scaled by 2^F:
 
-* the quadrature panels of l1_norm and l2_norm (_sigma_deriv_panel,
-  F = working precision + 40): per Gauss-Legendre node, Horner for P_N in
+* the quadrature panels of l2_norm and of l1_norm at N = 0
+  (_sigma_deriv_panel, F = working precision + 40): per node, Horner for P_N in
   x^2, the powers of 1/(1-x^2) and exp_fixed, summed exactly and converted
-  to mpf once per panel.  Its absolute error against the same rule in exact
-  arithmetic is at most the docstring's sum over the nodes of weight times
-  (d/2 + 2) g + (4N + _EXP_FIXED_ULPS + 8) |p| g + 1 units of 2^-F (primitive
-  polynomial value p, factor g = (1-x^2)^(-2N) e^{-1/(1-x^2)}), far below the
-  panel tolerances;
+  to mpf once per panel, with a truncation far below the panel tolerances;
 * the root refinement of sign_change_roots: bisection on dyadic m / 2^k with
   exact integer signs, then Newton's method at G = prec + 80;
-* the pointwise sigma_deriv_mp (the reference the telescoping oracle and the
-  tests use): Horner for P_N at F = working precision + 40, with the other
-  factors in mpf;
+* the pointwise sigma_deriv_mp (behind l1_norm_extrema and the tests):
+  Horner for P_N at F = working precision + 40, with the other factors in
+  mpf;
 * the Newton iteration behind the Gauss-Legendre tables (F = prec + 60);
 * the sigma_hat grid and phase recurrence (F = precision_bits + 40).
 
@@ -52,7 +48,8 @@ from math import floor, gcd, pi, sqrt
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from mpmath import mp
+from mpmath import iv, mp
+from mpmath.ctx_mp import PrecisionManager
 from mpmath.libmp import to_fixed
 from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
@@ -160,9 +157,8 @@ def sigma_deriv_mp(n: int, x):
 # Classical Descartes/bisection isolation over the integer coefficients: the
 # variation count of the (0,1)-Moebius transform bounds the root count, zero
 # variations exclude roots, one variation certifies a single simple root, and
-# anything else splits at 1/2.  Even-multiplicity clusters (no sign change,
-# harmless for integrating |f|) are detected at the depth cap by equal end
-# signs and dropped.
+# anything else splits at 1/2.  A cluster still unresolved at the depth cap
+# raises ArithmeticError: l1_norm's certificate counts one root per interval.
 
 
 def _shift_by_one(coeffs: list[int]) -> list[int]:
@@ -189,17 +185,12 @@ def _isolate_01(coeffs: list[int], lo: Q, hi: Q, depth: int, out: list) -> None:
     if v == 1:
         out.append((lo, hi))
         return
+    if depth <= 0:
+        raise ArithmeticError(f"roots of P_n unresolved in [{lo}, {hi}]")
     d = len(coeffs) - 1
     left = [c << (d - k) for k, c in enumerate(coeffs)]  # 2^d p(x/2)
     right = _shift_by_one(left)  # 2^d p((x+1)/2)
     mid = (lo + hi) / 2
-    if depth <= 0:
-        # unresolved cluster: keep only if the end signs certify a sign change
-        # (coeffs is p on [lo, hi] mapped onto [0, 1], so its ends are the
-        # values at 0 and 1)
-        if (coeffs[0] > 0) != (sum(coeffs) > 0):
-            out.append((lo, hi))
-        return
     if sum(right) == 0:  # p(mid) == 0 exactly
         out.append((mid, mid))
         # remove the root from both halves so no later interval endpoint
@@ -239,9 +230,9 @@ def _deflated_poly(n: int) -> RationalPolynomial:
 
 @lru_cache(maxsize=None)
 def _isolated_intervals(n: int) -> tuple:
-    """Disjoint rational intervals in (0,1), each holding one sign change of
-    P_n; exact, complete for odd-multiplicity roots.  The x = 0 root of odd
-    orders is deflated away (it is a fixed panel boundary downstream)."""
+    """Disjoint rational intervals in (0,1), each holding one root of P_n,
+    simple unless the interval is a point; exact and complete.  The x = 0
+    root of odd orders is deflated away (the telescoping starts there)."""
     out: list[tuple[Q, Q]] = []
     _isolate_01(list(_deflated_poly(n).coeffs), Q(0), Q(1), 70, out)
     return tuple(sorted(out))
@@ -472,59 +463,73 @@ def _adaptive_sum(panel, bounds, coarse, tol) -> tuple:
     return total, err, hits
 
 
-def _endpoint_tail_bound(n: int, delta):
-    """Rigorous bound for the integral of |sigma^(n)| over (1-delta, 1):
-    2^{2n-1} * Gamma(2n-1, 1/(2 delta)) times the coefficient l1 norm."""
-    poly = derivative_poly(n)
-    coeff_sum = sum(abs(c) for c in poly.coeffs) * abs(poly.scale)
-    v0 = 1 / (2 * delta)
-    return mp.mpf(coeff_sum.numerator) / coeff_sum.denominator * mp.mpf(2) ** (2 * n - 1) * mp.gammainc(2 * n - 1, v0)
+def _smooth_integral(n: int, power: int, precision_bits: int) -> tuple:
+    """(integral of sigma^(n)^power over [0, 1 - delta], error estimate) by
+    the adaptive rule on the panels 0, 1/2, 3/4, 7/8, 1 - delta at the
+    working precision; the integrand must have no kinks (power 2, or n = 0)."""
+    panel = partial(_sigma_deriv_panel, n, power)
+    delta = mp.mpf(1) / (2 * (precision_bits + 4 * n + 40))
+    bounds = [mp.mpf(0), mp.mpf(1) / 2, mp.mpf(3) / 4, mp.mpf(7) / 8, 1 - delta]
+    coarse, rough = _rough_pass(panel, bounds)
+    tol = max(rough, mp.mpf(2) ** (-precision_bits)) * mp.mpf(2) ** (-(precision_bits // 2) - 8) / 8
+    total, err, _ = _adaptive_sum(panel, bounds, coarse, tol)
+    return total, err
+
+
+def _root_value_iv(n: int, m: int, k: int):
+    """An mpmath.iv interval holding sigma^(n-1)(xi) for every zero xi of
+    sigma^(n) in [a, a + w], a = (m - 1) / 2^k, w = 2^(1-k), 0 < m < 2^k:
+    sigma^(n-1)(a) = P_{n-1}(a) u^(2-2n) e^(-1/u), u = 1 - a^2, with P_{n-1}(a)
+    exact (_dyadic_value) and the rest at iv.prec, widened by w^2 M / 2
+    (Taylor at xi) for M = S j^j e^-j >= |sigma^(n+1)|: on (-1, 1), |P_{n+1}|
+    is at most its coefficient sum S and u^-j e^(-1/u) <= j^j e^-j, j = 2n + 2."""
+    low, high = derivative_poly(n - 1), derivative_poly(n + 1)
+    a, j = m - 1, 2 * n + 2
+    u = iv.mpf((1 << (2 * k)) - a * a) / (1 << (2 * k))
+    p = iv.mpf(_dyadic_value(low.coeffs, a, k)) * low.scale.numerator / low.scale.denominator
+    value = p * iv.mpf(2) ** (-k * low.degree) * u ** (2 - 2 * n) * iv.exp(-1 / u)
+    s = sum(map(abs, high.coeffs)) * abs(high.scale)
+    reach = iv.mpf(s.numerator) / s.denominator * iv.mpf(j) ** j * iv.exp(-j) * iv.mpf(2) ** (1 - 2 * k)
+    return value + reach * iv.mpf([-1, 1])
 
 
 def l1_norm(n: int, precision_bits: int = 256) -> dict:
-    """ln of the L1 norm of sigma^(n) on (-1,1) plus an error estimate.
+    """{"ln", "norm", "abs_err", "ln_enclosure": (lo, hi) or None}, in mpf,
+    for the L1 norm of sigma^(n) on (-1,1).
 
-    Returns {"ln": mpf, "norm": mpf, "abs_err": mpf, "depth_cap_hits": int}.
-    abs_err is an estimate, not a bound: the sum over accepted panels of
-    |GL48 - GL24|, plus the rigorous endpoint-tail bound.  depth_cap_hits
-    counts panels accepted at the bisection cap with their estimate still
-    above tolerance.  Raises ArithmeticError if the estimated relative
-    accuracy misses 2^(-precision_bits/2)."""
-    with mp.workprec(precision_bits + 60):
-        # pick delta so the endpoint remainder is negligible at this precision
-        delta = mp.mpf(1) / (2 * (precision_bits + 4 * n + 40))
-        tail = _endpoint_tail_bound(n, delta)
-        target = mp.mpf(2) ** (-(precision_bits // 2) - 10)
-        while tail > target:
-            delta /= 2
-            tail = _endpoint_tail_bound(n, delta)
+    n >= 1: sigma^(n-1) is monotone between consecutive sign changes xi_k of
+    P_n, so the norm is 2 sum |v_{k+1} - v_k| over v = sigma^(n-1) at 0,
+    xi_1, ..., xi_m and 1 (where it is 0).  xi_k's bracket is its refined root
+    rounded to K = prec + 20 bits, plus and minus 2^-K: P_n's exact signs
+    differ at its ends and the brackets are disjoint (else ArithmeticError),
+    so each holds one of the roots, one per isolating interval.  The sum, in
+    mpmath.iv at prec + 60 bits, encloses the norm: norm is its midpoint,
+    abs_err bounds its distance to the true norm, ln_enclosure holds the ln.
 
-        roots = sign_change_roots(n, precision_bits) if n else ()
-        bounds = [mp.mpf(0)] + [mp.mpf(r) for r in roots]
-        top = 1 - delta
-        last = bounds[-1]
-        geo = []
-        g = 1 - (1 - last) / 2
-        while g < top:
-            geo.append(g)
-            g = 1 - (1 - g) / 2
-        bounds.extend(geo)
-        bounds.append(top)
+    n = 0: sigma is integrated by l2_norm's panels (_smooth_integral); abs_err,
+    twice the summed |GL48 - GL24|, is an estimate, and the sliver
+    (1 - delta, 1) left out holds less than e^-(precision_bits + 40).
 
-        panel = partial(_sigma_deriv_panel, n, 1)
-        # norms grow like (2n)^(2n); the error target is relative, so anchor
-        # the panel tolerances to a rough first-pass magnitude
-        coarse, rough = _rough_pass(panel, bounds)
-        scale = max(rough, mp.mpf(2) ** (-precision_bits))
-        tol = scale * target / (2 * len(bounds))
-        total, err, hits = _adaptive_sum(panel, bounds, coarse, tol)
-        total = 2 * total + tail  # parity: |sigma^(n)| is even
-        err = 2 * (err + tail)
-        if not total > 0:
-            raise ArithmeticError("vanishing norm estimate")
-        if err / total > mp.mpf(2) ** (-(precision_bits // 2)):
+    Raises ArithmeticError if abs_err / norm exceeds 2^(-precision_bits/2)."""
+    with mp.workprec(precision_bits + 60), PrecisionManager(iv, lambda _: precision_bits + 60, None):
+        if n == 0:
+            with mp.workprec(precision_bits + 40):
+                half, err = _smooth_integral(0, 1, precision_bits)
+            norm, abs_err, enclosure = 2 * half, 2 * err, None
+        else:
+            k, coeffs = precision_bits + 20, _deflated_poly(n).coeffs
+            ms = [(to_fixed(r._mpf_, k + 1) + 1) >> 1 for r in sign_change_roots(n, precision_bits)]
+            if any(b - a < 2 for a, b in zip([0] + ms, ms)) or any(
+                    _dyadic_value(coeffs, m - 1, k) * _dyadic_value(coeffs, m + 1, k) >= 0 for m in ms):
+                raise ArithmeticError(f"no certified brackets for the roots of P_{n}")
+            # at 0, sigma^(n) vanishes for odd n and the odd sigma^(n-1) for even n
+            vals = [_root_value_iv(n, 1, k) if n % 2 else iv.mpf(0)] + [_root_value_iv(n, m, k) for m in ms]
+            total = 2 * sum(abs(b - a) for a, b in zip(vals, vals[1:] + [iv.mpf(0)]))
+            norm, ln = mp.mpf(total.mid), iv.log(total)
+            abs_err, enclosure = mp.mpf(abs(total - norm).b), (mp.mpf(ln.a), mp.mpf(ln.b))
+        if not abs_err <= norm * mp.mpf(2) ** (-(precision_bits // 2)):
             raise ArithmeticError(f"requested precision unreachable at N={n}")
-        return {"ln": mp.log(total), "norm": total, "abs_err": err, "depth_cap_hits": hits}
+        return {"ln": mp.log(norm), "norm": norm, "abs_err": abs_err, "ln_enclosure": enclosure}
 
 
 def l1_norm_extrema(n: int, precision_bits: int = 256):
@@ -785,12 +790,7 @@ def l2_norm(n: int, precision_bits: int = 256):
     """||sigma^(n)||_2 on (-1,1); the squared integrand is smooth (no kinks),
     so root splitting is unnecessary."""
     with mp.workprec(precision_bits + 40):
-        panel = partial(_sigma_deriv_panel, n, 2)
-        delta = mp.mpf(1) / (2 * (precision_bits + 4 * n + 40))
-        bounds = [mp.mpf(0), mp.mpf(1) / 2, mp.mpf(3) / 4, mp.mpf(7) / 8, 1 - delta]
-        coarse, rough = _rough_pass(panel, bounds)
-        tol = max(rough, mp.mpf(2) ** (-precision_bits)) * mp.mpf(2) ** (-(precision_bits // 2) - 8) / 8
-        right, _, _ = _adaptive_sum(panel, bounds, coarse, tol)  # every panel value is positive
+        right, _ = _smooth_integral(n, 2, precision_bits)  # every panel value is positive
         return mp.sqrt(2 * right)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -142,6 +143,29 @@ def test_decay_l1_cli(tmp_path):
     doc = json.loads(out.read_text())
     validate_report(doc)
     assert doc["ln_norm"].startswith("-0.30685")  # ln(2/e)
+    lo, hi = doc["ln_norm_enclosure"]  # rounded outward, so it holds ln(2/e)
+    assert Decimal(lo) <= Decimal("-0.3068528194400546905827678785418234319245") <= Decimal(hi)
+
+
+@pytest.mark.parametrize("args, env, cfg", [
+    (["--n", "2", "--prec", "-5"], None, None),
+    (["--n", "2", "--prec", "0"], None, None),
+    (["--n", "2"], {"LOOPCERT_PREC": "-5"}, None),
+    (["--n", "2"], None, {"prec": 0}),
+], ids=["flag-negative", "flag-zero", "env", "config"])
+def test_decay_nonpositive_prec_is_usage_error(tmp_path, args, env, cfg):
+    if cfg is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        args = args + ["--config", "cfg.json"]
+    proc = run_cli(["decay", "l1", *args], tmp_path, env_extra=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "argument --prec: must be >= 1" in proc.stderr and proc.stdout == ""
+
+
+def test_decay_negative_order_is_usage_error(tmp_path):
+    proc = run_cli(["decay", "l1", "--n", "-1"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "argument --n: must be >= 0, got -1" in proc.stderr and "derivative order" not in proc.stderr
 
 
 def test_env_seed_override(tmp_path):

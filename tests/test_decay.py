@@ -4,9 +4,10 @@ import io
 import json
 import random
 from fractions import Fraction as Q
+from functools import lru_cache, partial
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp.libelefun import exp_fixed
 
@@ -16,7 +17,10 @@ from loopcert.cli import main
 # sha256 of the report without its config and schema_version, as compact
 # sort_keys JSON
 FOURIER_REPORT_SHA256 = "fd3cacd1a69b8f525f8e1b523c9109f1125de112e6973cbf202b537814369e73"
-L1_REPORTS_SHA256 = "245195f25c2eb234c3fcd6be126929e40e78271262303af815e26317804dcff3"
+L1_REPORTS_SHA256 = "4605ac798a2a8764cc02eb901d7ee8f8bbbcce58fe574e7984dd15b18dd2c71f"
+# sha256 of [ln_norm, ln_norm_telescoping, ratio_to_(2N)^2N] of `decay l1 --n N`
+# for N = 0..20 at 256 bits, as compact JSON, from the adaptive quadrature
+L1_VALUE_STRINGS_SHA256 = "5d92b967ac03986e5f42db478ce2b34fca1ae9a20dfc1637ccb10034f506480d"
 
 
 def _eval_q(poly, x: Q) -> Q:
@@ -39,6 +43,47 @@ def _panel_integral(f, a, b, order: int):
     half = (b - a) / 2
     mid = (a + b) / 2
     return half * mp.fsum(w * f(mid + half * x) for x, w in decay.gauss_legendre(order, mp.prec))
+
+
+def _endpoint_tail_bound(n: int, delta):
+    """Rigorous bound for the integral of |sigma^(n)| over (1-delta, 1):
+    2^{2n-1} * Gamma(2n-1, 1/(2 delta)) times the coefficient l1 norm."""
+    poly = decay.derivative_poly(n)
+    coeff_sum = sum(abs(c) for c in poly.coeffs) * abs(poly.scale)
+    v0 = 1 / (2 * delta)
+    return mp.mpf(coeff_sum.numerator) / coeff_sum.denominator * mp.mpf(2) ** (2 * n - 1) * mp.gammainc(2 * n - 1, v0)
+
+
+@lru_cache(maxsize=None)
+def _l1_norm_quadrature(n: int, precision_bits: int = 256) -> tuple:
+    """(norm, error estimate, depth-cap hits): the L1 norm of sigma^(n), n >= 1,
+    by adaptive Gauss-Legendre panels split at the sign changes of P_n, with
+    geometric panels toward 1 and a rigorous bound on the sliver (1-delta, 1).
+    The estimate is 2 (sum of |GL48 - GL24| + tail bound), not a bound."""
+    with mp.workprec(precision_bits + 60):
+        # pick delta so the endpoint remainder is negligible at this precision
+        delta = mp.mpf(1) / (2 * (precision_bits + 4 * n + 40))
+        tail = _endpoint_tail_bound(n, delta)
+        target = mp.mpf(2) ** (-(precision_bits // 2) - 10)
+        while tail > target:
+            delta /= 2
+            tail = _endpoint_tail_bound(n, delta)
+
+        bounds = [mp.mpf(0)] + [mp.mpf(r) for r in decay.sign_change_roots(n, precision_bits)]
+        top = 1 - delta
+        g = 1 - (1 - bounds[-1]) / 2
+        while g < top:
+            bounds.append(g)
+            g = 1 - (1 - g) / 2
+        bounds.append(top)
+
+        panel = partial(decay._sigma_deriv_panel, n, 1)
+        # norms grow like (2n)^(2n); the error target is relative, so anchor
+        # the panel tolerances to a rough first-pass magnitude
+        coarse, rough = decay._rough_pass(panel, bounds)
+        tol = max(rough, mp.mpf(2) ** (-precision_bits)) * target / (2 * len(bounds))
+        total, err, hits = decay._adaptive_sum(panel, bounds, coarse, tol)
+        return 2 * total + tail, 2 * (err + tail), hits
 
 
 def test_derivative_poly_base_cases():
@@ -102,18 +147,38 @@ def test_dyadic_value_matches_rational_evaluation():
             assert decay._dyadic_value(poly.coeffs, m, k) == exact * 2 ** (k * poly.degree), (n, m, k)
 
 
-def test_sign_change_roots_within_target():
+def _reference_roots(n: int, prec: int) -> list:
+    """The roots of the deflated P_n found by mpmath at 700 bits, one next to
+    each refined root."""
+    coeffs = decay._deflated_poly(n).coeffs
+    with mp.workprec(700):
+        return [mp.findroot(lambda x: mp.polyval(coeffs[::-1], x), mp.mpf(r)) for r in decay.sign_change_roots(n, prec)]
+
+
+def test_sign_change_roots_within_target(monkeypatch):
     # every refined root lies within 2^-(prec+20) of the root of the deflated
-    # polynomial found by mpmath at 700 bits; near the clustered roots at
-    # x -> 1, Newton on an mpf Horner at prec + 40 bits misses this target
+    # polynomial found by mpmath at 700 bits (near the clustered roots at
+    # x -> 1, Newton on an mpf Horner at prec + 40 bits misses this target),
+    # and l1_norm's bracket [m - 1, m + 1] / 2^k around it holds that root
     prec = 256
+    brackets = []
+    real = decay._root_value_iv
+
+    def recording(n, m, k):
+        brackets.append((m, k))
+        return real(n, m, k)
+
+    monkeypatch.setattr(decay, "_root_value_iv", recording)
     for n in range(1, 21):
-        coeffs = decay._deflated_poly(n).coeffs
         roots = decay.sign_change_roots(n, prec)
+        brackets.clear()
+        decay.l1_norm(n, prec)
+        inner = brackets[n % 2:]  # odd orders also bracket the zero at x = 0
+        assert len(inner) == len(roots), n
         with mp.workprec(700):
-            for r in roots:
-                ref = mp.findroot(lambda x: mp.polyval(coeffs[::-1], x), mp.mpf(r))
+            for r, ref, (m, k) in zip(roots, _reference_roots(n, prec), inner):
                 assert abs(ref - r) <= mp.ldexp(1, -(prec + 20)), (n, float(r))
+                assert k == prec + 20 and mp.ldexp(m - 1, -k) < ref < mp.ldexp(m + 1, -k), (n, float(r))
 
 
 def test_roots_count_against_dense_scan():
@@ -141,6 +206,34 @@ def test_l1_norm_n1_closed_form():
         res = decay.l1_norm(1, 256)
         target = 2 / mp.e
         assert abs(res["norm"] - target) / target < mp.mpf("1e-60")
+        assert abs(res["norm"] - target) <= res["abs_err"]
+        assert res["ln_enclosure"][0] <= mp.log(target) <= res["ln_enclosure"][1]
+
+
+def test_l1_quadrature_reference_within_enclosure():
+    # the adaptive quadrature, within its own estimate, lies in the certified
+    # enclosure norm +- abs_err, and the ln enclosure holds ln(norm)
+    with mp.workprec(400):
+        for n in range(1, 21):
+            res = decay.l1_norm(n, 256)
+            ref, ref_err, _ = _l1_norm_quadrature(n, 256)
+            assert abs(ref - res["norm"]) <= res["abs_err"] + ref_err, n
+            lo, hi = res["ln_enclosure"]
+            assert lo <= mp.log(res["norm"]) <= hi and hi - lo < mp.mpf(2) ** -250, n
+
+
+@pytest.mark.parametrize("n", [2, 7, 15])
+def test_root_value_holds_the_critical_value(monkeypatch, n):
+    # sigma^(n-1) at a zero of sigma^(n), from the 700-bit root, lies in the
+    # interval _root_value_iv gives for a bracket around it: a wide bracket
+    # (k = 24), where the w^2 M / 2 widening carries the distance to the root,
+    # and l1_norm's own (k = 276)
+    monkeypatch.setattr(iv, "prec", 316)
+    for xi in _reference_roots(n, 256):
+        for k in (24, 276):
+            with mp.workprec(700):
+                value = decay._root_value_iv(n, int(mp.nint(mp.ldexp(xi, k))), k)
+                assert mp.mpf(value.a) <= decay.sigma_deriv_mp(n - 1, xi) <= mp.mpf(value.b), (n, float(xi), k)
 
 
 def test_l1_norm_n0_two_precisions():
@@ -174,9 +267,9 @@ def test_l1_l2_norm_chain():
 
 
 L1_REPORT_VALUES = {
-    1: ("-0.306852819440054690582767878542", "5.0109e-47", "-0.306852819440054690582767878542"),
-    8: ("25.5625084918900867560708756466", "8.5202e-34", "25.5625084918900867560708756466"),
-    20: ("103.318308482906650632829165878", "5.9455", "103.318308482906650632829165878"),
+    1: ("-0.306852819440054690582767878542", "1.4982e-95", "-0.306852819440054690582767878542"),
+    8: ("25.5625084918900867560708756466", "3.9122e-83", "25.5625084918900867560708756466"),
+    20: ("103.318308482906650632829165878", "5.2387e-49", "103.318308482906650632829165878"),
 }
 L2_NORM_VALUES = (
     "0.364809704976435997716113481344600690235543303866263742866249",
@@ -188,7 +281,9 @@ L2_NORM_VALUES = (
 
 def test_l1_l2_values_unchanged(capsys):
     # strings of `decay l1 --n N` and l2_norm at 256 bits as computed by the
-    # mpf Horner integrand and mpf Gauss-Legendre tables
+    # mpf Horner integrand and mpf Gauss-Legendre tables; abs_err is the
+    # certified bound (the quadrature's estimates were 5.0109e-47, 8.5202e-34
+    # and 5.9455)
     for n, expected in L1_REPORT_VALUES.items():
         assert main(["decay", "l1", "--n", str(n)]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -254,7 +349,7 @@ def test_sigma_deriv_fixed_point_within_horner_bound():
 
 def test_l1_norm_reports_no_depth_cap_hits():
     for n in (1, 10, 20):
-        assert decay.l1_norm(n, 256)["depth_cap_hits"] == 0, n
+        assert _l1_norm_quadrature(n, 256)[2] == 0, n
 
 
 def test_adaptive_panel_counts_depth_cap_hits(monkeypatch):
@@ -285,9 +380,10 @@ def _panel_bound_terms(n: int, power: int, x):
 @pytest.mark.parametrize("n", [0, 1, 8, 20])
 def test_sigma_deriv_panel_within_bound(n, power):
     # the fixed-point panel against GL24 of the pointwise sigma_deriv_mp at
-    # prec + 100, at the working precision l1_norm uses (256 + 60 bits); the
-    # allowance is the docstring's truncation bound plus its node and weight
-    # term, both in units of 2^-F, and three roundings at the working precision
+    # prec + 100, at the working precision the reference l1 quadrature uses
+    # (256 + 60 bits); the allowance is the docstring's truncation bound plus
+    # its node and weight term, both in units of 2^-F, and three roundings at
+    # the working precision
     prec = 316
     f = prec + 40
     delta = mp.mpf(1) / (2 * (256 + 4 * n + 40))
@@ -326,15 +422,18 @@ def test_exp_fixed_error_on_reduced_arguments():
 
 def test_l1_reports_unchanged():
     # sha256 of the 20 `decay l1 --n N` reports (N = 1..20) without config and
-    # schema_version, as one compact sort_keys JSON list, from the mpf
-    # pointwise integrand and the Fraction bisection with mpf Newton polish
-    bodies = []
-    for n in range(1, 21):
+    # schema_version, as one compact sort_keys JSON list; and of the value
+    # strings for N = 0..20, which the certificate kept from the quadrature
+    bodies, values = [], []
+    for n in range(0, 21):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(["decay", "l1", "--n", str(n)]) == 0
         doc = json.loads(out.getvalue())
-        bodies.append({k: v for k, v in doc.items() if k not in ("config", "schema_version")})
+        values.append([doc["ln_norm"], doc["ln_norm_telescoping"], doc["ratio_to_(2N)^2N"]])
+        if n:
+            bodies.append({k: v for k, v in doc.items() if k not in ("config", "schema_version")})
+    assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == L1_VALUE_STRINGS_SHA256
     assert hashlib.sha256(json.dumps(bodies, sort_keys=True).encode()).hexdigest() == L1_REPORTS_SHA256
 
 
@@ -503,7 +602,10 @@ def test_moment_rejects_small_y():
 
 
 def test_precision_doubling_stability():
+    # the certified enclosures at 128 and 256 bits overlap
     with mp.workprec(400):
-        a = decay.l1_norm(6, 128)
-        b = decay.l1_norm(6, 256)
-        assert abs(a["ln"] - b["ln"]) <= (a["abs_err"] / a["norm"]) * 2 + mp.mpf(2) ** -120
+        for n in (1, 6, 13, 20):
+            a = decay.l1_norm(n, 128)
+            b = decay.l1_norm(n, 256)
+            assert abs(a["norm"] - b["norm"]) <= a["abs_err"] + b["abs_err"], n
+            assert max(a["ln_enclosure"][0], b["ln_enclosure"][0]) <= min(a["ln_enclosure"][1], b["ln_enclosure"][1])
