@@ -119,7 +119,7 @@ def criterion_6_certificates(seed: int, prec: int) -> tuple[bool, str]:
     details = []
     for label, cfg in CERT_SETTINGS.items():
         rs = build_root_system_label(label)
-        two_h = 2 * conv.dual_coxeter(rs)
+        two_h = 2 * rs.dual_coxeter
         for re_nu in (Q(-10), Q(0), Q(two_h)):
             params = conv.default_params(rs, r=cfg["r"], re_nu=re_nu, slack=cfg["slack"])
             rep = conv.certify(rs, params, cfg["max_len"], prec=max(prec, 256))
@@ -172,11 +172,12 @@ def criterion_7_decay_suite(seed: int, prec: int) -> tuple[bool, str]:
 
 
 def criterion_8_cross_oracles(seed: int, prec: int) -> tuple[bool, str]:
-    """Dual Coxeter numbers two ways vs the frozen table; word-path vs
-    scan-path inverted sets; action duality on random pairs."""
+    """Dual Coxeter numbers two ways (the rho pairing and the comark table)
+    vs the frozen table; word-path vs scan-path inverted sets; action duality
+    on random pairs."""
     for label, expected in DUAL_COXETER_TABLE.items():
         rs = build_root_system_label(label)
-        a, b = conv.dual_coxeter(rs), conv.dual_coxeter_via_marks(rs)
+        a, b = conv.dual_coxeter(rs), rs.dual_coxeter
         if not a == b == expected:
             return False, f"dual Coxeter mismatch for {label}: {a}, {b} != {expected}"
     pairs = 0

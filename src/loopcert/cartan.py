@@ -197,6 +197,7 @@ class FiniteRootSystem:
     root_norms: dict  # root -> (beta, beta), over the positive and negative roots
     sym: tuple[int, ...]  # integer symmetrizer, proportional to d, min 1
     highest_coroot: tuple[int, ...]  # h_theta in simple-coroot coordinates
+    dual_coxeter: int  # h^vee = 1 + the sum of the comarks, the coordinates of h_theta
     # the +-root index: roots[k] = positive_roots[k] for k < P and roots[~k] =
     # -roots[k], so a negative index ~k names -beta_k and ~ negates
     roots: tuple[tuple[int, ...], ...]
@@ -375,6 +376,7 @@ def build_root_system(series: str, rank: int) -> FiniteRootSystem:
         root_norms=root_norms,
         sym=sym,
         highest_coroot=highest_coroot,
+        dual_coxeter=1 + sum(highest_coroot),
         roots=roots,
         root_index=root_index,
         highest_index=root_index[highest],

@@ -26,6 +26,8 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction as Q
 from pathlib import Path
 
+from mpmath import mp
+
 from . import acceptance
 from . import convergence as conv
 from . import decay
@@ -278,8 +280,6 @@ def cmd_certify(args) -> Report:
 
 def cmd_decay(args) -> Report:
     if args.decay_command == "l1":
-        from mpmath import mp
-
         with mp.workprec(args.prec + 64):
             res = decay.l1_norm(args.n, args.prec)
             tele = decay.l1_norm_extrema(args.n, args.prec) if args.n >= 1 else None
@@ -295,8 +295,6 @@ def cmd_decay(args) -> Report:
                 results["ln_norm_enclosure"] = [_round_out(lo, 30, up=False), _round_out(hi, 30, up=True)]
         return Report("decay_l1", _config_echo(args), results)
     if args.decay_command == "fourier":
-        from mpmath import mp
-
         bounds = args.range.split(",")
         if len(bounds) != 2:
             raise UsageError(f"--range needs r_min,r_max, got {args.range!r}")
@@ -320,18 +318,15 @@ def cmd_decay(args) -> Report:
             "target": mp.nstr(mp.sqrt(2 * mp.pi), 20),
         }
         return Report("decay_fourier", _config_echo(args), results)
-    if args.decay_command == "convert":
-        from mpmath import mp
-
-        res = decay.moment_to_pointwise(args.c, args.big_c, args.y, args.prec)
-        results = {
-            "best_n": res["best_n"],
-            "ln_bound": mp.nstr(res["ln_bound"], 20),
-            "achieved_d": res["achieved_d"],
-            "asymptote_ratio": mp.nstr(res["asymptote_ratio"], 20),
-        }
-        return Report("decay_convert", _config_echo(args), results)
-    raise UsageError(f"unknown decay subcommand {args.decay_command!r}")
+    # argparse admits only l1, fourier and convert
+    res = decay.moment_to_pointwise(args.c, args.big_c, args.y, args.prec)
+    results = {
+        "best_n": res["best_n"],
+        "ln_bound": mp.nstr(res["ln_bound"], 20),
+        "achieved_d": res["achieved_d"],
+        "asymptote_ratio": mp.nstr(res["asymptote_ratio"], 20),
+    }
+    return Report("decay_convert", _config_echo(args), results)
 
 
 def cmd_reproduce(args) -> Report:
@@ -368,10 +363,8 @@ def main(argv=None) -> int:
             report = cmd_certify(args)
         elif args.command == "decay":
             report = cmd_decay(args)
-        elif args.command == "reproduce-all":
-            report = cmd_reproduce(args)
         else:
-            raise UsageError(f"unknown command {args.command!r}")
+            report = cmd_reproduce(args)
     except (UsageError, RootSystemError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,6 @@ from math import ceil
 from mpmath import mp
 
 from .cartan import FiniteRootSystem
-from .linalg import vec
 from .reports import q_str
 from .weyl import AffineWeylElement, element_length, enumerate_kostant, full_layer_sizes
 
@@ -46,19 +45,14 @@ CERT_CAVEAT = (
 
 
 def dual_coxeter(rs: FiniteRootSystem) -> int:
-    """1 + <rho, h_highest>.  The pairing <rho, h_iota> is 0 with rho extended
-    trivially to the center, so the affine-weight reading is normalized away
-    here; see the README note on the dual Coxeter number."""
+    """1 + <rho, h_highest> by the exact pairing, the route independent of the
+    comark table ``rs.dual_coxeter``.  The pairing <rho, h_iota> is 0 with rho
+    extended trivially to the center, so the affine-weight reading is
+    normalized away here; see the README note on the dual Coxeter number."""
     h0 = rs.coroot_of(rs.highest_root)
     val = 1 + rs.pairing(rs.rho, h0)
     assert val.denominator == 1
     return int(val)
-
-
-def dual_coxeter_via_marks(rs: FiniteRootSystem) -> int:
-    """Independent route: 1 + sum of the comarks (coroot coordinates of the
-    highest coroot), using <rho, h_j> = 1 coordinatewise."""
-    return 1 + int(sum(rs.coroot_of(rs.highest_root)))
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,7 @@ class CertificateParams:
             raise ValueError("r must be positive")
         if min(self.c1, self.c2, self.c3, self.cap_d, self.big_d) <= 0:
             raise ValueError("constants must be positive")
-        twoh = 2 * dual_coxeter(rs)
+        twoh = 2 * rs.dual_coxeter
         if self.nu0 <= twoh:
             raise ValueError(f"nu0 must exceed 2h_dual = {twoh}")
         if self.cap_d <= self.nu0 - self.re_nu:
@@ -94,25 +88,11 @@ def default_params(rs: FiniteRootSystem, r: Q = Q(1), re_nu: Q = Q(0), big_d: Q 
     """nu0 = 2h_dual + 1 and the smallest d with d*c2 integral and a >= slack."""
     if c2 <= 0:
         raise ValueError("constants must be positive")
-    nu0 = Q(2 * dual_coxeter(rs) + 1)
+    nu0 = Q(2 * rs.dual_coxeter + 1)
     gap = nu0 - re_nu
     k = ceil(gap * c2) + slack
     cap_d = Q(k) / c2
     return CertificateParams(rs.label, Q(r), Q(re_nu), nu0, Q(c1), Q(c2), Q(c3), cap_d, Q(big_d))
-
-
-def params_from_audit(rs: FiniteRootSystem, audit_constants: dict, re_nu: Q = Q(0), slack: int = 1) -> CertificateParams:
-    """Certificate parameters wired to an inequality-audit report: C3 and the
-    Siegel slice r are taken verbatim, and D is a rational lower bound for
-    e^{-(rank*E + 1)} (the corollary's explicit constant; smaller D only
-    weakens the bound, the safe direction)."""
-    c3 = Q(audit_constants["C3"])
-    r = Q(audit_constants["r"])
-    ln_d = -(rs.rank * Q(audit_constants["E"]) + 1)
-    with mp.workprec(96):
-        big_d = Q(mp.nstr(mp.e ** _mpf(ln_d), 25, strip_zeros=False)) * Q(99, 100)
-    params = default_params(rs, r=r, re_nu=re_nu, c3=c3, big_d=big_d, slack=slack)
-    return params
 
 
 @dataclass(frozen=True)
@@ -128,8 +108,7 @@ def cell_bound(rs: FiniteRootSystem, w: AffineWeylElement, params: CertificatePa
     ell = element_length(rs, w)
     n_exact = params.cap_d * params.c2 * (ell + 1)
     n_int = int(ceil(n_exact))  # rounding up only strengthens the bound
-    bb = rs.coroot_pair_form(vec(w.b), vec(w.b))
-    p_w = -params.r * bb / 2 + params.c3 * (ell + 1)
+    p_w = -params.r * w.b_norm2 / 2 + params.c3 * (ell + 1)
     c1n = params.c1 * n_int
     log_term = (
         _mpf(c1n) * mp.log(_mpf(c1n))
@@ -143,19 +122,6 @@ def _mpf(q: Q):
     return mp.mpf(q.numerator) / q.denominator
 
 
-def compensated_sum(values):
-    """Kahan summation; with 256-bit mpf this is belt and braces, but it makes
-    the forward/reverse order-independence contract easy to meet."""
-    total = mp.mpf(0)
-    carry = mp.mpf(0)
-    for v in values:
-        y = v - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
-
-
 def growth_census(rs: FiniteRootSystem, max_len: int) -> dict:
     """Layer sizes of the affine Weyl group and of its Kostant representatives;
     the full sizes are the W_fin convolution of the Kostant ones."""
@@ -165,7 +131,9 @@ def growth_census(rs: FiniteRootSystem, max_len: int) -> dict:
 
 def certify(rs: FiniteRootSystem, params: CertificateParams, max_len: int, prec: int = 256) -> dict:
     """Run the certificate sweep; see the module docstring for the verdict
-    semantics.  All shell statistics are deterministic at fixed precision."""
+    semantics.  All shell statistics are deterministic at fixed precision:
+    mp.fsum adds the terms' mantissas as exact integers and rounds once, so a
+    shell sum does not depend on the order of its cells."""
     params.validate(rs)
     with mp.workprec(prec):
         layers = enumerate_kostant(rs, max_len)
@@ -174,8 +142,7 @@ def certify(rs: FiniteRootSystem, params: CertificateParams, max_len: int, prec:
         partials = []
         for length, layer in enumerate(layers):
             cells = [cell_bound(rs, w, params) for w in layer]
-            terms = sorted((mp.e**c.log_term for c in cells), reverse=True)
-            shell_sum = compensated_sum(terms)
+            shell_sum = mp.fsum(mp.e**c.log_term for c in cells)
             partial += shell_sum
             max_cell = max(cells, key=lambda c: c.log_term, default=None)
             shells.append(

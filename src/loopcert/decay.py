@@ -55,34 +55,35 @@ from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 
 @dataclass(frozen=True)
-class RationalPolynomial:
-    """Primitive integer coefficients (ascending) times a rational scale."""
+class IntegerPolynomial:
+    """An integer polynomial as its content ``scale`` (a positive int) times
+    its primitive part, the integer coefficients in ``coeffs`` (ascending)."""
 
     coeffs: tuple[int, ...]
-    scale: Q = Q(1)
+    scale: int = 1
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
 
-def _content_reduce(raw: list[int], scale: Q) -> RationalPolynomial:
+def _content_reduce(raw: list[int], scale: int) -> IntegerPolynomial:
     while len(raw) > 1 and raw[-1] == 0:
         raw.pop()
     g = 0
     for c in raw:
         g = gcd(g, abs(c))
     g = g or 1
-    return RationalPolynomial(tuple(c // g for c in raw), scale * g)
+    return IntegerPolynomial(tuple(c // g for c in raw), scale * g)
 
 
 @lru_cache(maxsize=None)
-def derivative_poly(n: int) -> RationalPolynomial:
+def derivative_poly(n: int) -> IntegerPolynomial:
     """P_n, with sigma^(n) = P_n * (1-x^2)^(-2n) * sigma on (-1,1)."""
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
     if n == 0:
-        return RationalPolynomial((1,))
+        return IntegerPolynomial((1,))
     prev = derivative_poly(n - 1)
     k = n - 1
     scale = prev.scale
@@ -116,7 +117,7 @@ def _horner_table(n: int, f: int) -> tuple:
     left by f bits, and the scale of P_n as an mpf at f - 40 bits."""
     poly = derivative_poly(n)
     with mp.workprec(f - 40):
-        scale = mp.mpf(poly.scale.numerator) / poly.scale.denominator
+        scale = mp.mpf(poly.scale)
     return tuple(c << f for c in reversed(poly.coeffs)), scale
 
 
@@ -220,12 +221,12 @@ def _deflate_at_one(coeffs: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _deflated_poly(n: int) -> RationalPolynomial:
+def _deflated_poly(n: int) -> IntegerPolynomial:
     """P_n with its x = 0 and x = 1 roots divided out; shares every interior
     root of (0,1) with P_n and has nonzero sign at both interval ends."""
     poly = derivative_poly(n)
     coeffs = _deflate_at_one(_deflate_at_zero(list(poly.coeffs)))
-    return RationalPolynomial(tuple(coeffs), poly.scale)
+    return IntegerPolynomial(tuple(coeffs), poly.scale)
 
 
 @lru_cache(maxsize=None)
@@ -486,10 +487,10 @@ def _root_value_iv(n: int, m: int, k: int):
     low, high = derivative_poly(n - 1), derivative_poly(n + 1)
     a, j = m - 1, 2 * n + 2
     u = iv.mpf((1 << (2 * k)) - a * a) / (1 << (2 * k))
-    p = iv.mpf(_dyadic_value(low.coeffs, a, k)) * low.scale.numerator / low.scale.denominator
+    p = iv.mpf(_dyadic_value(low.coeffs, a, k)) * low.scale
     value = p * iv.mpf(2) ** (-k * low.degree) * u ** (2 - 2 * n) * iv.exp(-1 / u)
-    s = sum(map(abs, high.coeffs)) * abs(high.scale)
-    reach = iv.mpf(s.numerator) / s.denominator * iv.mpf(j) ** j * iv.exp(-j) * iv.mpf(2) ** (1 - 2 * k)
+    s = sum(map(abs, high.coeffs)) * high.scale
+    reach = iv.mpf(s) * iv.mpf(j) ** j * iv.exp(-j) * iv.mpf(2) ** (1 - 2 * k)
     return value + reach * iv.mpf([-1, 1])
 
 

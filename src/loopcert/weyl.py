@@ -93,6 +93,14 @@ class AffineWeylElement:
         pairs = self.shift[: rs.rank]
         return tuple(sum(map(mul, pairs, col)) // rs.coweight_den for col in rs.coweight_cols)
 
+    @cached_property
+    def b_norm2(self) -> Q:
+        """(b, b) = sum over beta > 0 of <beta, b>^2 / h^vee, from the shift
+        table alone: the Killing form is 2 h^vee times the normalized form
+        (Kac, Infinite-dimensional Lie algebras, Sec. 6), and the positive
+        roots carry half of its sum over all roots."""
+        return Q(sum(s * s for s in self.shift), self.rs.dual_coxeter)
+
     def sort_key(self):
         return (self.b, self.tilde)
 
@@ -188,8 +196,7 @@ def act_on_weight(rs: FiniteRootSystem, w: AffineWeylElement, lam: AffineWeight)
     cl = mat_vec(w.tilde, lam.classical.coords)
     if lam.lam != 0:
         cl = vec_add(cl, vec_scale(-lam.lam, rs.coweight_vector(vec(tb))))
-    bb = rs.coroot_pair_form(vec(w.b), vec(w.b))
-    iota = lam.iota + rs.pairing(lam.classical.coords, vec(w.b)) - lam.lam * bb / 2
+    iota = lam.iota + rs.pairing(lam.classical.coords, vec(w.b)) - lam.lam * w.b_norm2 / 2
     return AffineWeight(Weight(cl), iota, lam.lam)
 
 
@@ -197,12 +204,11 @@ def act_on_cartan(rs: FiniteRootSystem, w: AffineWeylElement, x: CartanElement) 
     """w (m h_iota + h + r D) = [-r(b,b)/2 + (h,b) + m] h_iota - r tilde(b) + tilde(h) + r D."""
     cor = _coroot_matrix(rs, w.tilde)
     h, m, r = x.classical, x.h_iota, x.d
-    bb = rs.coroot_pair_form(vec(w.b), vec(w.b))
     hb = rs.coroot_pair_form(h, vec(w.b))
     tb = vec(mat_vec_int(cor, w.b))
     th = tuple(sum((Q(cor[i][j]) * h[j] for j in range(rs.rank)), Q(0)) for i in range(rs.rank))
     classical = vec_add(vec_scale(-r, tb), th)
-    return CartanElement(classical, -r * bb / 2 + hb + m, r)
+    return CartanElement(classical, -r * w.b_norm2 / 2 + hb + m, r)
 
 
 # ---------------------------------------------------------------------------

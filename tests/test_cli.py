@@ -366,6 +366,9 @@ CENSUS_C2_SHA256 = "d49dd657982736f9bd736aef1ff4a344020c61c39fc7aba2bbb9d73ddc30
 CENSUS_C2_CSV_SHA256 = "34a3dfc89963645bef852ffc86c220306d09890459134d38d6ce7af578377251"
 CENSUS_E6_SHA256 = "aad1ed6a541e388cfa5a7cc42a7f8efdbf3c4fc3db50d5b91d1db6878a547565"
 CERTIFY_C2_SHA256 = "6d8ca3624ecbcd06f963c60509924f3373be3f28ef17de63369d3ee475397ab2"
+# a certify report at 64 bits, where the 20 printed digits come closest to the
+# last bit of each shell sum
+CERTIFY_A2_PREC64_SHA256 = "5e25e345dff78132c5c01ad7a43acd95c3496f56019c20fda4eed12561584237"
 
 
 def _sha256(text: str) -> str:
@@ -409,7 +412,8 @@ def test_enumerate_full_bfs_unchanged(tmp_path, capsys, label, max_len, digest, 
     (["weyl", "census", "--type", "C2", "--max-len", "16"], CENSUS_C2_SHA256, CENSUS_C2_CSV_SHA256),
     (["weyl", "census", "--type", "E6", "--max-len", "3"], CENSUS_E6_SHA256, None),
     (["certify", "--type", "C2", "--max-len", "30", "--r", "80", "--re-nu", "0", "--d", "9"], CERTIFY_C2_SHA256, None),
-], ids=["census-C2", "census-E6", "certify-C2"])
+    (["certify", "--type", "A2", "--max-len", "14", "--r", "80", "--prec", "64"], CERTIFY_A2_PREC64_SHA256, None),
+], ids=["census-C2", "census-E6", "certify-C2", "certify-A2-prec64"])
 def test_kostant_sweep_report_unchanged(monkeypatch, capsys, tmp_path, argv, digest, csv_digest):
     # sweeps over the Kostant representatives alone (census full counts from the
     # W_fin convolution) must print what a full-group BFS filtered by is_kostant prints

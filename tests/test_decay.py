@@ -49,9 +49,9 @@ def _endpoint_tail_bound(n: int, delta):
     """Rigorous bound for the integral of |sigma^(n)| over (1-delta, 1):
     2^{2n-1} * Gamma(2n-1, 1/(2 delta)) times the coefficient l1 norm."""
     poly = decay.derivative_poly(n)
-    coeff_sum = sum(abs(c) for c in poly.coeffs) * abs(poly.scale)
+    coeff_sum = sum(abs(c) for c in poly.coeffs) * poly.scale
     v0 = 1 / (2 * delta)
-    return mp.mpf(coeff_sum.numerator) / coeff_sum.denominator * mp.mpf(2) ** (2 * n - 1) * mp.gammainc(2 * n - 1, v0)
+    return mp.mpf(coeff_sum) * mp.mpf(2) ** (2 * n - 1) * mp.gammainc(2 * n - 1, v0)
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +343,7 @@ def test_sigma_deriv_fixed_point_within_horner_bound():
                 value = decay.sigma_deriv_mp(n, mp.mpf(x.numerator) / x.denominator)
             ref, g = _sigma_deriv_reference(n, x, prec)
             with mp.workprec(prec + 100):
-                horner = poly.degree * abs(mp.mpf(poly.scale.numerator) / poly.scale.denominator) * mp.ldexp(g, -f)
+                horner = poly.degree * mp.mpf(poly.scale) * mp.ldexp(g, -f)
                 assert abs(value - ref) <= horner + 8 * mp.ldexp(abs(ref), -prec), (n, float(x))
 
 
@@ -365,7 +365,7 @@ def _panel_bound_terms(n: int, power: int, x):
     """(B_j, 2 |f_j|, 3 |f'_j|) of the _sigma_deriv_panel docstring at the
     node x, f = (sigma^(n))^power, in the units the docstring uses."""
     poly = decay.derivative_poly(n)
-    scale = abs(mp.mpf(poly.scale.numerator) / poly.scale.denominator)
+    scale = mp.mpf(poly.scale)
     u = 1 - x * x
     g = u ** (-2 * n) * mp.exp(-1 / u)
     s0, s1 = decay.sigma_deriv_mp(n, x), decay.sigma_deriv_mp(n + 1, x)

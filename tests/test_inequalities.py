@@ -26,7 +26,7 @@ def a1_w2():
 def test_h1_a1_example():
     rs = rs_of("A1")
     w2 = a1_w2()
-    support = ineq.flipped_support(rs, w2)
+    support = weyl.neg_inverted_of_inverse(rs, w2)
     sample = ineq.H1Sample(w2, tuple((g, Q(1)) for g in support))
     h1, checks = ineq.h1_vector(rs, sample)
     assert h1 == CartanElement(vec((1,)), Q(-1), Q(0))
@@ -38,7 +38,7 @@ def test_h1_a1_example():
 def test_h1_zero_sample_trivial():
     rs = rs_of("A1")
     w2 = a1_w2()
-    support = ineq.flipped_support(rs, w2)
+    support = weyl.neg_inverted_of_inverse(rs, w2)
     sample = ineq.H1Sample(w2, tuple((g, Q(0)) for g in support))
     h1, checks = ineq.h1_vector(rs, sample)
     assert h1 == CartanElement(vec((0,)), Q(0), Q(0))
@@ -48,7 +48,7 @@ def test_h1_zero_sample_trivial():
 def test_h1_rejects_bad_coefficients():
     rs = rs_of("A1")
     w2 = a1_w2()
-    support = ineq.flipped_support(rs, w2)
+    support = weyl.neg_inverted_of_inverse(rs, w2)
     bad = ineq.H1Sample(w2, tuple((g, Q(-1)) for g in support))
     with pytest.raises(ValueError):
         ineq.h1_vector(rs, bad)

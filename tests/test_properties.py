@@ -15,7 +15,7 @@ from loopcert import inequalities as ineq
 from loopcert import weyl
 from loopcert.affine import AffineRoot, AffineWeight, CartanElement, affine_pairing
 from loopcert.cartan import RootSystemError, Weight, build_root_system_label
-from loopcert.linalg import mat_inverse
+from loopcert.linalg import mat_inverse, vec
 import reference
 from reference import from_pair, from_word
 
@@ -98,6 +98,31 @@ def test_flipped_sets_and_kostant_by_definition(label):
             with pytest.raises(RootSystemError):
                 weyl.kappa(rs, w)
     assert kostant_seen > 1
+
+
+# the b_norm2 sweep: every type to rank 4 at MAX_LEN, and E6 to length 3
+B_NORM_LEN = {**MAX_LEN, "E6": 3}
+
+
+@pytest.mark.parametrize("label", sorted(B_NORM_LEN))
+def test_b_norm2_is_the_coroot_form(label):
+    # (b,b) off the shift table, sum_{beta>0} <beta,b>^2 / h^vee, against the
+    # Gram form on every element of the sweep
+    rs = build_root_system_label(label)
+    for layer in weyl.enumerate_by_length(rs, B_NORM_LEN[label]):
+        for w in layer:
+            assert w.b_norm2 == rs.coroot_pair_form(vec(w.b), vec(w.b))
+
+
+@pytest.mark.parametrize("label", sorted(B_NORM_LEN))
+@PROPERTY
+@given(data=st.data())
+def test_b_norm2_on_drawn_translations(label, data):
+    # the same identity on T_b for b drawn from the coroot lattice, far past the sweep
+    rs = build_root_system_label(label)
+    b = data.draw(st.lists(st.integers(-40, 40), min_size=rs.rank, max_size=rs.rank).map(tuple))
+    w = from_pair(rs, weyl.identity_element(rs).tilde, b)
+    assert w.b == b and w.b_norm2 == rs.coroot_pair_form(vec(b), vec(b))
 
 
 @each_type
