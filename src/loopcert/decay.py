@@ -33,7 +33,9 @@ The hot loops run on Python integers, most in fixed point scaled by 2^F:
   Horner for P_N at F = working precision + 40, with the other factors in
   mpf;
 * the Newton iteration behind the Gauss-Legendre tables (F = prec + 60);
-* the sigma_hat grid and phase recurrence (F = precision_bits + 40).
+* the sigma_hat grid, its angle doublings and phase recurrence
+  (F = precision_bits + 40), and the moment defect of its Gauss-Legendre
+  rule (F = precision_bits + 80).
 
 Each docstring states its truncation error; values cross into mpf only at
 the ends.
@@ -41,6 +43,7 @@ the ends.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache, partial
@@ -551,12 +554,11 @@ def l1_norm_extrema(n: int, precision_bits: int = 256):
 # Fourier side
 
 
-_OSC_ORDER = 16
 # exp_fixed(x, F) for x <= -1 is taken to be within this many units of 2^-F of
 # e^x.  mpmath's fixed-point exponential (a Taylor series with sqrt(F) guard
 # bits and repeated squaring) is off by a few units in practice; the tests
 # check it against mpf exp.  The figure enters the bound only multiplied by a
-# weight w h / 2 < 2^-12, so its generosity costs nothing.
+# weight w c < 2^-8, so its generosity costs little.
 _EXP_FIXED_ULPS = 1 << 10
 # Every mpf -> int conversion below is within 2 units: 1 for int() itself and
 # at most 1 for the mpf's own rounding (the trigonometric values are evaluated
@@ -565,130 +567,270 @@ _EXP_FIXED_ULPS = 1 << 10
 _CONV_ULPS = 2
 _TRIG_GUARD = 20
 GRID_R_MAX = 512  # sigma_hat's oscillation grids serve |r| <= GRID_R_MAX
+_SMALL_R_MAX = 128  # and the smaller of the two grids |r| <= _SMALL_R_MAX
+_PANEL_PHASE = 30  # radians of 2 pi r_max x across one interior panel, at most
+
+
+@lru_cache(maxsize=None)
+def _gauss_defect(order: int, prec: int) -> int:
+    """An upper bound, in units of 2^-(prec + 80), on the moment defect
+
+        D = sum over even k < 2 order of |int_{-1}^{1} T_k - sum_j w_j T_k(t_j)|
+
+    of the nodes t_j and weights w_j of gauss_legendre(order, prec) as they
+    are stored (D = 0 for the exact Gauss rule; odd k cancel on the mirrored
+    nodes, and order is even).
+
+    T_k(t_j) runs by the three-term recurrence on Python integers scaled by
+    2^F, F = prec + 80, from t_j floored to F bits.  It is off by at most
+    2 k^2 units: k^2 for the floored node (|T_k'| <= k^2) and k^2 / 2 for the
+    floors of the recurrence (carried by |U_m| <= m + 1).  With the floored
+    weights and the two final floors, each computed moment is within
+    4 k^2 + order + 4 <= 21 order^2 units, which is added per k."""
+    f = prec + 80
+    moments = [0] * order  # sum_j w_j T_{2i}(t_j) over the positive nodes, scaled by 2^(2F)
+    for t, w in gauss_legendre(order, prec)[order // 2:]:
+        x, wi = to_fixed(t._mpf_, f), to_fixed(w._mpf_, f)
+        even, odd = 1 << f, x
+        for i in range(order):
+            moments[i] += wi * even
+            even = ((x * odd) >> (f - 1)) - even
+            odd = ((x * even) >> (f - 1)) - odd
+    units = 0
+    for i, s in enumerate(moments):
+        exact = (2 << f) // (1 - 4 * i * i)  # int T_{2i} = 2 / (1 - 4 i^2)
+        units += abs((s >> (f - 1)) - exact) + 21 * order * order
+    return units
+
+
+def _panel_ellipse(a: Q, b: Q, order: int, r_max: int) -> tuple:
+    """(c, rho) for the panel [a, b], 0 <= a < b < 1: its half-width and the
+    Bernstein ellipse parameter _ellipse_bound uses there.  rho minimises
+    pi r_max c rho - (2 order - 2) ln rho, capped just inside the edge
+    m + c (rho + 1/rho)/2 = 1, m = (a + b)/2; the cap is checked in exact
+    rationals, so the ellipse stays in |Re x| < 1."""
+    m, c = (a + b) / 2, (b - a) / 2
+    q = float((1 - m) / c)
+    rho = Q(min(2 * (order - 1) / (pi * r_max * float(c)), q + sqrt(q * q - 1)) * (1 - 2.0**-20))
+    if not (rho > 1 and m + c * (rho + 1 / rho) / 2 < 1):
+        raise ArithmeticError(f"no Bernstein ellipse for the panel [{a}, {b}]")
+    return c, rho
+
+
+def _ellipse_bound(c: Q, rho: Q, order: int, r_max: int, defect):
+    """An mpmath.iv interval whose upper end bounds |int_a^b g - GL(g)| for
+    every g(x) = sigma(x) cos(2 pi r x) with |r| <= r_max, where GL is the
+    gauss_legendre rule of this order mapped to a panel [a, b] of half-width
+    c whose Bernstein ellipse E_rho lies in |Re x| < 1 (_panel_ellipse), and
+    defect is an iv interval holding the rule's moment defect D
+    (_gauss_defect).
+
+    With x = m + c t, m = (a + b)/2, the error is c times that of the rule
+    on t in [-1, 1].  On E_rho, 1 - Re(x)^2 + Im(x)^2 > 0, so
+    |sigma(x)| <= 1; and |Im x| <= c (rho - 1/rho)/2, so
+    |cos 2 pi r x| <= cosh(2 pi r Im x) <= M = e^(pi r_max c (rho - 1/rho)).
+    The Chebyshev coefficients of g in t then obey |a_k| <= 2 M rho^-k, and
+    |a_k| <= 2 from |g| <= 1 on the interval (Trefethen, Approximation Theory
+    and Approximation Practice, Thm 8.1).  The rule integrates T_k to within
+    D together for even k < 2 order, and within 2/(k^2 - 1) + 2 + D beyond,
+    so the error on [-1, 1] is at most
+
+        2 D + 2 M (32/15 + D) rho^(2 - 2 order) / (rho^2 - 1),
+
+    the Gauss-rule bound of Trefethen (SIAM Rev. 50, 2008, Thm 4.5) when
+    D = 0."""
+    rho, c = iv.mpf(rho.numerator) / rho.denominator, iv.mpf(c.numerator) / c.denominator
+    big_m = iv.exp(iv.pi * r_max * c * (rho - 1 / rho))
+    return c * (2 * defect + 2 * big_m * (iv.mpf(32) / 15 + defect) * rho ** (2 - 2 * order) / (rho**2 - 1))
 
 
 class _OscillationGrid(NamedTuple):
-    h: object  # mpf panel width 1/panels
-    offsets: tuple  # mpf Gauss-Legendre nodes t_j, j < 8, of the mirrored pairs
-    rows: tuple  # per panel: (G_j + G_{15-j}, G_j - G_{15-j}) for j < 8
-    mass: int  # sum of all entries
-    moment: int  # sum over panels p of p times the row's sum
-    entry_ulps: int  # bound on |entry - sigma(x) w h / 2| in units of 2^-F
+    order: int  # Gauss-Legendre nodes per panel
+    width_exp: int  # interior panels have width 2^-width_exp
+    cut_exp: int  # the grid ends at 1 - 2^-cut_exp
+    offsets: tuple  # mpf Gauss-Legendre nodes t_j, j < order/2, of the mirrored pairs
+    interior: tuple  # per interior panel: (G_j + G_{order-1-j}, G_j - G_{order-1-j}) for j < order/2
+    tail: tuple  # the same per tail panel, nearest 0 first
+    truncation: object  # mpf bound on the fixed-point error of the grid sum
+    bound: object  # mpf bound on |sigma_hat(r) - the grid sum|, every |r| <= r_max
+
+    @property
+    def breaks(self) -> tuple:
+        return _grid_breaks(self.width_exp, self.cut_exp)
+
+
+def _grid_breaks(width_exp: int, cut_exp: int) -> tuple:
+    """The panel ends of an oscillation grid as Fractions: p 2^-width_exp for
+    p < 2^width_exp, then 1 - 2^-k for k = width_exp + 1 .. cut_exp."""
+    return (tuple(Q(p, 1 << width_exp) for p in range(1 << width_exp))
+            + tuple(1 - Q(1, 1 << k) for k in range(width_exp + 1, cut_exp + 1)))
 
 
 @lru_cache(maxsize=8)
-def _oscillation_grid(prec: int, panels: int) -> _OscillationGrid:
-    """Composite Gauss-Legendre grid on [0, K*h] with sigma-times-weight
-    precomputed in fixed point: each entry G is the integer sigma(x) w h / 2
-    scaled by 2^F, F = prec + 40.  h = 1/panels keeps the phase per panel
-    under pi/2 for r <= panels/4; the uncovered sliver near 1 contributes
-    ~ e^{-panels/6} (quadrature error, not counted in any bound here).
+def _oscillation_grid(prec: int, r_max: int) -> _OscillationGrid:
+    """Graded composite Gauss-Legendre grid on [0, 1 - 2^-K] for |r| <= r_max,
+    with sigma-times-weight precomputed in fixed point, and its error bound.
 
-    The nodes of a panel come in mirrored pairs (t_{15-j} = -t_j), whose
-    cosines agree and sines differ in sign, so each row keeps the 8 pair sums
-    and the 8 pair differences of its entries: one product per node per call.
+    Layout.  Interior panels of width 2^-j tile [0, 1 - 2^-j], j the smallest
+    with 2 pi r_max 2^-j <= _PANEL_PHASE radians; then one panel per geometric
+    segment [1 - 2^-k, 1 - 2^-(k+1)], k = j .. K - 1, toward the essential
+    singularity at 1.  The rule has order 8 ceil((prec + 64) / 40): a panel
+    beside a breakpoint 1 - 2^-k admits Bernstein ellipses only up to
+    rho = 3 + 2 sqrt 2, about 5.1 bits per node, and the widest such panel
+    spends about 50 of them on the cosh factor, so 40 bits per 8 nodes leave
+    its quadrature term below 2^-(prec + 14).  The cut K is the larger of
+    j and 1 + the bit length of floor(0.7 (prec + 16)), so that
+    e^(-2^(K-1)) <= 2^-(prec + 16).  For r_max = 128 and 512 that is 35 and
+    129 panels at prec = 256 (order 64), 34 and 128 at prec = 128 (order 40).
 
-    An entry is built from the node x = (2p + 1 + t) / (2 panels), then
+    Entries.  Each entry G is the integer sigma(x) w c scaled by 2^F,
+    F = prec + 40, c the panel's half-width: the node x = m + c t, then
     1 - x^2, then -1/(1 - x^2) by integer division, then exp_fixed, then the
-    product with the fixed-point weight w h / 2.  Against sigma at the exact
+    product with the fixed-point weight w c.  Against sigma at the exact
     node it is off by at most entry_ulps units of 2^-F: 2 for the node
-    (|sigma'| < 0.8), 1 for the square, 1 for the division (|d/du e^{-1/u}|
-    <= 4/e^2 and e^{-1/u} < 1), _EXP_FIXED_ULPS for exp_fixed, all times the
-    weight, plus 2 for the weight's conversion and 1 for the final shift."""
+    (|sigma'| < 0.8), 1 for the square, 1 for the division
+    (|d/du e^{-1/u}| <= 4/e^2 and e^{-1/u} < 1), _EXP_FIXED_ULPS for
+    exp_fixed, all times the weight, plus 2 for the weight's conversion and
+    1 for the final shift.  The nodes of a panel come in mirrored pairs
+    (t_{order-1-j} = -t_j), whose cosines agree and sines differ in sign, so
+    each row keeps the pair sums and pair differences of its entries.
+
+    Bound.  `truncation` covers the fixed-point arithmetic of
+    _sigma_hat_bounded against the same sum done exactly at these nodes and
+    weights, for r as rounded to F bits.  `bound` adds twice the quadrature
+    error of every panel (_ellipse_bound, with this rule's moment
+    defect from _gauss_defect) and the sliver 2 int_{1-d}^1 sigma
+    <= 2 d e^(-1/(2d - d^2)), d = 2^-K, that the grid leaves out; both are
+    evaluated in mpmath.iv, and both hold for every |r| <= r_max.
+
+    Truncation, in units of 2^-F, to first order in 2^-F.  The trigonometric
+    pairs are off by at most e0 = 2 _CONV_ULPS each (as 2-vectors): the node
+    offsets of the narrowest width, the first interior centre, the interior
+    rotation and each tail centre.  Doubling the offsets' angle (squaring a
+    unit complex number) for each wider panel width takes an error e to
+    2 e + 2, and each interior rotation adds e0 + 3.  A panel whose phase is
+    off by p and offsets by o is off by 2 (p + o) times its mass (the sum of
+    its entries, plus order entry_ulps for their own error) and by
+    2 order entry_ulps for its entries; the final >> 2F adds 1, and the
+    factor 2 of sigma_hat doubles it all."""
     f = prec + 40
     one = 1 << f
-    k_panels = panels - max(1, panels // 700)  # delta >= 1/700
-    with mp.workprec(f):
-        base = gauss_legendre(_OSC_ORDER, prec)
-        nodes = [int(mp.ldexp(t, f)) for t, _ in base]
-        weights = [int(mp.ldexp(w, f) / (2 * panels)) for _, w in base]
-        h = mp.mpf(1) / panels
-    half = _OSC_ORDER // 2
-    offsets = tuple(t for t, _ in base[:half])
+    order = 8 * -(-(prec + 64) // 40)
+    half = order // 2
+    width = 0
+    while 2 * pi * r_max > _PANEL_PHASE << width:
+        width += 1
+    cut = max(width, ((prec + 16) * 7 // 10).bit_length() + 1)
+    rule = gauss_legendre(order, prec)
+    nodes = [to_fixed(t._mpf_, f) for t, _ in rule]
     ln2 = ln2_fixed(f)
-    rows = []
-    mass = moment = 0
-    for p in range(k_panels):
-        mid = (2 * p + 1) << f
+    weights = {}  # per half-width 2^-e: the weights w_j 2^-e as integers scaled by 2^F
+    rows, masses = [], []
+    breaks = _grid_breaks(width, cut)
+    for a, b in zip(breaks, breaks[1:]):
+        e = (b - a).denominator.bit_length()
+        if e not in weights:
+            weights[e] = [to_fixed(w._mpf_, f - e) for _, w in rule]
+        mid = ((a + b).numerator << f) // (2 * (a + b).denominator)  # exact: a + b is dyadic
         row = []
-        for t, w in zip(nodes, weights):
-            x = (mid + t) // (2 * panels)
+        for t, w in zip(nodes, weights[e]):
+            x = mid + (t >> e)
             u = one - ((x * x) >> f)
             row.append((exp_fixed(-((one << f) // u), f, ln2) * w) >> f)
         left, right = row[:half], row[:half - 1:-1]
         rows.append((tuple(map(add, left, right)), tuple(map(sub, left, right))))
-        row_mass = sum(row)
-        mass += row_mass
-        moment += p * row_mass
+        masses.append(sum(row))
+
+    interior = (1 << width) - 1
     sigma_ulps = 2 + 1 + 1 + _EXP_FIXED_ULPS
-    entry_ulps = -((-sigma_ulps * max(weights)) >> f) + _CONV_ULPS + 1
-    return _OscillationGrid(h, offsets, tuple(rows), mass, moment, entry_ulps)
+    entry_ulps = -((-sigma_ulps * max(weights[width + 1])) >> f) + _CONV_ULPS + 1
+    e0 = 2 * _CONV_ULPS
+    offset_err = [e0]  # per panel width 2^-cut, 2^-(cut-1), ..., 2^-width
+    for _ in range(cut - width):
+        offset_err.append(2 * offset_err[-1] + 2)
+    errors = ([e0 + p * (e0 + 3) + offset_err[-1] for p in range(interior)]
+              + [e0 + offset_err[cut - k - 1] for k in range(width, cut)])
+    weighted = sum(err * (mass + order * entry_ulps) for err, mass in zip(errors, masses))
+    ulps = 2 * order * entry_ulps * len(rows) - (-2 * weighted >> f) + 1
+    with mp.workprec(64), PrecisionManager(iv, lambda _: 64, None):
+        truncation = mp.ldexp(2 * ulps, -f)
+        defect = iv.mpf(_gauss_defect(order, prec)) * iv.mpf(2) ** -(prec + 80)
+        ellipses = Counter(_panel_ellipse(a, b, order, r_max) for a, b in zip(breaks, breaks[1:]))
+        quadrature = sum(n * _ellipse_bound(c, rho, order, r_max, defect) for (c, rho), n in ellipses.items())
+        d = iv.mpf(2) ** -cut
+        sliver = 2 * d * iv.exp(-1 / (2 * d - d * d))
+        bound = mp.mpf((iv.mpf(2 * ulps) * iv.mpf(2) ** -f + 2 * quadrature + sliver).b)
+    offsets = tuple(t for t, _ in rule[:half])
+    return _OscillationGrid(order, width, cut, offsets, tuple(rows[:interior]), tuple(rows[interior:]),
+                            truncation, bound)
 
 
 def _sigma_hat_bounded(r, precision_bits: int) -> tuple:
-    """(value, bound): the grid sum 2 sum_p sum_j sigma(x) w h/2 cos(2 pi r x)
-    done in integers scaled by 2^F, F = precision_bits + 40, and an absolute
-    bound on how far fixed-point truncation moved it from the same sum in
-    exact arithmetic, for r as rounded to F bits (the quadrature error of
-    the grid is not included).
+    """(value, bound): the grid sum 2 sum_panels sum_j sigma(x) w c cos(2 pi r x)
+    on _oscillation_grid, done in integers scaled by 2^F,
+    F = precision_bits + 40, and the grid's bound on its distance from
+    sigma_hat(r): fixed-point truncation, quadrature error and the sliver
+    beyond the grid, for r as rounded to F bits.
 
-    The phase offsets cos/sin(2 pi r t_j h/2), the panel rotation
-    cos/sin(2 pi r h) and its start cos/sin(pi r h) are converted once.  Per
-    panel the row is dotted with the offsets exactly (no shift), and the
-    phase (ct, st) advances by one rotation with one >> F per product.  The
-    bound, in units of 2^-F, counts 2 per converted value and 1 per shift:
-    the phase error starts at 2*2 and grows by 2*2 + 3 per panel, and enters
-    weighted by the row mass; every grid entry adds its entry_ulps (times
-    |cos| <= 2); the final >> 2F adds 1 and the factor 2 doubles it all."""
+    The grid for |r| <= 128 serves the small tier, the one for |r| <= 512
+    the rest.  The trigonometric values are converted once per call: the
+    phase offsets cos/sin(2 pi r c t_j) at the narrowest half-width
+    c = 2^-(K+1) (order/2 evaluations), then by exact integer double-angle
+    steps for each wider panel; the first interior centre and the interior
+    rotation; and the centre of each tail panel.  Per panel the row is
+    dotted with its offsets exactly (no shift); the interior phase
+    (ct, st) advances by one rotation with one >> F per product."""
     f = precision_bits + 40
     with mp.workprec(f):
         r = _to_mpf(r)
         if abs(r) > GRID_R_MAX:
             raise ValueError(f"fixed oscillation grid only covers |r| <= {GRID_R_MAX}")
-        grid = _oscillation_grid(precision_bits, 512 if abs(r) <= 128 else 2048)
-    with mp.workprec(f + _TRIG_GUARD):
-        half = mp.pi * r * grid.h  # phase advance over half a panel
-        cos_psi, sin_psi = [], []
-        for t in grid.offsets:
-            c, s = mp.cos_sin(half * t)
-            cos_psi.append(int(mp.ldexp(c, f)))
-            sin_psi.append(int(mp.ldexp(s, f)))
-        ct, st = (int(mp.ldexp(v, f)) for v in mp.cos_sin(half))
-        cd, sd = (int(mp.ldexp(v, f)) for v in mp.cos_sin(2 * half))
-    total = 0
-    for sums, diffs in grid.rows:
-        a = sum(map(mul, sums, cos_psi))
-        b = sum(map(mul, diffs, sin_psi))
-        total += ct * a - st * b
-        ct, st = (ct * cd - st * sd) >> f, (st * cd + ct * sd) >> f
-    value = total >> (2 * f)
+        grid = _oscillation_grid(precision_bits, _SMALL_R_MAX if abs(r) <= _SMALL_R_MAX else GRID_R_MAX)
+    width, cut = grid.width_exp, grid.cut_exp
 
-    # |(ct, st) - exact| <= e0 + p * step after p panels; each panel's value
-    # is off by 2 * 16 * entry_ulps plus its mass times 2 (|phase error| + c).
-    # The + 2 rounds the mass term up (its floor, and the mass summed from
-    # entries that may each sit entry_ulps low); the + 1 is the final shift.
-    c = _CONV_ULPS
-    e0, step = 2 * c, 2 * c + 3
-    phase = (2 * e0 + 2 * c) * grid.mass + 2 * step * grid.moment
-    ulps = 32 * grid.entry_ulps * len(grid.rows) + (phase >> f) + 2 + 1
+    def fixed(angle):
+        c, s = mp.cos_sin(angle)
+        return int(mp.ldexp(c, f)), int(mp.ldexp(s, f))
+
+    with mp.workprec(f + _TRIG_GUARD):
+        omega = 2 * mp.pi * r
+        narrow = [fixed(mp.ldexp(omega * t, -cut - 1)) for t in grid.offsets]
+        ct, st = fixed(mp.ldexp(omega, -width - 1))  # centre of the first interior panel
+        cd, sd = fixed(mp.ldexp(omega, -width))  # one interior panel
+        centres = [fixed(omega * (1 - 3 * mp.ldexp(1, -k - 2))) for k in range(width, cut)]
+    levels = [(tuple(c for c, _ in narrow), tuple(s for _, s in narrow))]
+    for _ in range(cut - width):
+        cs, ss = levels[-1]
+        levels.append((tuple((c * c - s * s) >> f for c, s in zip(cs, ss)),
+                       tuple((c * s) >> (f - 1) for c, s in zip(cs, ss))))
+    total = 0
+    cos_psi, sin_psi = levels[-1]
+    for sums, diffs in grid.interior:
+        total += ct * sum(map(mul, sums, cos_psi)) - st * sum(map(mul, diffs, sin_psi))
+        ct, st = (ct * cd - st * sd) >> f, (st * cd + ct * sd) >> f
+    for (sums, diffs), (ct, st), (cos_psi, sin_psi) in zip(grid.tail, centres, reversed(levels[:-1])):
+        total += ct * sum(map(mul, sums, cos_psi)) - st * sum(map(mul, diffs, sin_psi))
     with mp.workprec(f):
-        return mp.ldexp(2 * value, -f), mp.ldexp(2 * ulps, -f)
+        return mp.ldexp(2 * (total >> (2 * f)), -f), grid.bound
 
 
 def sigma_hat(r, precision_bits: int = 256):
     """Fourier transform, convention sigma_hat(r) = int sigma e^{-2 pi i r x} dx
-    (real and even here), on a cached composite grid in fixed point.
+    (real and even here), for |r| <= GRID_R_MAX, on a cached graded grid in
+    fixed point (_oscillation_grid): order-(8 ceil((precision_bits + 64)/40))
+    Gauss-Legendre panels, of width at most 30 / (2 pi r_max) inside and
+    halving toward x = 1 at the breakpoints 1 - 2^-k.
 
     The sum runs on Python integers scaled by 2^F, F = precision_bits + 40:
-    per panel two exact 8-term integer dot products of the mirrored node
-    pairs with the phase offsets and one fixed-point rotation of the panel
-    phase, so no mpf object is made per node.  The truncation error of that arithmetic is bounded explicitly
-    (see _sigma_hat_bounded; an absolute bound on the truncation only, not
-    on the quadrature error) and ArithmeticError is raised if it exceeds
-    2^-precision_bits."""
+    per panel two exact integer dot products of the mirrored node pairs with
+    the phase offsets, so no mpf object is made per node.  The bound of
+    _sigma_hat_bounded covers the truncation of that arithmetic, the
+    quadrature error of every panel (the Gauss-rule Bernstein-ellipse bound
+    of Trefethen, SIAM Rev. 50, 2008) and the sliver near 1 the grid leaves
+    out; ArithmeticError is raised if it exceeds 2^-precision_bits."""
     value, bound = _sigma_hat_bounded(r, precision_bits)
     if bound > mp.ldexp(1, -precision_bits):
-        raise ArithmeticError(f"sigma_hat truncation bound {mp.nstr(bound, 3)} exceeds 2^-{precision_bits}")
+        raise ArithmeticError(f"sigma_hat error bound {mp.nstr(bound, 3)} exceeds 2^-{precision_bits}")
     return value
 
 

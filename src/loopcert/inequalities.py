@@ -192,6 +192,11 @@ def h2_vector(rs: FiniteRootSystem, w: AffineWeylElement, r: Q) -> tuple[CartanE
     """H2 with <Lambda,H2> = -r(b,b)/2 and classical part -r tilde(b)."""
     if not is_kostant(rs, w):
         raise ValueError("H2 checks require a Kostant representative")
+    return _h2_vector(rs, w, r)
+
+
+def _h2_vector(rs: FiniteRootSystem, w: AffineWeylElement, r: Q) -> tuple[CartanElement, dict]:
+    """h2_vector for a w already known to be a Kostant representative."""
     tb = mat_vec_int(_coroot_matrix(rs, w.tilde), w.b)
     bb = w.b_norm2
     h2 = CartanElement(tuple(-r * Q(x) for x in tb), -r * bb / 2, Q(0))
@@ -339,13 +344,13 @@ class _H3Kernel:
     x_j = hi + U_j step share the denominator D, the fundamental coweights
     the denominator K.  The Siegel constraints, the envelope check and the
     theta-pairing run on these integers; only sqrt_upper((H,H)), c3, growth3
-    and the returned H3 are Fractions."""
+    and the returned H3 are Fractions.  w must be a Kostant representative:
+    run_audit draws it from enumerate_kostant, and h3_vector is the guarded
+    entry point."""
 
     def __init__(self, rs: FiniteRootSystem, w: AffineWeylElement, r: Q, t: Q, envelope: dict, rate: Q):
         if r <= 0 or not 0 < t < 1:
             raise ValueError("Siegel sample outside parameter domain")
-        if not is_kostant(rs, w):
-            raise ValueError("H3 checks require a Kostant representative")
         lo, hi = lnt_bounds(t)
         ht = sum(rs.highest_root)
         budget = r - hi * (1 + ht)
@@ -434,24 +439,24 @@ def _wid(w: AffineWeylElement) -> dict:
 
 def lemma22_constants(rs: FiniteRootSystem, layers) -> dict:
     """Empirical E, E' with E' ||b|| - |D+| <= l(w) <= E ||b|| + |D+| over the
-    sweep; kept as exact squared ratios plus float views for the report."""
+    sweep, as exact squared ratios: E_sq is the largest (l - |D+|)^2 / (b,b)
+    over the elements with l(w) > |D+|, Eprime_sq the smallest
+    (l + |D+|)^2 / (b,b) over those with b != 0, and either is None when the
+    sweep holds no such element."""
     n_pos = len(rs.positive_roots)
-    e_sq = Q(0)
-    ep_sq_min: Q | None = None
+    e_sq: Q | None = None
+    ep_sq: Q | None = None
     for depth, layer in enumerate(layers):
         for w in layer:
             bb = w.b_norm2
             if bb == 0:
                 continue
             if depth > n_pos:
-                e_sq = max(e_sq, Q(depth - n_pos) ** 2 / bb)
+                low = Q(depth - n_pos) ** 2 / bb
+                e_sq = low if e_sq is None else max(e_sq, low)
             up = Q(depth + n_pos) ** 2 / bb
-            ep_sq_min = up if ep_sq_min is None else min(ep_sq_min, up)
-    if ep_sq_min is None:
-        ep_sq_min = Q(1)
-    if e_sq == 0:
-        e_sq = Q(1, 10**12)  # sweep too short to see l(w) > |D+|
-    return {"E_sq": e_sq, "Eprime_sq": ep_sq_min}
+            ep_sq = up if ep_sq is None else min(ep_sq, up)
+    return {"E_sq": e_sq, "Eprime_sq": ep_sq}
 
 
 def b_norm_rate(rs: FiniteRootSystem, layers) -> Q:
@@ -466,18 +471,28 @@ def b_norm_rate(rs: FiniteRootSystem, layers) -> Q:
 
 
 def verify_lemma22(rs: FiniteRootSystem, max_len: int) -> InequalityReport:
-    """E and E' are the extreme ratios over the swept elements themselves, so
-    every one of them meets both bounds and no violation can arise: an
-    element with (b,b) = 0 has b = 0, lies in W_fin and has l(w) <= |D+|."""
+    """Lemma 2.2's constants over the sweep, checked exactly against the
+    Cauchy-Schwarz constants.  l(w) differs from S = sum over alpha > 0 of
+    |<alpha, b>| by at most |D+| (each positive root adds |<alpha, b>| or
+    |<alpha, b> - 1|), and sum <alpha, b>^2 = h^vee (b,b), so
+    h^vee (b,b) <= S^2 <= |D+| h^vee (b,b): a measured E_sq above |D+| h^vee
+    or Eprime_sq below h^vee is a violation.  An unmeasured constant is
+    reported as null."""
     layers = enumerate_by_length(rs, max_len)
     rep = InequalityReport("lemma22", rs.label, max_len)
     consts = lemma22_constants(rs, layers)
     e_sq, ep_sq = consts["E_sq"], consts["Eprime_sq"]
+    h = rs.dual_coxeter
+    e_max = len(rs.positive_roots) * h
+    if e_sq is not None and e_sq > e_max:
+        rep.violations.append({"check": "E_sq", "E_sq": q_str(e_sq), "bound": q_str(e_max)})
+    if ep_sq is not None and ep_sq < h:
+        rep.violations.append({"check": "Eprime_sq", "Eprime_sq": q_str(ep_sq), "bound": q_str(h)})
     rep.constants = {
-        "E_sq": q_str(e_sq),
-        "Eprime_sq": q_str(ep_sq),
-        "E": float(sqrt_upper(e_sq)),
-        "Eprime": float(sqrt_upper(ep_sq)),
+        "E_sq": None if e_sq is None else q_str(e_sq),
+        "Eprime_sq": None if ep_sq is None else q_str(ep_sq),
+        "E": None if e_sq is None else float(sqrt_upper(e_sq)),
+        "Eprime": None if ep_sq is None else float(sqrt_upper(ep_sq)),
     }
     rep.records.append({"elements_checked": sum(map(len, layers))})
     return rep
@@ -528,7 +543,9 @@ def run_audit(
     """Theorem-3.2 audit (and optionally the composite corollary) over all
     Kostant representatives up to max_len, with per-element seeded sampling.
     b depends only on the Kostant factor u of w = v u, and l(u) <= l(w), so
-    ``b_norm_rate`` over the Kostant layers is its value over the whole group."""
+    ``b_norm_rate`` over the Kostant layers is its value over the whole group.
+    enumerate_kostant has already tested every element, so the H2 and H3
+    passes skip the is_kostant guards of h2_vector and h3_vector."""
     layers = enumerate_kostant(rs, max_len)
     rep = InequalityReport("cor34" if with_corollary else "thm32", rs.label, max_len)
     envelope = siegel_envelope(rs, r, t)
@@ -542,7 +559,7 @@ def run_audit(
     c2_case = None
     h2_cache = {}
     for w in kostant:
-        h2, checks = h2_vector(rs, w, r)
+        h2, checks = _h2_vector(rs, w, r)
         h2_cache[w] = h2
         for name in ("d_nonpos", "q_nonpos", "omega_nonneg"):
             if not checks[name]:

@@ -89,27 +89,28 @@ def validate_report(doc: dict) -> None:
         raise ValueError("report does not validate: " + "; ".join(errors[:5]))
 
 
+_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "number": (int, float),
+    "boolean": bool,
+    "null": type(None),
+}
+
+
+def _is_type(value, name: str) -> bool:
+    if name in ("integer", "number") and isinstance(value, bool):
+        return False
+    return isinstance(value, _TYPES[name])
+
+
 def _check(value, schema: dict, path: str, errors: list[str]) -> None:
-    types = {
-        "object": dict,
-        "array": list,
-        "string": str,
-        "integer": int,
-        "number": (int, float),
-        "boolean": bool,
-        "null": type(None),
-    }
-    t = schema.get("type")
-    if t is not None:
-        expected = types[t]
-        ok = isinstance(value, expected)
-        if t == "integer":
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        if t == "number":
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not ok:
-            errors.append(f"{path}: expected {t}")
-            return
+    t = schema.get("type")  # one type name, or a list of them
+    if t is not None and not any(_is_type(value, name) for name in ([t] if isinstance(t, str) else t)):
+        errors.append(f"{path}: expected {t}")
+        return
     if "enum" in schema and value not in schema["enum"]:
         errors.append(f"{path}: {value!r} not in enum")
     if t == "object":

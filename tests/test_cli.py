@@ -221,6 +221,28 @@ def test_validator_rejects_bad_document():
         validate_report({"kind": "roots", "schema_version": 1, "config": {}, "failures": []})
 
 
+@pytest.mark.parametrize("max_len, measured", [("3", {"Eprime_sq": "8", "Eprime": 2.8284271247461916}), ("0", {})],
+                         ids=["len3", "len0"])
+def test_lemma22_unmeasured_constants_are_null(capsys, max_len, measured):
+    # to length 3 no A2 element has l(w) > |D+| = 3, so E is not measured;
+    # to length 0 no element has b != 0, so neither is E'; both reports validate
+    assert main(["verify", "lemma22", "--type", "A2", "--max-len", max_len]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    validate_report(doc)
+    nulls = {"E_sq": None, "E": None, "Eprime_sq": None, "Eprime": None}
+    assert doc["constants"] == {**nulls, **measured}
+    assert doc["violations"] == []
+
+
+def test_validator_type_lists():
+    doc = {"kind": "verify", "schema_version": 3, "config": {}, "failures": [], "lemma": "lemma22", "type": "A2",
+           "max_len": 0, "violations": [], "extremal_cases": [], "constants": {"E_sq": None, "Eprime_sq": "8"}}
+    validate_report(doc)
+    for bad in (1, 0.5, True, []):
+        with pytest.raises(ValueError):
+            validate_report({**doc, "constants": {"E_sq": bad}})
+
+
 def test_verify_passes_r_and_t_to_the_audit(tmp_path):
     out = tmp_path / "thm32.json"
     argv = ["verify", "thm32", "--type", "A2", "--max-len", "3", "--samples", "10",

@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction as Q
 from functools import lru_cache, partial
+from math import pi
 
 import pytest
 from mpmath import iv, mp
@@ -460,32 +461,104 @@ def test_sigma_hat_even():
         assert abs(decay.sigma_hat(Q(7, 2), 96) - decay.sigma_hat(Q(-7, 2), 96)) < mp.mpf("1e-25")
 
 
+def _grid(r: Q, precision_bits: int):
+    """The oscillation grid sigma_hat(r, precision_bits) sums."""
+    r_max = decay._SMALL_R_MAX if abs(r) <= decay._SMALL_R_MAX else decay.GRID_R_MAX
+    return decay._oscillation_grid(precision_bits, r_max)
+
+
 def _grid_sum_reference(r: Q, precision_bits: int):
-    """sigma_hat's grid sum done in mpf at precision_bits + 100: the same
-    panels, Gauss-Legendre nodes and weights, with sigma and the cosine
-    evaluated directly at every node."""
-    panels = 512 if abs(r) <= 128 else 2048
-    k_panels = panels - max(1, panels // 700)
-    rule = decay.gauss_legendre(16, precision_bits)
+    """sigma_hat's grid sum done in mpf at precision_bits + 100: the grid's
+    own panels (its breaks) and Gauss-Legendre order, with the same nodes and
+    weights, and sigma and the cosine evaluated directly at every node."""
+    grid = _grid(r, precision_bits)
+    rule = decay.gauss_legendre(grid.order, precision_bits)
     with mp.workprec(precision_bits + 100):
         omega = 2 * mp.pi * mp.mpf(r.numerator) / r.denominator
         terms = []
-        for p in range(k_panels):
+        for a, b in zip(grid.breaks, grid.breaks[1:]):
+            mid, half = decay._to_mpf(a + b) / 2, decay._to_mpf(b - a) / 2
             for t, w in rule:
-                x = (2 * p + 1 + t) / (2 * panels)
-                terms.append(mp.exp(-1 / (1 - x * x)) * w * mp.cos(omega * x))
-        return mp.fsum(terms) / panels
+                x = mid + half * t
+                terms.append(mp.exp(-1 / (1 - x * x)) * w * half * mp.cos(omega * x))
+        return 2 * mp.fsum(terms)
 
 
 @pytest.mark.parametrize("bits", [128, 256])
-@pytest.mark.parametrize("r", [Q(1201, 64), Q(10001, 64)])  # 512- and 2048-panel grids
+@pytest.mark.parametrize("r", [Q(1201, 64), Q(10001, 64)])  # the r <= 128 and r <= 512 grids
 def test_sigma_hat_fixed_point_within_bound(r, bits):
     value, bound = decay._sigma_hat_bounded(r, bits)
     reference = _grid_sum_reference(r, bits)
     with mp.workprec(bits + 100):
-        assert abs(value - reference) <= bound
+        assert abs(value - reference) <= _grid(r, bits).truncation <= bound
         assert bound <= mp.ldexp(1, -bits)
         assert decay.sigma_hat(r, bits) == value
+
+
+@lru_cache(maxsize=None)
+def _quad_reference(r: Q):
+    """2 int_0^1 sigma(x) cos(2 pi r x) dx by mp.quad at 420 bits, split at
+    the breaks of the 256-bit grid (which hold those of the 128-bit one) and
+    at 1, with mp.quad's own error estimate."""
+    breaks = _grid(r, 256).breaks
+    with mp.workprec(420):
+        omega = 2 * mp.pi * mp.mpf(r.numerator) / r.denominator
+        points = [decay._to_mpf(b) for b in breaks] + [mp.mpf(1)]
+        f = lambda x: mp.exp(-1 / (1 - x * x)) * mp.cos(omega * x) if x < 1 else mp.zero
+        value, err = mp.quad(f, points, method="gauss-legendre", error=True)
+        return 2 * value, 2 * err
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("r", [Q(7, 2), Q(801, 4)])  # the r <= 128 and r <= 512 grids
+def test_sigma_hat_within_bound_of_quadrature_reference(r, bits):
+    # the returned bound covers truncation, quadrature error and the sliver
+    # beyond the grid: the value is within it of the integral itself
+    value, bound = decay._sigma_hat_bounded(r, bits)
+    reference, err = _quad_reference(r)
+    with mp.workprec(420):
+        assert err < mp.ldexp(1, -340)
+        assert abs(value - reference) + err <= bound <= mp.ldexp(1, -bits)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_oscillation_grid_layout(bits):
+    # interior panels of one dyadic width with at most 30 radians of phase at
+    # the tier's largest r, then halving toward 1; fewer than 8192 nodes for
+    # r <= 128
+    for r_max in (decay._SMALL_R_MAX, decay.GRID_R_MAX):
+        grid = decay._oscillation_grid(bits, r_max)
+        breaks = grid.breaks
+        widths = [b - a for a, b in zip(breaks, breaks[1:])]
+        interior = widths[:len(grid.interior)]
+        assert breaks[0] == 0 and breaks[-1] == 1 - Q(1, 1 << grid.cut_exp)
+        assert len(widths) == len(grid.interior) + len(grid.tail)
+        assert set(interior) == {Q(1, 1 << grid.width_exp)}
+        assert 2 * pi * r_max * interior[0] <= 30 < 4 * pi * r_max * interior[0]
+        assert all(b == a / 2 for a, b in zip(widths[len(interior) - 1:], widths[len(interior):]))
+        assert all(len(row) == grid.order // 2 for rows in (grid.interior, grid.tail) for pair in rows for row in pair)
+        assert grid.bound <= mp.ldexp(1, -bits)
+    small = decay._oscillation_grid(bits, decay._SMALL_R_MAX)
+    assert small.order * (len(small.interior) + len(small.tail)) < 8192
+
+
+def test_gauss_defect_sees_a_moved_node(monkeypatch):
+    # the stored rule integrates T_0 .. T_{2n-1} to within its precision; a
+    # node pair moved by 2^-60 shows in the defect, which the quadrature
+    # bound then carries
+    with mp.workprec(104):
+        exact = mp.ldexp(decay._gauss_defect(16, 64), -144)
+        assert exact < mp.ldexp(1, -90)
+        rule = list(decay.gauss_legendre(16, 64))
+        (t, w), (u, v) = rule[3], rule[12]
+        rule[3], rule[12] = (t + mp.ldexp(1, -60), w), (u - mp.ldexp(1, -60), v)
+    monkeypatch.setattr(decay, "gauss_legendre", lambda order, prec: tuple(rule))
+    decay._gauss_defect.cache_clear()
+    try:
+        with mp.workprec(104):
+            assert mp.ldexp(decay._gauss_defect(16, 64), -144) > mp.ldexp(1, -66)
+    finally:
+        decay._gauss_defect.cache_clear()
 
 
 def test_exp_fixed_error_under_assumed_ulps():
@@ -508,6 +581,17 @@ def test_sigma_hat_rejects_unbounded_truncation(monkeypatch):
     # the value is refused instead of returned
     decay._oscillation_grid.cache_clear()
     monkeypatch.setattr(decay, "_EXP_FIXED_ULPS", 1 << 80)
+    try:
+        with pytest.raises(ArithmeticError):
+            decay.sigma_hat(Q(7, 2), 96)
+    finally:
+        decay._oscillation_grid.cache_clear()
+
+
+def test_sigma_hat_rejects_unbounded_quadrature(monkeypatch):
+    # an inflated quadrature term passes 2^-precision_bits just the same
+    decay._oscillation_grid.cache_clear()
+    monkeypatch.setattr(decay, "_ellipse_bound", lambda c, rho, order, r_max, defect: iv.mpf(2) ** -80)
     try:
         with pytest.raises(ArithmeticError):
             decay.sigma_hat(Q(7, 2), 96)

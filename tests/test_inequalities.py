@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 from fractions import Fraction as Q
 
@@ -7,6 +8,7 @@ import pytest
 from loopcert import inequalities as ineq
 from loopcert import weyl
 from loopcert.affine import CartanElement
+from loopcert.cli import main
 from loopcert.cartan import build_root_system_label
 from loopcert.linalg import vec
 
@@ -276,8 +278,8 @@ def test_h3_kernel_rejects_bad_input():
             ref.validate(rs)
         with pytest.raises(ValueError):
             kernel.h3((h,), 0)
-    with pytest.raises(ValueError):
-        ineq._H3Kernel(rs, weyl.generator(rs, 1), Q(1), Q(1, 2), env, Q(1))
+    with pytest.raises(ValueError):  # the kernel trusts run_audit; h3_vector is the guarded entry point
+        ineq.h3_vector(rs, weyl.generator(rs, 1), ineq.sample_siegel(rs, random.Random(1), Q(1), Q(1, 2)), env, Q(1))
     for r, t in ((Q(0), Q(1, 2)), (Q(1), Q(1))):
         with pytest.raises(ValueError):
             ineq._H3Kernel(rs, a1_w2(), r, t, env, Q(1))
@@ -352,3 +354,41 @@ def test_verify_dispatch():
         assert ineq.verify(rs, lemma, 6, 10, 1).ok
     with pytest.raises(ValueError):
         ineq.verify(rs, "lemma999", 6, 10, 1)
+
+
+def test_lemma22_flags_constants_past_cauchy_schwarz(monkeypatch, capsys):
+    # with (b,b) read 100 times too small, E_sq passes |D+| h^vee and the
+    # check reports it; with it 100 times too large, Eprime_sq falls below
+    # h^vee
+    real = weyl.AffineWeylElement.b_norm2.func
+    for factor, check in ((Q(1, 100), "E_sq"), (Q(100), "Eprime_sq")):
+        monkeypatch.setattr(weyl.AffineWeylElement, "b_norm2", property(lambda w, f=factor: real(w) * f))
+        rep = ineq.verify_lemma22(rs_of("A2"), 8)
+        assert [v["check"] for v in rep.violations] == [check]
+        assert main(["verify", "lemma22", "--type", "A2", "--max-len", "8"]) == 1
+        assert [v["check"] for v in json.loads(capsys.readouterr().out)["failures"]] == [check]
+    monkeypatch.undo()
+    assert ineq.verify_lemma22(rs_of("A2"), 8).violations == []
+
+
+def test_audit_skips_the_kostant_guards(monkeypatch):
+    # enumerate_kostant has tested every element the audit sees, so run_audit
+    # calls is_kostant no more; the public h2_vector and h3_vector still do
+    calls = []
+    real = weyl.is_kostant
+
+    def counting(rs, w):
+        calls.append(w)
+        return real(rs, w)
+
+    monkeypatch.setattr(weyl, "is_kostant", counting)
+    monkeypatch.setattr(ineq, "is_kostant", counting)
+    rs = rs_of("A2")
+    rep = ineq.run_audit(rs, 8, 20, 2, seed=1)
+    assert rep.ok and rep.records[0]["kostant_checked"] == 25
+    assert calls == []
+    w = weyl.enumerate_kostant(rs, 2)[2][0]
+    env = ineq.siegel_envelope(rs, Q(1), Q(1, 2))
+    ineq.h2_vector(rs, w, Q(1))
+    ineq.h3_vector(rs, w, ineq.sample_siegel(rs, random.Random(1), Q(1), Q(1, 2)), env, Q(1))
+    assert calls == [w, w]
