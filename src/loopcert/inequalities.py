@@ -15,9 +15,14 @@ C2 (empirical exact supremum of per-element ratios) and C3 (Cauchy-Schwarz
 envelope from the sample).  The composite corollary check runs entirely in the log domain
 with rational values, so the final comparison is exact as well.
 
-``run_audit`` evaluates the H1 and H3 checks with per-element integer
-kernels (``_H1Kernel``, ``_H3Kernel``); ``h1_vector`` and ``h3_vector`` are the
-``Fraction`` reference they are tested against.
+``run_audit`` works on Python ints from the draws to the last comparison.
+Per Kostant element, ``_H1Kernel`` and ``_H3Kernel`` draw the samples and
+check them on integer numerators, and ``_CorollaryKernel`` puts every
+corollary margin over one integer denominator; only the reported constants
+and the worst margin become ``Fraction``s.  ``sample_h1``, ``sample_siegel``,
+``h1_vector``, ``h3_vector`` and ``verify_corollary`` are the readable
+``Fraction`` reference that the kernels, and the whole audit, are tested
+against.
 
 Transcendental inputs enter only through ln(t), which is bracketed by
 rationals with 64 guard bits: samples are generated strictly inside the
@@ -37,7 +42,7 @@ from mpmath import mp
 
 from .affine import AffineRoot, CartanElement, coroot, zero_cartan
 from .cartan import FiniteRootSystem
-from .linalg import sqrt_upper, vec
+from .linalg import SQRT_BITS, sqrt_upper, sqrt_upper_num, vec
 from .reports import derive_seed, q_str
 from .weyl import (
     AffineWeylElement,
@@ -271,7 +276,8 @@ def verify_corollary(
     ln_d: Q,
 ) -> dict:
     """Composite check x >= D y^{-1/(C(l(w)+1))} in the exact log domain:
-    margin = <rho,H> + <Lambda,H>/(C(l+1)) - ln D must be >= 0."""
+    margin = <rho,H> + <Lambda,H>/(C(l+1)) - ln D must be >= 0.  The
+    Fraction reference of _CorollaryKernel, which run_audit uses."""
     ell = element_length(rs, w)
     h = h1 + h2 + h3
     ln_x = rho_pair(h)
@@ -281,9 +287,12 @@ def verify_corollary(
 
 
 # ---------------------------------------------------------------------------
-# integer kernels: the checks of h1_vector and h3_vector for one Kostant w,
-# with every per-w rational scaled to a common integer denominator once, so a
-# sample costs only integer dot products
+# integer kernels: the checks of h1_vector, h3_vector and verify_corollary for
+# one Kostant w, with every per-w rational scaled to a common integer
+# denominator once, so a sample costs only integer arithmetic
+
+H1_CHECKS = ("omega_nonneg", "lambda_sign", "sandwich", "growth1")
+_DRAW_BITS = DRAW_SCALE.bit_length()
 
 
 class _H1Kernel:
@@ -293,7 +302,9 @@ class _H1Kernel:
     flipped set; the h_iota coefficients (2/(beta,beta)) n, the sandwich weights
     (2/(sigma_j,sigma_j)) kappa_j and the growth factor c1 (l+1) are scaled
     by one integer L.  Every check is homogeneous in the coefficients, so it
-    holds on the numerators exactly when it holds on the Fractions."""
+    holds on the numerators exactly when it holds on the Fractions.  A sample
+    reaches the corollary as (<rho, H1>, <Lambda, H1>), numerators over
+    ``rho_den`` and ``lam_den``."""
 
     def __init__(self, rs: FiniteRootSystem, w: AffineWeylElement, c1: Q):
         self.support = neg_inverted_of_inverse(rs, w)
@@ -301,40 +312,59 @@ class _H1Kernel:
         sandwich = [Q(2) / rs.root_norm2(sigma) * kap_j for sigma, kap_j in kappa(rs, w)]
         ell = element_length(rs, w)
         growth = c1 * (ell + 1)
-        self.scale = lcm(growth.denominator, *(x.h_iota.denominator for x in coroots),
-                         *(x.denominator for x in sandwich))
+        scale = lcm(growth.denominator, *(x.h_iota.denominator for x in coroots),
+                    *(x.denominator for x in sandwich))
         self.cols = [tuple(int(x.classical[i]) for x in coroots) for i in range(rs.rank)]
-        self.lam = tuple(int(x.h_iota * self.scale) for x in coroots)
-        self.sandwich = tuple(int(x * self.scale) for x in sandwich)
-        self.growth = int(growth * self.scale)
+        self.lam = tuple(int(x.h_iota * scale) for x in coroots)
+        self.sandwich = tuple(int(x * scale) for x in sandwich)
+        self.growth = int(growth * scale)
+        self.rho_den, self.lam_den = DRAW_SCALE, DRAW_SCALE * scale
 
-    def sample(self, rng: random.Random, one_hot: bool = False) -> list[int]:
-        """The draws of sample_h1, as numerators."""
-        if one_hot and self.support:
-            pick = rng.randrange(len(self.support))
-            return [DRAW_SCALE if k == pick else 0 for k in range(len(self.support))]
-        return [rng.randrange(0, DRAW_SCALE) for _ in self.support]
+    def draws(self, rng: random.Random, n: int):
+        """The draws of sample_h1 for samples 0..n-1, one-hot at k % 8 == 7,
+        as numerator lists.  randrange(0, DRAW_SCALE) draws getrandbits(25)
+        until the value is below DRAW_SCALE (Random._randbelow); the loop below
+        makes the same calls without randrange's overhead, and a property test
+        holds the two streams equal."""
+        getrandbits = rng.getrandbits
+        size = len(self.support)
+        for k in range(n):
+            if k % 8 == 7 and size:
+                pick = rng.randrange(size)
+                yield [DRAW_SCALE if j == pick else 0 for j in range(size)]
+                continue
+            nums = []
+            for _ in range(size):
+                x = getrandbits(_DRAW_BITS)
+                while x >= DRAW_SCALE:
+                    x = getrandbits(_DRAW_BITS)
+                nums.append(x)
+            yield nums
 
-    def _pairings(self, nums) -> tuple[list[int], int]:
-        """(omega_i-pairings, Lambda-pairing) of H1, times DRAW_SCALE resp. DRAW_SCALE * L."""
-        if len(nums) != len(self.lam):
-            raise ValueError("one H1 coefficient per flipped root expected")
-        if any(c < 0 for c in nums):
-            raise ValueError("negative H1 coefficient")
-        return [sum(map(mul, nums, col)) for col in self.cols], sum(map(mul, nums, self.lam))
-
-    def checks(self, nums) -> dict:
-        omegas, lam = self._pairings(nums)
-        return {
-            "omega_nonneg": all(o >= 0 for o in omegas),
-            "lambda_sign": (lam < 0) if any(nums) else (lam == 0),
-            "sandwich": -sum(map(mul, self.sandwich, omegas)) <= lam,
-            "growth1": lam >= -self.growth * sum(omegas),
-        }
-
-    def element(self, nums) -> CartanElement:
-        omegas, lam = self._pairings(nums)
-        return CartanElement(tuple(Q(o, DRAW_SCALE) for o in omegas), Q(lam, DRAW_SCALE * self.scale), Q(0))
+    def scan(self, samples, n_keep: int) -> tuple[list[tuple[int, str]], list[tuple[int, int]]]:
+        """Check the samples in order.  Returns the failures, (k, check) for
+        each failed check of sample k in H1_CHECKS order, and the
+        (<rho, H1>, <Lambda, H1>) numerators of the samples k < n_keep."""
+        cols, lam_col, sandwich, growth = self.cols, self.lam, self.sandwich, self.growth
+        size = len(lam_col)
+        failures, kept = [], []
+        for k, nums in enumerate(samples):
+            if len(nums) != size or (size and min(nums) < 0):
+                raise ValueError("one nonnegative H1 coefficient per flipped root expected")
+            omegas = [sum(map(mul, nums, col)) for col in cols]
+            lam = sum(map(mul, nums, lam_col))
+            rho = sum(omegas)
+            ok = (
+                min(omegas) >= 0,
+                (lam < 0) if any(nums) else (lam == 0),
+                -sum(map(mul, sandwich, omegas)) <= lam,
+                lam >= -growth * rho,
+            )
+            if not all(ok):
+                failures += [(k, name) for name, good in zip(H1_CHECKS, ok) if not good]
+            if k < n_keep:
+                kept.append((rho, lam))
+        return failures, kept
 
 
 class _H3Kernel:
@@ -342,11 +372,12 @@ class _H3Kernel:
 
     H_g,cl is a numerator vector over ``self.den`` = D K: the coordinates
     x_j = hi + U_j step share the denominator D, the fundamental coweights
-    the denominator K.  The Siegel constraints, the envelope check and the
-    theta-pairing run on these integers; only sqrt_upper((H,H)), c3, growth3
-    and the returned H3 are Fractions.  w must be a Kostant representative:
-    run_audit draws it from enumerate_kostant, and h3_vector is the guarded
-    entry point."""
+    the denominator K.  The Siegel constraints, the envelope check, the
+    theta-pairing, h_iota and C3 = |<Lambda, H_g>| + sqrt_upper((H,H)) rate
+    all run on integers; C3 is a numerator over ``c3_den`` = 2^SQRT_BITS
+    times the denominator of the rate, which is the same for every w of an
+    audit.  w must be a Kostant representative: run_audit draws it from
+    enumerate_kostant, and h3_vector is the guarded entry point."""
 
     def __init__(self, rs: FiniteRootSystem, w: AffineWeylElement, r: Q, t: Q, envelope: dict, rate: Q):
         if r <= 0 or not 0 < t < 1:
@@ -374,33 +405,81 @@ class _H3Kernel:
         g_den = lcm(*(g.denominator for row in rs.coroot_form for g in row))
         self.gram = tuple(tuple(int(g * g_den) for g in row) for row in rs.coroot_form)
         self.gram_b = mat_vec_int(self.gram, w.b)
-        self.form_den = self.den * g_den  # (H_cl, b) = <H, gram_b> / form_den
-        self.ell_plus_1 = element_length(rs, w) + 1
-        self.rate = rate
+        self.form_den = self.den * g_den  # (H_cl, b) = <H, gram_b> / form_den, (H,H) = H.gram.H / (form_den den)
+        self.rho_den, self.lam_den = self.den, LAMBDA_SCALE * self.form_den
+        self.c3_den = rate.denominator << SQRT_BITS  # a multiple of LAMBDA_SCALE
+        self.rate_num = rate.numerator
+        # growth3: h_iota >= -C3 (l+1), cross-multiplied by lam_den and c3_den
+        self.growth = (element_length(rs, w) + 1) * self.lam_den
 
-    def sample(self, rng: random.Random) -> tuple[tuple[int, ...], int]:
-        """The draws of sample_siegel: (H_g,cl numerators over den, <Lambda, H_g> * LAMBDA_SCALE)."""
-        xs = [self.x0 + rng.randrange(1, DRAW_SCALE) * self.dx for _ in self.coweight_cols]
-        h = tuple(sum(map(mul, xs, col)) for col in self.coweight_cols)
-        return h, rng.randrange(-2 * LAMBDA_SCALE, 2 * LAMBDA_SCALE)
+    def draws(self, rng: random.Random, n: int):
+        """The draws of sample_siegel for n samples: (H_g,cl numerators over
+        den, <Lambda, H_g> * LAMBDA_SCALE)."""
+        for _ in range(n):
+            xs = [self.x0 + rng.randrange(1, DRAW_SCALE) * self.dx for _ in self.coweight_cols]
+            yield (tuple(sum(map(mul, xs, col)) for col in self.coweight_cols),
+                   rng.randrange(-2 * LAMBDA_SCALE, 2 * LAMBDA_SCALE))
 
-    def h3(self, h, lam_num: int) -> tuple[CartanElement, dict]:
-        for row in self.simple_rows:
-            if sum(map(mul, row, h)) * self.lo_den <= self.lo_num:
-                raise ValueError("Siegel constraint violated on a classical simple root")
-        if sum(map(mul, self.theta_row, h)) * self.top_den >= self.top_num:
-            raise ValueError("Siegel constraint violated on the affine simple root")
-        th = [sum(map(mul, row, h)) for row in self.cor]
-        lam = Q(lam_num, LAMBDA_SCALE)
-        h_iota = lam + Q(sum(map(mul, h, self.gram_b)), self.form_den)
-        hh = sum(x * sum(map(mul, row, h)) for x, row in zip(h, self.gram))
-        c3 = abs(lam) + sqrt_upper(Q(hh, self.form_den * self.den)) * self.rate
-        checks = {
-            "omega_bounded": all(abs(o) * self.e_den <= self.e_num for o in th),
-            "growth3": h_iota >= -c3 * self.ell_plus_1,
-            "c3": c3,
-        }
-        return CartanElement(tuple(Q(o, self.den) for o in th), h_iota, Q(0)), checks
+    def scan(self, samples) -> tuple[list[tuple[int, str]], int, list[tuple[int, int]]]:
+        """Check the samples in order; a sample outside the Siegel set raises.
+        Returns the failures, (k, check) for each failed check of sample k,
+        the largest C3 numerator (0 for no sample), and the
+        (<rho, H3>, <Lambda, H3>) numerators of every sample."""
+        lo_num, lo_den, top_num, top_den = self.lo_num, self.lo_den, self.top_num, self.top_den
+        e_num, e_den, form_den, hh_den = self.e_num, self.e_den, self.form_den, self.form_den * self.den
+        c3_den, c3_lam, rate_num = self.c3_den, self.c3_den // LAMBDA_SCALE, self.rate_num
+        failures, kept = [], []
+        c3_max = 0
+        for k, (h, lam) in enumerate(samples):
+            for row in self.simple_rows:
+                if sum(map(mul, row, h)) * lo_den <= lo_num:
+                    raise ValueError("Siegel constraint violated on a classical simple root")
+            if sum(map(mul, self.theta_row, h)) * top_den >= top_num:
+                raise ValueError("Siegel constraint violated on the affine simple root")
+            th = [sum(map(mul, row, h)) for row in self.cor]
+            h_iota = lam * form_den + sum(map(mul, h, self.gram_b)) * LAMBDA_SCALE
+            hh = sum(x * sum(map(mul, row, h)) for x, row in zip(h, self.gram))
+            c3 = abs(lam) * c3_lam + sqrt_upper_num(hh, hh_den) * rate_num
+            if c3 > c3_max:
+                c3_max = c3
+            if max(map(abs, th)) * e_den > e_num:
+                failures.append((k, "omega_bounded"))
+            if h_iota * c3_den < -c3 * self.growth:
+                failures.append((k, "growth3"))
+            kept.append((sum(th), h_iota))
+        return failures, c3_max, kept
+
+
+class _CorollaryKernel:
+    """verify_corollary for one w on the kept H1 and H3 numerators.
+
+    With K = C (l+1), margin = <rho, H1 + H3> + <Lambda, H1 + H3>/K + c0,
+    where c0 = <rho, H2> + <Lambda, H2>/K - ln D is fixed per w; each term
+    is scaled to one common denominator ``den``, so a margin is four integer
+    products and a sum."""
+
+    def __init__(self, k1: _H1Kernel, k3: _H3Kernel, h2: CartanElement, ell: int, c_const: Q, ln_d: Q):
+        big_k = c_const * (ell + 1)
+        units = (Q(1, k1.rho_den), 1 / (k1.lam_den * big_k), Q(1, k3.rho_den), 1 / (k3.lam_den * big_k),
+                 rho_pair(h2) + h2.h_iota / big_k - ln_d)
+        self.den = lcm(*(u.denominator for u in units))
+        self.weights = tuple(u.numerator * (self.den // u.denominator) for u in units)
+
+    def scan(self, h1_kept, h3_kept, n_h1: int) -> tuple[list[int], Q | None]:
+        """Margins of H3 sample k with H1 sample k % n_h1, in sample order:
+        the samples with a negative margin and the smallest margin."""
+        m1, m2, m3, m4, m0 = self.weights
+        n_h1 = max(1, n_h1)
+        bad = []
+        worst = None
+        for k, (rho3, lam3) in enumerate(h3_kept):
+            rho1, lam1 = h1_kept[k % n_h1]
+            margin = rho1 * m1 + lam1 * m2 + rho3 * m3 + lam3 * m4 + m0
+            if margin < 0:
+                bad.append(k)
+            if worst is None or margin < worst:
+                worst = margin
+        return bad, None if worst is None else Q(worst, self.den)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +624,13 @@ def run_audit(
     b depends only on the Kostant factor u of w = v u, and l(u) <= l(w), so
     ``b_norm_rate`` over the Kostant layers is its value over the whole group.
     enumerate_kostant has already tested every element, so the H2 and H3
-    passes skip the is_kostant guards of h2_vector and h3_vector."""
+    passes skip the is_kostant guards of h2_vector and h3_vector.
+
+    Every sample stays a Python int: the kernels draw with the generator
+    calls of sample_h1 and sample_siegel, report failed checks in sample
+    order, and keep the (<rho, H>, <Lambda, H>) numerators the corollary
+    reads.  C3 is one numerator over 2^SQRT_BITS times the rate's
+    denominator; each element's worst margin is one Fraction."""
     layers = enumerate_kostant(rs, max_len)
     rep = InequalityReport("cor34" if with_corollary else "thm32", rs.label, max_len)
     envelope = siegel_envelope(rs, r, t)
@@ -569,45 +654,30 @@ def run_audit(
             c2_case = _wid(w)
 
     # pass 2: seeded H1/H3 samples per element -> empirical C3; the corollary
-    # pass reads H1 sample k % n_h1 for k < n_siegel, so only those become elements
+    # pass reads H1 sample k % n_h1 for k < n_siegel, so only those are kept
     c3 = Q(0)
     samples = []
     for idx, w in enumerate(kostant):
-        rng_h1 = random.Random(derive_seed(seed, f"h1:{idx}"))
-        rng_sg = random.Random(derive_seed(seed, f"siegel:{idx}"))
         k1 = _H1Kernel(rs, w, c1)
-        h1_list = []
-        for k in range(n_h1):
-            nums = k1.sample(rng_h1, one_hot=(k % 8 == 7))
-            for name, okv in k1.checks(nums).items():
-                if not okv:
-                    rep.violations.append({"check": f"h1.{name}", "sample": k, "w": _wid(w)})
-            if with_corollary and k < n_siegel:
-                h1_list.append(k1.element(nums))
+        failures, h1_kept = k1.scan(k1.draws(random.Random(derive_seed(seed, f"h1:{idx}")), n_h1),
+                                    n_siegel if with_corollary else 0)
+        rep.violations += [{"check": f"h1.{name}", "sample": k, "w": _wid(w)} for k, name in failures]
         k3 = _H3Kernel(rs, w, r, t, envelope, rate)
-        h3_list = []
-        for k in range(n_siegel):
-            h3, checks = k3.h3(*k3.sample(rng_sg))
-            h3_list.append(h3)
-            if not checks["omega_bounded"]:
-                rep.violations.append({"check": "h3.omega_bounded", "sample": k, "w": _wid(w)})
-            if not checks["growth3"]:
-                rep.violations.append({"check": "h3.growth3", "sample": k, "w": _wid(w)})
-            c3 = max(c3, checks["c3"])
-        samples.append((w, h1_list, h3_list))
+        failures, w_c3, h3_kept = k3.scan(k3.draws(random.Random(derive_seed(seed, f"siegel:{idx}")), n_siegel))
+        rep.violations += [{"check": f"h3.{name}", "sample": k, "w": _wid(w)} for k, name in failures]
+        c3 = max(c3, Q(w_c3, k3.c3_den))
+        samples.append((w, k1, k3, h1_kept, h3_kept))
 
     c_const = max(c1, c2, c3, Q(1, 10**6))
     ln_d = -(rs.rank * envelope["E"] + 1)
     worst_margin: Q | None = None
     if with_corollary:
-        for w, h1_list, h3_list in samples:
-            h2 = h2_cache[w]
-            for k, h3 in enumerate(h3_list):
-                rec = verify_corollary(rs, w, h1_list[k % max(1, n_h1)], h2, h3, c_const, ln_d)
-                if not rec["ok"]:
-                    rep.violations.append({"check": "cor34", "sample": k, "w": _wid(w)})
-                if worst_margin is None or rec["margin"] < worst_margin:
-                    worst_margin = rec["margin"]
+        for w, k1, k3, h1_kept, h3_kept in samples:
+            bad, w_worst = _CorollaryKernel(k1, k3, h2_cache[w], element_length(rs, w), c_const, ln_d).scan(
+                h1_kept, h3_kept, n_h1)
+            rep.violations += [{"check": "cor34", "sample": k, "w": _wid(w)} for k in bad]
+            if w_worst is not None and (worst_margin is None or w_worst < worst_margin):
+                worst_margin = w_worst
 
     rep.constants = {
         "C1": q_str(c1),

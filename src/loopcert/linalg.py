@@ -96,18 +96,23 @@ def leading_principal_minors(m: Mat) -> list[Q]:
 SQRT_BITS = 48  # sqrt_upper returns a multiple of 2^-SQRT_BITS
 
 
+def sqrt_upper_num(n: int, d: int) -> int:
+    """ceil(sqrt(n/d) * 2^SQRT_BITS) for integers n >= 0, d > 0.
+
+    sqrt(n/d) 2^SQRT_BITS = sqrt(n d 4^SQRT_BITS) / d, and ceil(ceil(y)/d) =
+    ceil(y/d), so the result depends on n/d alone: the fraction need not be
+    reduced."""
+    big = n * d << (2 * SQRT_BITS)
+    r = isqrt(big)
+    if r * r < big:
+        r += 1
+    return -(-r // d)
+
+
 def sqrt_upper(q: Q) -> Q:
     """Dyadic upper bound for sqrt(q), q >= 0, within 2^(1-SQRT_BITS) absolutely."""
     if q < 0:
         raise ValueError("negative input")
-    if q == 0:
-        return Q(0)
-    n, d = q.numerator, q.denominator
-    big = n * d << (2 * SQRT_BITS)  # sqrt(q) * 2^SQRT_BITS = sqrt(big) / d
-    r = isqrt(big)
-    if r * r < big:
-        r += 1
-    x = -(-r // d)
-    out = Q(x, 1 << SQRT_BITS)
+    out = Q(sqrt_upper_num(q.numerator, q.denominator), 1 << SQRT_BITS)
     assert out * out >= q
     return out

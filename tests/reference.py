@@ -1,4 +1,4 @@
-"""Independent references for the Weyl-group tests.
+"""Independent references for the Weyl-group and audit tests.
 
 ``reflect`` and ``from_word`` act by Fraction reflections on weights, so they
 reach an element without the generator tables.  The ``ref_*`` functions are
@@ -6,14 +6,21 @@ the matrix-form formulas on canonical pairs (tilde, b): the classical part as
 an integer matrix on simple-root coordinates, b in simple-coroot coordinates,
 w(beta + n iota) = tilde(beta) + (n + <beta, b>) iota.  The classical inverse
 is taken in Fractions.
+
+``run_audit_reference`` is the Theorem 3.2 / Corollary 3.4 audit as a
+``Fraction`` loop over the readable samplers and vectors of
+``loopcert.inequalities``, to hold the integer kernels of ``run_audit`` to.
 """
 
+import random
 from fractions import Fraction as Q
 
+from loopcert import inequalities as ineq
 from loopcert import weyl
 from loopcert.affine import AffineWeight, affine_pairing, affine_simple_coroots, affine_simple_roots
 from loopcert.cartan import FiniteRootSystem, RootSystemError
 from loopcert.linalg import mat_inverse, vec_add, vec_scale
+from loopcert.reports import derive_seed, q_str
 
 
 def reflect(rs: FiniteRootSystem, i: int, lam: AffineWeight) -> AffineWeight:
@@ -109,3 +116,65 @@ def ref_inverse_simple_images(rs: FiniteRootSystem, w):
 def ref_is_kostant(rs: FiniteRootSystem, w) -> bool:
     return all(n > 0 or (n == 0 and beta in rs.positive_root_set)
                for beta, n in ref_inverse_simple_images(rs, w))
+
+
+def run_audit_reference(rs: FiniteRootSystem, max_len: int, n_h1: int, n_siegel: int, seed: int,
+                        r: Q = Q(1), t: Q = Q(1, 2), with_corollary: bool = True) -> ineq.InequalityReport:
+    """inequalities.run_audit from sample_h1 and h1_vector, h2_vector,
+    sample_siegel and h3_vector, and verify_corollary: the same draws, checks,
+    constants and violation order, every value a Fraction."""
+    layers = weyl.enumerate_kostant(rs, max_len)
+    rep = ineq.InequalityReport("cor34" if with_corollary else "thm32", rs.label, max_len)
+    envelope = ineq.siegel_envelope(rs, r, t)
+    rate = ineq.b_norm_rate(rs, layers)
+    c1 = ineq.growth_constant_c1(rs)
+    kostant = [w for layer in layers for w in layer]
+
+    c2, c2_case, h2s = Q(0), None, {}
+    for w in kostant:
+        h2s[w], checks = ineq.h2_vector(rs, w, r)
+        rep.violations += [{"check": f"h2.{name}", "w": ineq._wid(w)}
+                           for name in ("d_nonpos", "q_nonpos", "omega_nonneg") if not checks[name]]
+        if checks["ratio"] > c2:
+            c2, c2_case = checks["ratio"], ineq._wid(w)
+
+    c3 = Q(0)
+    samples = []
+    for idx, w in enumerate(kostant):
+        rng_h1 = random.Random(derive_seed(seed, f"h1:{idx}"))
+        rng_sg = random.Random(derive_seed(seed, f"siegel:{idx}"))
+        h1s = []
+        for k in range(n_h1):
+            h1, checks = ineq.h1_vector(rs, ineq.sample_h1(rs, w, rng_h1, one_hot=(k % 8 == 7)))
+            rep.violations += [{"check": f"h1.{name}", "sample": k, "w": ineq._wid(w)}
+                               for name, ok in checks.items() if not ok]
+            h1s.append(h1)
+        h3s = []
+        for k in range(n_siegel):
+            h3, checks = ineq.h3_vector(rs, w, ineq.sample_siegel(rs, rng_sg, r, t), envelope, rate)
+            rep.violations += [{"check": f"h3.{name}", "sample": k, "w": ineq._wid(w)}
+                               for name in ("omega_bounded", "growth3") if not checks[name]]
+            c3 = max(c3, checks["c3"])
+            h3s.append(h3)
+        samples.append((w, h1s, h3s))
+
+    c_const = max(c1, c2, c3, Q(1, 10**6))
+    ln_d = -(rs.rank * envelope["E"] + 1)
+    worst = None
+    if with_corollary:
+        for w, h1s, h3s in samples:
+            for k, h3 in enumerate(h3s):
+                rec = ineq.verify_corollary(rs, w, h1s[k % max(1, n_h1)], h2s[w], h3, c_const, ln_d)
+                if not rec["ok"]:
+                    rep.violations.append({"check": "cor34", "sample": k, "w": ineq._wid(w)})
+                if worst is None or rec["margin"] < worst:
+                    worst = rec["margin"]
+
+    rep.constants = {"C1": q_str(c1), "C2": q_str(c2), "C3": q_str(c3), "C": q_str(c_const), "ln_D": q_str(ln_d),
+                     "E": q_str(envelope["E"]), "b_norm_rate": q_str(rate), "r": q_str(r), "t": q_str(t)}
+    if c2_case is not None:
+        rep.extremal_cases.append({"kind": "C2_argmax", "w": c2_case})
+    if worst is not None:
+        rep.extremal_cases.append({"kind": "cor34_worst_margin", "margin": q_str(worst)})
+    rep.records.append({"kostant_checked": len(kostant), "h1_samples_per_w": n_h1, "siegel_samples_per_w": n_siegel})
+    return rep

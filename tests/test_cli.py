@@ -378,6 +378,10 @@ LEMMA23_C2_SHA256 = "56cec28eb3801bbc7a793fbef9e6adce139c060e850c76b8bf5b29f8432
 LEMMA351_G2_SHA256 = "49649b602711b0009d8643dcf63e5ca9cd516683e94b62cb0ee3c7f00fe4f2bd"
 LEMMA22_A2_SHA256 = "f3b01f04c15a80b00f7d8fe2899f6d1b7ee681f783eb09c3a5323d7b2aa6fb77"
 LEMMA22_G2_SHA256 = "6b16021432e39ef13b46f52c83458d90febe4bf741dd9b998def8f25970a65ca"
+# the audits, as printed by the Fraction loop before the integer kernels took
+# over the corollary: cor34 with C1 = 1, thm32 without the corollary
+COR34_A2_SHA256 = "9dbaac7df86f9a38128fa46b910f44fa6e8e8ffca4199fa5f1b789dfb5de3779"
+THM32_C2_SHA256 = "a7d27d6ce43f3132e5cfbccc6493a9adcc557c651de02441906e100a172d0cd1"
 ENUMERATE_G2_KOSTANT_SHA256 = "c123947669fa1e751d88f58262e8c5686d165767c2f724739215009e2fcd34dd"
 ENUMERATE_G2_KOSTANT_JSONL_SHA256 = "0e3179210b65fc08611867976488d53d7336b02a3cf307088048e333b1aeb441"
 ENUMERATE_A2_SHA256 = "eee9f7abbf164316f608021b138830e09b02593db82ec54ba122ac9c151d65e9"
@@ -402,7 +406,9 @@ def _sha256(text: str) -> str:
     (["verify", "lemma351", "--type", "G2", "--max-len", "8"], LEMMA351_G2_SHA256),
     (["verify", "lemma22", "--type", "A2", "--max-len", "8"], LEMMA22_A2_SHA256),
     (["verify", "lemma22", "--type", "G2", "--max-len", "8"], LEMMA22_G2_SHA256),
-], ids=["lemma23-C2", "lemma351-G2", "lemma22-A2", "lemma22-G2"])
+    (["verify", "cor34", "--type", "A2", "--max-len", "8", "--samples", "1000", "--seed", "1"], COR34_A2_SHA256),
+    (["verify", "thm32", "--type", "C2", "--max-len", "6", "--samples", "50", "--seed", "3"], THM32_C2_SHA256),
+], ids=["lemma23-C2", "lemma351-G2", "lemma22-A2", "lemma22-G2", "cor34-A2", "thm32-C2"])
 def test_verify_report_unchanged(monkeypatch, capsys, argv, digest):
     for name in ("SEED", "PREC", "OUT_DIR"):
         monkeypatch.delenv("LOOPCERT_" + name, raising=False)

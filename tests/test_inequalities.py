@@ -246,14 +246,13 @@ def test_h1_kernel_rejects_bad_input():
     kost = [w for layer in weyl.enumerate_by_length(rs, 4) for w in layer if weyl.is_kostant(rs, w)]
     kernel = ineq._H1Kernel(rs, kost[-1], ineq.growth_constant_c1(rs))
     nums = [1] * len(kernel.support)
-    assert all(kernel.checks(nums).values())
+    failures, kept = kernel.scan([nums], 1)
+    assert failures == [] and len(kept) == 1
     nums[0] = -1
     with pytest.raises(ValueError):
-        kernel.checks(nums)
+        kernel.scan([nums], 0)
     with pytest.raises(ValueError):
-        kernel.element(nums)
-    with pytest.raises(ValueError):
-        kernel.checks([1] * (len(kernel.support) + 1))
+        kernel.scan([[1] * (len(kernel.support) + 1)], 0)
     with pytest.raises(ValueError):
         ineq._H1Kernel(rs, weyl.generator(rs, 1), Q(1))
 
@@ -262,8 +261,8 @@ def test_h3_kernel_rejects_bad_input():
     rs = rs_of("A1")
     env = ineq.siegel_envelope(rs, Q(1), Q(1, 2))
     kernel = ineq._H3Kernel(rs, a1_w2(), Q(1), Q(1, 2), env, Q(1))
-    h3, _ = kernel.h3((kernel.den // 2,), 0)  # H_cl = h_1 / 2, the A1 example above
-    assert h3.classical == (Q(-1, 2),) and h3.h_iota == 1
+    _, _, kept = kernel.scan([((kernel.den // 2,), 0)])  # H_cl = h_1 / 2, the A1 example above
+    assert [(Q(rho, kernel.rho_den), Q(lam, kernel.lam_den)) for rho, lam in kept] == [(Q(-1, 2), Q(1))]
     # in A1 the Siegel set is ln(t)/2 < H_cl < (1 - ln(t))/2, about (-0.347, 0.847):
     # the kernel rejects exactly the H_cl that SiegelSample.validate rejects
     for x, inside in ((Q(-34, 100), True), (Q(-35, 100), False), (Q(84, 100), True),
@@ -272,12 +271,12 @@ def test_h3_kernel_rejects_bad_input():
         ref = ineq.SiegelSample(Q(1), Q(1, 2), CartanElement((Q(h, kernel.den),), Q(0), Q(0)))
         if inside:
             ref.validate(rs)
-            kernel.h3((h,), 0)
+            kernel.scan([((h,), 0)])
             continue
         with pytest.raises(ValueError):
             ref.validate(rs)
         with pytest.raises(ValueError):
-            kernel.h3((h,), 0)
+            kernel.scan([((h,), 0)])
     with pytest.raises(ValueError):  # the kernel trusts run_audit; h3_vector is the guarded entry point
         ineq.h3_vector(rs, weyl.generator(rs, 1), ineq.sample_siegel(rs, random.Random(1), Q(1), Q(1, 2)), env, Q(1))
     for r, t in ((Q(0), Q(1, 2)), (Q(1), Q(1))):

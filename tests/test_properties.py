@@ -1,7 +1,7 @@
 """Property tests of the affine Weyl group engine over every type up to rank 4
-at short lengths, and of the integer audit kernels against their Fraction
-reference.  ``derandomize=True`` fixes the examples per test, so the
-suite draws the same cases on every run."""
+at short lengths, and of the integer audit kernels and ``run_audit`` against
+their Fraction reference.  ``derandomize=True`` fixes the examples per test,
+so the suite draws the same cases on every run."""
 
 import random
 from fractions import Fraction as Q
@@ -15,7 +15,7 @@ from loopcert import inequalities as ineq
 from loopcert import weyl
 from loopcert.affine import AffineRoot, AffineWeight, CartanElement, affine_pairing
 from loopcert.cartan import RootSystemError, Weight, build_root_system_label
-from loopcert.linalg import mat_inverse, vec
+from loopcert.linalg import SQRT_BITS, mat_inverse, sqrt_upper, sqrt_upper_num, vec
 import reference
 from reference import from_pair, from_word
 
@@ -254,7 +254,19 @@ def test_root_norms_table(label):
             rs.root_norm2(not_a_root)
 
 
-# the integer audit kernels against the Fraction reference (h1_vector, h3_vector)
+@PROPERTY
+@given(n=st.integers(0, 2**200), d=st.integers(1, 2**100), g=st.integers(1, 2**64))
+def test_sqrt_upper_num_reads_the_unreduced_fraction(n, d, g):
+    # the least multiple of 2^-SQRT_BITS at or above sqrt(n/d), the same for
+    # n/d and gn/gd, and the numerator of sqrt_upper(n/d)
+    x = sqrt_upper_num(n, d)
+    assert sqrt_upper_num(g * n, g * d) == x
+    assert Q(x, 2**SQRT_BITS) == sqrt_upper(Q(n, d))
+    assert x * x * d >= n << (2 * SQRT_BITS) and (x == 0 or (x - 1) ** 2 * d < n << (2 * SQRT_BITS))
+
+
+# the integer audit kernels against the Fraction reference (h1_vector, h3_vector,
+# verify_corollary)
 KERNEL_TYPES = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2")
 each_kernel_type = pytest.mark.parametrize("label", KERNEL_TYPES)
 
@@ -296,31 +308,113 @@ def test_h1_kernel_matches_reference(label, data):
     nums = data.draw(h1_numerators(len(kernel.support)))
     sample = ineq.H1Sample(w, tuple((g, Q(c, ineq.DRAW_SCALE)) for g, c in zip(kernel.support, nums)))
     h1, checks = ineq.h1_vector(rs, sample)
-    assert kernel.checks(nums) == checks
-    assert kernel.element(nums) == h1
-    # the kernel draws what sample_h1 draws, from the same generator state
-    seed, one_hot = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.booleans())
-    drawn = kernel.sample(random.Random(seed), one_hot)
-    ref = ineq.sample_h1(rs, w, random.Random(seed), one_hot)
-    assert ref.coeffs == tuple((g, Q(c, ineq.DRAW_SCALE)) for g, c in zip(kernel.support, drawn))
+    failures, kept = kernel.scan([nums], 1)
+    assert failures == [(0, name) for name, ok in checks.items() if not ok]
+    assert [(Q(rho, kernel.rho_den), Q(lam, kernel.lam_den)) for rho, lam in kept] == [(ineq.rho_pair(h1), h1.h_iota)]
+    # the kernel draws what sample_h1 draws, from the same generator state,
+    # one-hot at k % 8 == 7 as run_audit asks
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    drawn = list(kernel.draws(random.Random(seed), 16))
+    rng = random.Random(seed)
+    ref = [ineq.sample_h1(rs, w, rng, one_hot=(k % 8 == 7)) for k in range(16)]
+    assert [s.coeffs for s in ref] == [tuple((g, Q(c, ineq.DRAW_SCALE)) for g, c in zip(kernel.support, draw))
+                                       for draw in drawn]
+
+
+AUDIT_RT = pytest.mark.parametrize("r,t", [(Q(1), Q(1, 2)), (Q(1), Q(1, 3)), (Q(3, 2), Q(1, 2)), (Q(3, 2), Q(1, 3))],
+                                   ids=["r1-t1/2", "r1-t1/3", "r3/2-t1/2", "r3/2-t1/3"])
 
 
 @each_kernel_type
-@pytest.mark.parametrize("r,t", [(Q(1), Q(1, 2)), (Q(1), Q(1, 3)), (Q(3, 2), Q(1, 2)), (Q(3, 2), Q(1, 3))],
-                         ids=["r1-t1/2", "r1-t1/3", "r3/2-t1/2", "r3/2-t1/3"])
+@AUDIT_RT
 @PROPERTY
 @given(data=st.data())
 def test_h3_kernel_matches_reference(label, r, t, data):
     rs = build_root_system_label(label)
     w = data.draw(st.sampled_from(_kostant(label)))
-    # a shrunk envelope and rate make omega_bounded and growth3 fail too
-    shrink = data.draw(st.sampled_from((Q(1), Q(1, 64))))
+    # a shrunk envelope and rate make omega_bounded and growth3 fail too; 1/192
+    # gives the rate a denominator that is not a power of two
+    shrink = data.draw(st.sampled_from((Q(1), Q(1, 64), Q(1, 192))))
     envelope = dict(ineq.siegel_envelope(rs, r, t))
     envelope["E"] *= shrink
     rate = _rate(label) * shrink
     kernel = ineq._H3Kernel(rs, w, r, t, envelope, rate)
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    h, lam = kernel.sample(random.Random(seed))
-    ref = ineq.sample_siegel(rs, random.Random(seed), r, t)
-    assert ref.h_g == CartanElement(tuple(Q(x, kernel.den) for x in h), Q(lam, ineq.LAMBDA_SCALE), Q(0))
-    assert kernel.h3(h, lam) == ineq.h3_vector(rs, w, ref, envelope, rate)
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    drawn = list(kernel.draws(random.Random(seed), 3))
+    rng = random.Random(seed)
+    refs = [ineq.sample_siegel(rs, rng, r, t) for _ in drawn]
+    assert [ref.h_g for ref in refs] == [CartanElement(tuple(Q(x, kernel.den) for x in h), Q(lam, ineq.LAMBDA_SCALE),
+                                                       Q(0)) for h, lam in drawn]
+    failures, c3, kept = kernel.scan(drawn)
+    expected = [ineq.h3_vector(rs, w, ref, envelope, rate) for ref in refs]
+    assert failures == [(k, name) for k, (_, checks) in enumerate(expected)
+                        for name in ("omega_bounded", "growth3") if not checks[name]]
+    assert Q(c3, kernel.c3_den) == max(checks["c3"] for _, checks in expected)
+    assert [(Q(rho, kernel.rho_den), Q(lam, kernel.lam_den)) for rho, lam in kept] == [
+        (ineq.rho_pair(h3), h3.h_iota) for h3, _ in expected]
+
+
+@each_kernel_type
+@PROPERTY
+@given(data=st.data())
+def test_kernel_draws_follow_randrange(label, data):
+    # the H1 kernel calls getrandbits itself; its stream must stay the one
+    # randrange(0, 2^24) and randrange(len(support)) make, and the Siegel draws
+    # the one of randrange(1, 2^24) per simple root then randrange(-2^24, 2^24),
+    # so an interpreter whose randrange draws differently fails here instead
+    # of silently changing the audit reports
+    rs = build_root_system_label(label)
+    w = data.draw(st.sampled_from(_kostant(label)))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    n = 24
+    k1 = ineq._H1Kernel(rs, w, ineq.growth_constant_c1(rs))
+    size = len(k1.support)
+    rng = random.Random(seed)
+    expected = []
+    for k in range(n):
+        if k % 8 == 7 and size:
+            pick = rng.randrange(size)
+            expected.append([2**24 if j == pick else 0 for j in range(size)])
+        else:
+            expected.append([rng.randrange(0, 2**24) for _ in range(size)])
+    assert list(k1.draws(random.Random(seed), n)) == expected
+    k3 = ineq._H3Kernel(rs, w, Q(1), Q(1, 2), ineq.siegel_envelope(rs, Q(1), Q(1, 2)), _rate(label))
+    rng = random.Random(seed)
+    expected = []
+    for _ in range(n):
+        xs = [k3.x0 + rng.randrange(1, 2**24) * k3.dx for _ in range(rs.rank)]
+        h = tuple(sum(x * c for x, c in zip(xs, col)) for col in k3.coweight_cols)
+        expected.append((h, rng.randrange(-2**24, 2**24)))
+    assert list(k3.draws(random.Random(seed), n)) == expected
+
+
+# run_audit end to end against the Fraction loop of tests/reference.py
+AUDIT_LEN = {"A1": 8, "A2": 6, "A3": 4, "B2": 6, "B3": 4, "C2": 6, "C3": 4, "G2": 6}
+
+
+@each_kernel_type
+@AUDIT_RT
+@pytest.mark.parametrize("with_corollary", [False, True], ids=["thm32", "cor34"])
+def test_run_audit_matches_reference(label, r, t, with_corollary):
+    args = (build_root_system_label(label), AUDIT_LEN[label], 16, 4, 5, r, t, with_corollary)
+    assert ineq.run_audit(*args).to_results() == reference.run_audit_reference(*args).to_results()
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2"])
+def test_run_audit_matches_reference_on_violations(label, monkeypatch):
+    # E, C1 and the rate shrunk (the rate by 1/192, so its denominator is not
+    # a power of two) make h1.growth1, h3.omega_bounded, h3.growth3 and cor34
+    # fail: both audits must list the same violations in the same order; with
+    # 10 Siegel samples on 4 H1 samples the corollary wraps k % n_h1
+    envelope, c1, rate = ineq.siegel_envelope, ineq.growth_constant_c1, ineq.b_norm_rate
+    monkeypatch.setattr(ineq, "siegel_envelope", lambda rs, r, t: {**envelope(rs, r, t),
+                                                                   "E": envelope(rs, r, t)["E"] / 64})
+    monkeypatch.setattr(ineq, "growth_constant_c1", lambda rs: c1(rs) / 64)
+    monkeypatch.setattr(ineq, "b_norm_rate", lambda rs, layers: rate(rs, layers) / 192)
+    checks = set()
+    for n_h1, n_siegel in ((16, 4), (4, 10)):
+        args = (build_root_system_label(label), AUDIT_LEN[label], n_h1, n_siegel, 5, Q(1), Q(1, 2), True)
+        got = ineq.run_audit(*args).to_results()
+        assert got == reference.run_audit_reference(*args).to_results()
+        checks |= {v["check"] for v in got["violations"]}
+    assert {"h1.growth1", "h3.omega_bounded", "h3.growth3"} <= checks
