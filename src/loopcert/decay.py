@@ -32,9 +32,11 @@ The hot loops run on Python integers, most in fixed point scaled by 2^F:
 * the pointwise sigma_deriv_mp (behind l1_norm_extrema and the tests):
   Horner for P_N at F = working precision + 40, with the other factors in
   mpf;
-* the Newton iteration behind the Gauss-Legendre tables (F = prec + 60);
+* the Newton iteration behind the Gauss-Legendre tables (F = prec + 60),
+  from double-precision seeds;
 * the sigma_hat grid, its angle doublings and phase recurrence
-  (F = precision_bits + 40), and the moment defect of its Gauss-Legendre
+  (F = precision_bits + 40), the cosines and sines of each call's phases
+  (cos_sin_fixed at F + 20), and the moment defect of its Gauss-Legendre
   rule (F = precision_bits + 80).
 
 Each docstring states its truncation error; values cross into mpf only at
@@ -47,14 +49,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache, partial
-from math import floor, gcd, pi, sqrt
+from math import ceil, cos, floor, gcd, ldexp, log, log2, pi, sqrt
 from operator import add, mul, sub
 from typing import NamedTuple
 
 from mpmath import iv, mp
 from mpmath.ctx_mp import PrecisionManager
 from mpmath.libmp import to_fixed
-from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, pi_fixed
 
 
 @dataclass(frozen=True)
@@ -317,22 +319,30 @@ def _legendre_fixed(n: int, x: int, f: int) -> tuple:
     return p1, (n * (((x * p1) >> f) - p0) << f) // (((x * x) >> f) - one)
 
 
+def _legendre_seed(n: int, k: int) -> float:
+    """The k-th largest root of P_n to about double precision: Tricomi's
+    asymptotic node (1 - 1/(8 n^2) + 1/(8 n^3)) cos(pi (4k - 1) / (4n + 2)),
+    then one Newton step in floats."""
+    x = (1 - 1 / (8 * n * n) + 1 / (8 * n**3)) * cos(pi * (4 * k - 1) / (4 * n + 2))
+    p0, p1 = 1.0, x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return x - p1 * (x * x - 1) / (n * (x * p1 - p0))
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int, prec: int) -> tuple:
     """Nodes and weights on [-1,1], ascending, as mpf at prec + 40 bits.
 
-    Newton iteration on P_n from the starting guesses
-    cos(pi (k - 1/4) / (n + 1/2)), run on Python integers scaled by 2^F,
-    F = prec + 60: the recurrence for P_n and P_n' floors once per product
-    and quotient, so its values are off by O(n^2) units of 2^-F, far below
-    the 2^-(prec+20) step at which the iteration stops.  The weight
-    2 / ((1 - x^2) P_n'(x)^2) is taken at the final node."""
+    Newton iteration on P_n from the double-precision seeds of
+    _legendre_seed, run on Python integers scaled by 2^F, F = prec + 60: the
+    recurrence for P_n and P_n' floors once per product and quotient, so its
+    values are off by O(n^2) units of 2^-F, far below the 2^-(prec+20) step
+    at which the iteration stops.  The weight 2 / ((1 - x^2) P_n'(x)^2) is
+    taken from a fresh P_n' at the final node."""
     f = prec + 60
     one = 1 << f
     eps = 1 << (f - prec - 20)
-    with mp.workprec(f):
-        guesses = [to_fixed(mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))._mpf_, f)
-                   for k in range(1, n // 2 + 1)]
 
     def node_weight(x):
         _, dp = _legendre_fixed(n, x, f)
@@ -340,7 +350,8 @@ def gauss_legendre(n: int, prec: int) -> tuple:
         return mp.ldexp(mp.mpf(x), -f), mp.ldexp(mp.mpf(w), -f)
 
     nodes = []  # the positive half, descending
-    for x in guesses:
+    for k in range(1, n // 2 + 1):
+        x = int(ldexp(_legendre_seed(n, k), 53)) << (f - 53)
         for _ in range(60):
             p, dp = _legendre_fixed(n, x, f)
             dx = (p << f) // dp
@@ -560,15 +571,31 @@ def l1_norm_extrema(n: int, precision_bits: int = 256):
 # check it against mpf exp.  The figure enters the bound only multiplied by a
 # weight w c < 2^-8, so its generosity costs little.
 _EXP_FIXED_ULPS = 1 << 10
-# Every mpf -> int conversion below is within 2 units: 1 for int() itself and
-# at most 1 for the mpf's own rounding (the trigonometric values are evaluated
-# with _TRIG_GUARD extra bits, the nodes are exact, and the weights are
-# rounded far below a unit).
+# Every trigonometric value below is converted to an integer scaled by 2^F
+# within this many units of 2^-F (the derivation is in _phases).
 _CONV_ULPS = 2
 _TRIG_GUARD = 20
 GRID_R_MAX = 512  # sigma_hat's oscillation grids serve |r| <= GRID_R_MAX
 _SMALL_R_MAX = 128  # and the smaller of the two grids |r| <= _SMALL_R_MAX
-_PANEL_PHASE = 30  # radians of 2 pi r_max x across one interior panel, at most
+_PANEL_PHASE = 120  # radians of 2 pi r_max x across one interior panel, at most
+
+
+def _grid_order(prec: int, phase: float) -> int:
+    """The Gauss-Legendre order of an oscillation grid whose interior panels
+    carry `phase` radians of 2 pi r_max x, for a bound below 2^-prec.
+
+    The panel that binds is the last interior one, [1 - 2^(1-j), 1 - 2^-j]:
+    the breakpoint 1 - 2^-j beside it caps its Bernstein ellipse at
+    rho = 3 + 2 sqrt 2, where the cosh factor of _ellipse_bound is
+    M = e^(phase sqrt 2).  Its quadrature term 2 M rho^(2 - 2 order) stays
+    below 2^-(prec + 14) once
+
+        order >= 1 + (prec + 14 + phase sqrt 2 / ln 2) / (2 log2 rho),
+
+    rounded up to a multiple of 8.  The tail panels have the same cap and
+    less phase; the other interior panels admit wider ellipses."""
+    nodes = 1 + (prec + 14 + phase * sqrt(2) / log(2)) / (2 * log2(3 + 2 * sqrt(2)))
+    return 8 * ceil(nodes / 8)
 
 
 @lru_cache(maxsize=None)
@@ -648,7 +675,7 @@ class _OscillationGrid(NamedTuple):
     order: int  # Gauss-Legendre nodes per panel
     width_exp: int  # interior panels have width 2^-width_exp
     cut_exp: int  # the grid ends at 1 - 2^-cut_exp
-    offsets: tuple  # mpf Gauss-Legendre nodes t_j, j < order/2, of the mirrored pairs
+    offsets: tuple  # nodes t_j, j < order/2, of the mirrored pairs, scaled by 2^(prec + 40 + _TRIG_GUARD)
     interior: tuple  # per interior panel: (G_j + G_{order-1-j}, G_j - G_{order-1-j}) for j < order/2
     tail: tuple  # the same per tail panel, nearest 0 first
     truncation: object  # mpf bound on the fixed-point error of the grid sum
@@ -674,14 +701,13 @@ def _oscillation_grid(prec: int, r_max: int) -> _OscillationGrid:
     Layout.  Interior panels of width 2^-j tile [0, 1 - 2^-j], j the smallest
     with 2 pi r_max 2^-j <= _PANEL_PHASE radians; then one panel per geometric
     segment [1 - 2^-k, 1 - 2^-(k+1)], k = j .. K - 1, toward the essential
-    singularity at 1.  The rule has order 8 ceil((prec + 64) / 40): a panel
-    beside a breakpoint 1 - 2^-k admits Bernstein ellipses only up to
-    rho = 3 + 2 sqrt 2, about 5.1 bits per node, and the widest such panel
-    spends about 50 of them on the cosh factor, so 40 bits per 8 nodes leave
-    its quadrature term below 2^-(prec + 14).  The cut K is the larger of
-    j and 1 + the bit length of floor(0.7 (prec + 16)), so that
-    e^(-2^(K-1)) <= 2^-(prec + 16).  For r_max = 128 and 512 that is 35 and
-    129 panels at prec = 256 (order 64), 34 and 128 at prec = 128 (order 40).
+    singularity at 1.  For r_max = 128 and 512, j = 3 and 5, and either way
+    an interior panel carries 2 pi 128 / 8 = 100.5 radians, so both tiers
+    share the order _grid_order gives: 72 at prec = 128, 96 at prec = 256.
+    The cut K is the larger of j and 1 + the bit length of
+    floor(0.7 (prec + 16)), so that e^(-2^(K-1)) <= 2^-(prec + 16).  For
+    r_max = 128 and 512 that is 13 and 35 panels (1,248 and 3,360 nodes) at
+    prec = 256, 12 and 34 (864 and 2,448 nodes) at prec = 128.
 
     Entries.  Each entry G is the integer sigma(x) w c scaled by 2^F,
     F = prec + 40, c the panel's half-width: the node x = m + c t, then
@@ -715,11 +741,11 @@ def _oscillation_grid(prec: int, r_max: int) -> _OscillationGrid:
     factor 2 of sigma_hat doubles it all."""
     f = prec + 40
     one = 1 << f
-    order = 8 * -(-(prec + 64) // 40)
-    half = order // 2
     width = 0
     while 2 * pi * r_max > _PANEL_PHASE << width:
         width += 1
+    order = _grid_order(prec, 2 * pi * r_max / (1 << width))
+    half = order // 2
     cut = max(width, ((prec + 16) * 7 // 10).bit_length() + 1)
     rule = gauss_legendre(order, prec)
     nodes = [to_fixed(t._mpf_, f) for t, _ in rule]
@@ -760,9 +786,45 @@ def _oscillation_grid(prec: int, r_max: int) -> _OscillationGrid:
         d = iv.mpf(2) ** -cut
         sliver = 2 * d * iv.exp(-1 / (2 * d - d * d))
         bound = mp.mpf((iv.mpf(2 * ulps) * iv.mpf(2) ** -f + 2 * quadrature + sliver).b)
-    offsets = tuple(t for t, _ in rule[:half])
+    offsets = tuple(to_fixed(t._mpf_, f + _TRIG_GUARD) for t, _ in rule[:half])
     return _OscillationGrid(order, width, cut, offsets, tuple(rows[:interior]), tuple(rows[interior:]),
                             truncation, bound)
+
+
+def _phases(r, grid: _OscillationGrid, f: int) -> tuple:
+    """The (cos, sin) pairs _sigma_hat_bounded turns the grid with, for the
+    mpf r, as integers scaled by 2^F: at 2 pi r c t_j for the offsets t_j
+    and the narrowest half-width c = 2^-(K+1); at 2 pi r times the first
+    interior centre 2^-(j+1), times one interior panel 2^-j, and times each
+    tail centre 1 - 3 2^-(k+2), k = j .. K - 1.
+
+    Every angle is an integer scaled by 2^G, G = F + _TRIG_GUARD: omega =
+    2 pi r from r floored to G bits times pi_fixed(G), then times the node
+    t_j (stored to G bits) or the dyadic factor, all below 1, and floored.
+    cos_sin_fixed reduces it by pi/2 floored to G bits and evaluates the
+    reduced angle on integers at G bits.
+
+    Conversion error, per component, in units of 2^-G: omega is off by less
+    than 2 pi + 2|r| + 1 <= 1032 (the floors of r, of pi and of the product;
+    |r| <= 512); an angle by less than 1032 + 256 + 1 (|omega| 2^-(K+1) < 256
+    times the node's floor, and its own floor); the reduction by at most one
+    unit per quarter turn, 2 |omega| / pi + 1 <= 2049; so the argument is
+    off by less than 2^12, and the cosine and sine by that plus the few
+    units of cos_sin_fixed's own floors.  The final >> _TRIG_GUARD floors
+    once more: each component is within 1 + 2^-7 < _CONV_ULPS units of 2^-F,
+    the pair within sqrt 2 (1 + 2^-7) < 2 _CONV_ULPS as a 2-vector.  The
+    tests check cos_sin_fixed's share against mpf cos and sin."""
+    g = f + _TRIG_GUARD
+    omega = (to_fixed(r._mpf_, g) * pi_fixed(g)) >> (g - 1)
+
+    def fixed(angle):
+        c, s = cos_sin_fixed(angle, g)
+        return c >> _TRIG_GUARD, s >> _TRIG_GUARD
+
+    width, cut = grid.width_exp, grid.cut_exp
+    narrow = [fixed((omega * t) >> (g + cut + 1)) for t in grid.offsets]
+    centres = [fixed((omega * ((4 << k) - 3)) >> (k + 2)) for k in range(width, cut)]
+    return narrow, fixed(omega >> (width + 1)), fixed(omega >> width), centres
 
 
 def _sigma_hat_bounded(r, precision_bits: int) -> tuple:
@@ -773,13 +835,14 @@ def _sigma_hat_bounded(r, precision_bits: int) -> tuple:
     beyond the grid, for r as rounded to F bits.
 
     The grid for |r| <= 128 serves the small tier, the one for |r| <= 512
-    the rest.  The trigonometric values are converted once per call: the
-    phase offsets cos/sin(2 pi r c t_j) at the narrowest half-width
-    c = 2^-(K+1) (order/2 evaluations), then by exact integer double-angle
-    steps for each wider panel; the first interior centre and the interior
-    rotation; and the centre of each tail panel.  Per panel the row is
-    dotted with its offsets exactly (no shift); the interior phase
-    (ct, st) advances by one rotation with one >> F per product."""
+    the rest.  The trigonometric values are converted once per call, on
+    integers by _phases: the phase offsets cos/sin(2 pi r c t_j) at the
+    narrowest half-width c = 2^-(K+1) (order/2 evaluations), then by exact
+    integer double-angle steps for each wider panel; the first interior
+    centre and the interior rotation; and the centre of each tail panel.
+    Per panel the row is dotted with its offsets exactly (no shift); the
+    interior phase (ct, st) advances by one rotation with one >> F per
+    product."""
     f = precision_bits + 40
     with mp.workprec(f):
         r = _to_mpf(r)
@@ -787,17 +850,7 @@ def _sigma_hat_bounded(r, precision_bits: int) -> tuple:
             raise ValueError(f"fixed oscillation grid only covers |r| <= {GRID_R_MAX}")
         grid = _oscillation_grid(precision_bits, _SMALL_R_MAX if abs(r) <= _SMALL_R_MAX else GRID_R_MAX)
     width, cut = grid.width_exp, grid.cut_exp
-
-    def fixed(angle):
-        c, s = mp.cos_sin(angle)
-        return int(mp.ldexp(c, f)), int(mp.ldexp(s, f))
-
-    with mp.workprec(f + _TRIG_GUARD):
-        omega = 2 * mp.pi * r
-        narrow = [fixed(mp.ldexp(omega * t, -cut - 1)) for t in grid.offsets]
-        ct, st = fixed(mp.ldexp(omega, -width - 1))  # centre of the first interior panel
-        cd, sd = fixed(mp.ldexp(omega, -width))  # one interior panel
-        centres = [fixed(omega * (1 - 3 * mp.ldexp(1, -k - 2))) for k in range(width, cut)]
+    narrow, (ct, st), (cd, sd), centres = _phases(r, grid, f)
     levels = [(tuple(c for c, _ in narrow), tuple(s for _, s in narrow))]
     for _ in range(cut - width):
         cs, ss = levels[-1]
@@ -817,13 +870,15 @@ def _sigma_hat_bounded(r, precision_bits: int) -> tuple:
 def sigma_hat(r, precision_bits: int = 256):
     """Fourier transform, convention sigma_hat(r) = int sigma e^{-2 pi i r x} dx
     (real and even here), for |r| <= GRID_R_MAX, on a cached graded grid in
-    fixed point (_oscillation_grid): order-(8 ceil((precision_bits + 64)/40))
-    Gauss-Legendre panels, of width at most 30 / (2 pi r_max) inside and
-    halving toward x = 1 at the breakpoints 1 - 2^-k.
+    fixed point (_oscillation_grid): Gauss-Legendre panels of the order
+    _grid_order gives (72 at 128 bits, 96 at 256), of width 2^-3 for
+    |r| <= 128 and 2^-5 up to 512 inside (100.5 radians of phase at the
+    tier's largest r), halving toward x = 1 at the breakpoints 1 - 2^-k.
 
     The sum runs on Python integers scaled by 2^F, F = precision_bits + 40:
     per panel two exact integer dot products of the mirrored node pairs with
-    the phase offsets, so no mpf object is made per node.  The bound of
+    the phase offsets, so no mpf object is made per node, and the phases
+    come from cos_sin_fixed on integers.  The bound of
     _sigma_hat_bounded covers the truncation of that arithmetic, the
     quadrature error of every panel (the Gauss-rule Bernstein-ellipse bound
     of Trefethen, SIAM Rev. 50, 2008) and the sliver near 1 the grid leaves

@@ -631,6 +631,8 @@ def run_audit(
     order, and keep the (<rho, H>, <Lambda, H>) numerators the corollary
     reads.  C3 is one numerator over 2^SQRT_BITS times the rate's
     denominator; each element's worst margin is one Fraction."""
+    if with_corollary and n_siegel > 0 and n_h1 < 1:
+        raise ValueError(f"the corollary pairs each Siegel sample with an H1 sample: need n_h1 >= 1, got {n_h1}")
     layers = enumerate_kostant(rs, max_len)
     rep = InequalityReport("cor34" if with_corollary else "thm32", rs.label, max_len)
     envelope = siegel_envelope(rs, r, t)

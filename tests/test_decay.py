@@ -18,6 +18,9 @@ from loopcert.cli import main
 # sha256 of the report without its config and schema_version, as compact
 # sort_keys JSON
 FOURIER_REPORT_SHA256 = "fd3cacd1a69b8f525f8e1b523c9109f1125de112e6973cbf202b537814369e73"
+# the same for `decay fourier --range 50,400 --samples 8` (256 bits, both
+# grids), captured from the 30-radian grid of order 8 ceil((prec + 64) / 40)
+FOURIER_256_SHA256 = "e0be6214ba593161b0295aad6c164fb8907bf8a577a38aae2f005511824ccf0c"
 L1_REPORTS_SHA256 = "4605ac798a2a8764cc02eb901d7ee8f8bbbcce58fe574e7984dd15b18dd2c71f"
 # sha256 of [ln_norm, ln_norm_telescoping, ratio_to_(2N)^2N] of `decay l1 --n N`
 # for N = 0..20 at 256 bits, as compact JSON, from the adaptive quadrature
@@ -523,9 +526,11 @@ def test_sigma_hat_within_bound_of_quadrature_reference(r, bits):
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_oscillation_grid_layout(bits):
-    # interior panels of one dyadic width with at most 30 radians of phase at
-    # the tier's largest r, then halving toward 1; fewer than 8192 nodes for
-    # r <= 128
+    # interior panels of one dyadic width with at most 120 radians of phase
+    # at the tier's largest r (and more than 60, so no wider width fits),
+    # then halving toward 1; at 256 bits fewer than 1,300 nodes for
+    # r <= 128 and 3,400 for r <= 512
+    nodes = {}
     for r_max in (decay._SMALL_R_MAX, decay.GRID_R_MAX):
         grid = decay._oscillation_grid(bits, r_max)
         breaks = grid.breaks
@@ -534,12 +539,24 @@ def test_oscillation_grid_layout(bits):
         assert breaks[0] == 0 and breaks[-1] == 1 - Q(1, 1 << grid.cut_exp)
         assert len(widths) == len(grid.interior) + len(grid.tail)
         assert set(interior) == {Q(1, 1 << grid.width_exp)}
-        assert 2 * pi * r_max * interior[0] <= 30 < 4 * pi * r_max * interior[0]
+        assert 60 < 2 * pi * r_max * interior[0] <= 120
         assert all(b == a / 2 for a, b in zip(widths[len(interior) - 1:], widths[len(interior):]))
         assert all(len(row) == grid.order // 2 for rows in (grid.interior, grid.tail) for pair in rows for row in pair)
         assert grid.bound <= mp.ldexp(1, -bits)
+        nodes[r_max] = grid.order * len(widths)
+    if bits == 256:
+        assert nodes[decay._SMALL_R_MAX] < 1300 and nodes[decay.GRID_R_MAX] < 3400
+
+
+@pytest.mark.parametrize("bits", [1, 2, 16, 53, 64, 96, 128, 192, 256, 384, 512])
+def test_oscillation_grid_bound_at_every_precision(bits):
+    # both tiers carry the same phase per interior panel, so they share one
+    # Gauss-Legendre order, and each grid's bound stays below 2^-bits
     small = decay._oscillation_grid(bits, decay._SMALL_R_MAX)
-    assert small.order * (len(small.interior) + len(small.tail)) < 8192
+    large = decay._oscillation_grid(bits, decay.GRID_R_MAX)
+    assert small.order == large.order
+    with mp.workprec(64):
+        assert small.bound <= mp.ldexp(1, -bits) and large.bound <= mp.ldexp(1, -bits)
 
 
 def test_gauss_defect_sees_a_moved_node(monkeypatch):
@@ -574,6 +591,31 @@ def test_exp_fixed_error_under_assumed_ulps():
                 exact = mp.ldexp(mp.exp(mp.ldexp(v, -f)), f)
             worst = max(worst, abs(exp_fixed(v, f) - exact))
         assert worst <= 16 <= decay._EXP_FIXED_ULPS, (f, worst)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_phases_within_conversion_ulps(bits):
+    # every (cos, sin) pair sigma_hat turns its grid with is within
+    # _CONV_ULPS units of 2^-F of the exact value at r as rounded to F bits,
+    # on both tiers and for negative r
+    rng = random.Random(5)
+    f = bits + 40
+    worst = 0
+    for _ in range(12):
+        r = Q(rng.randrange(-512 * 64, 512 * 64 + 1), 64) + Q(rng.randrange(1 << 20), 1 << 40)
+        with mp.workprec(f):
+            r_f = decay._to_mpf(r)
+        grid = _grid(r, bits)
+        narrow, first, step, centres = decay._phases(r_f, grid, f)
+        width, cut = grid.width_exp, grid.cut_exp
+        with mp.workprec(f + 100):
+            t = [mp.ldexp(node, -(f + decay._TRIG_GUARD)) for node in grid.offsets]
+            angles = ([2 * mp.pi * r_f * tj * mp.ldexp(1, -cut - 1) for tj in t]
+                      + [2 * mp.pi * r_f * mp.ldexp(1, -width - 1), 2 * mp.pi * r_f * mp.ldexp(1, -width)]
+                      + [2 * mp.pi * r_f * (1 - 3 * mp.ldexp(1, -k - 2)) for k in range(width, cut)])
+            for (c, s), angle in zip(narrow + [first, step] + centres, angles):
+                worst = max(worst, abs(c - mp.ldexp(mp.cos(angle), f)), abs(s - mp.ldexp(mp.sin(angle), f)))
+    assert worst < 1 + 2**-7 < decay._CONV_ULPS, worst
 
 
 def test_sigma_hat_rejects_unbounded_truncation(monkeypatch):
@@ -613,6 +655,15 @@ def test_fourier_report_unchanged(capsys):
                              "prec": 128, "range": "40,120", "samples": 5, "timing": False}
     body = {k: v for k, v in doc.items() if k not in ("config", "schema_version")}
     assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == FOURIER_REPORT_SHA256
+
+
+def test_fourier_256_report_unchanged(capsys):
+    # the benchmark's fit: 256 bits, r from 50 to 400 on both oscillation grids
+    assert main(["decay", "fourier", "--range", "50,400", "--samples", "8"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["exponent_coeff"] == "2.4769117077045228204"
+    body = {k: v for k, v in doc.items() if k not in ("config", "schema_version")}
+    assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == FOURIER_256_SHA256
 
 
 def test_fourier_fit_small_window():

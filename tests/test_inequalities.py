@@ -219,6 +219,13 @@ def test_lemma22_report():
     assert Q(rep.constants["E_sq"]) > 0 and Q(rep.constants["Eprime_sq"]) > 0
 
 
+def test_run_audit_rejects_corollary_without_h1_samples():
+    # the corollary reads H1 sample k % n_h1 for each Siegel sample k
+    with pytest.raises(ValueError, match="n_h1 >= 1"):
+        ineq.run_audit(rs_of("A2"), 2, 0, 1, seed=1)
+    assert ineq.run_audit(rs_of("A2"), 2, 0, 1, seed=1, with_corollary=False).ok
+
+
 def test_audit_small_run_deterministic():
     rs = rs_of("A2")
     rep1 = ineq.run_audit(rs, 5, 40, 8, seed=7)
