@@ -89,67 +89,93 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_flags(p: argparse.ArgumentParser, seed: bool = False, prec: bool = False) -> None:
+    """--out and --timing, then --seed and --prec where the command reads them."""
+    p.add_argument("--out", default=None, help="output path (reports: JSON)")
+    p.add_argument("--timing", action="store_true", help="include wall time in the report (breaks byte-determinism)")
+    if seed:
+        p.add_argument("--seed", type=int, default=_env_default("seed", 20260808))
+    if prec:
+        p.add_argument("--prec", type=_int_from(1), default=_env_default("prec", 256), help="precision bits")
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The argument parser.  Every subcommand is listed, but only the command
+    that argv names (and, under weyl and decay, the subcommand it names) gets
+    its flags: argparse reads no other subparser when it parses argv.  With
+    no command word in argv, or one that names no command, every subparser
+    gets its flags.  The LOOPCERT_ environment defaults are read on each call."""
     top = _Parser(prog="loopcert", description=__doc__)
     top.add_argument("--config", help="JSON file with default flag values")
-    out_flags = argparse.ArgumentParser(add_help=False)
-    out_flags.add_argument("--out", default=None, help="output path (reports: JSON)")
-    out_flags.add_argument("--timing", action="store_true", help="include wall time in the report (breaks byte-determinism)")
-    seed_flag = argparse.ArgumentParser(add_help=False)
-    seed_flag.add_argument("--seed", type=int, default=_env_default("seed", 20260808))
-    prec_flag = argparse.ArgumentParser(add_help=False)
-    prec_flag.add_argument("--prec", type=_int_from(1), default=_env_default("prec", 256), help="precision bits")
     sub = top.add_subparsers(dest="command", required=True)
+    roots = sub.add_parser("roots", help="emit the finite root datum as JSON")
+    wsub = sub.add_parser("weyl", help="affine Weyl group tools").add_subparsers(dest="weyl_command", required=True)
+    enum = wsub.add_parser("enumerate", help="JSON lines of elements by length")
+    census = wsub.add_parser("census", help="per-length counts as CSV")
+    verify = sub.add_parser("verify", help="run a lemma/theorem verification sweep")
+    certify = sub.add_parser("certify", help="entirety certificate over Kostant cells")
+    dsub = sub.add_parser("decay", help="one-variable decay estimates").add_subparsers(dest="decay_command", required=True)
+    l1 = dsub.add_parser("l1", help="L1 norms of derivatives of the bump")
+    fourier = dsub.add_parser("fourier", help="envelope decay fit of the transform")
+    convert = dsub.add_parser("convert", help="moment-to-pointwise conversion")
+    reproduce = sub.add_parser("reproduce-all", help="run the acceptance suite")
 
-    p = sub.add_parser("roots", parents=[out_flags], help="emit the finite root datum as JSON")
-    p.add_argument("--type", required=True, dest="type_label")
+    words = [tok for tok in argv if not tok.startswith("-")]
+    everything = not words or words[0] not in sub.choices
 
-    pw = sub.add_parser("weyl", help="affine Weyl group tools")
-    wsub = pw.add_subparsers(dest="weyl_command", required=True)
-    pe = wsub.add_parser("enumerate", parents=[out_flags], help="JSON lines of elements by length")
-    pe.add_argument("--type", required=True, dest="type_label")
-    pe.add_argument("--max-len", required=True, type=int)
-    pe.add_argument("--kostant", action="store_true", help="restrict to minimal coset representatives")
-    pc = wsub.add_parser("census", parents=[out_flags], help="per-length counts as CSV")
-    pc.add_argument("--type", required=True, dest="type_label")
-    pc.add_argument("--max-len", required=True, type=int)
+    def wanted(p: argparse.ArgumentParser) -> bool:
+        path = p.prog.split()[1:]  # the command words after "loopcert"
+        return everything or words[:len(path)] == path
 
-    p = sub.add_parser("verify", parents=[out_flags, seed_flag], help="run a lemma/theorem verification sweep")
-    p.add_argument("lemma", choices=["lemma22", "lemma23", "lemma351", "thm32", "cor34"])
-    p.add_argument("--type", required=True, dest="type_label")
-    p.add_argument("--max-len", required=True, type=int)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--r", type=_q, default=Q(1))
-    p.add_argument("--t", type=_q, default=Q(1, 2))
-
-    p = sub.add_parser("certify", parents=[out_flags, prec_flag], help="entirety certificate over Kostant cells")
-    p.add_argument("--type", required=True, dest="type_label")
-    p.add_argument("--max-len", required=True, type=int)
-    p.add_argument("--r", type=_q, default=Q(1))
-    p.add_argument("--re-nu", type=_q, default=Q(0))
-    p.add_argument("--nu0", type=_q, default=None, help="default: 2 h_dual + 1")
-    p.add_argument("--c1", type=_q, default=Q(1))
-    p.add_argument("--c2", type=_q, default=Q(1))
-    p.add_argument("--c3", type=_q, default=Q(1))
-    p.add_argument("--d", type=_q, default=None, dest="cap_d", help="default: smallest valid")
-    p.add_argument("--big-d", type=_q, default=Q(1))
-    p.add_argument("--csv", default=None, help="also write plot data (fixed column order)")
-
-    pd = sub.add_parser("decay", help="one-variable decay estimates")
-    dsub = pd.add_subparsers(dest="decay_command", required=True)
-    pl = dsub.add_parser("l1", parents=[out_flags, prec_flag], help="L1 norms of derivatives of the bump")
-    pl.add_argument("--n", required=True, type=_int_from(0))
-    pf = dsub.add_parser("fourier", parents=[out_flags, prec_flag], help="envelope decay fit of the transform")
-    pf.add_argument("--range", required=True, help="r_min,r_max")
-    pf.add_argument("--samples", type=int, default=8)
-    pv = dsub.add_parser("convert", parents=[out_flags, prec_flag], help="moment-to-pointwise conversion")
-    pv.add_argument("--c", required=True, type=_q)
-    pv.add_argument("--C", required=True, type=_q, dest="big_c")
-    pv.add_argument("--y", required=True, type=_q)
-
-    p = sub.add_parser("reproduce-all", parents=[out_flags, seed_flag, prec_flag], help="run the acceptance suite")
-    p.add_argument("--profile", choices=["small", "full"], default="small")
-    p.add_argument("--out-dir", default=_env_default("out_dir", None))
+    if wanted(roots):
+        _common_flags(roots)
+        roots.add_argument("--type", required=True, dest="type_label")
+    if wanted(enum):
+        _common_flags(enum)
+        enum.add_argument("--type", required=True, dest="type_label")
+        enum.add_argument("--max-len", required=True, type=int)
+        enum.add_argument("--kostant", action="store_true", help="restrict to minimal coset representatives")
+    if wanted(census):
+        _common_flags(census)
+        census.add_argument("--type", required=True, dest="type_label")
+        census.add_argument("--max-len", required=True, type=int)
+    if wanted(verify):
+        _common_flags(verify, seed=True)
+        verify.add_argument("lemma", choices=["lemma22", "lemma23", "lemma351", "thm32", "cor34"])
+        verify.add_argument("--type", required=True, dest="type_label")
+        verify.add_argument("--max-len", required=True, type=int)
+        verify.add_argument("--samples", type=int, default=100)
+        verify.add_argument("--r", type=_q, default=Q(1))
+        verify.add_argument("--t", type=_q, default=Q(1, 2))
+    if wanted(certify):
+        _common_flags(certify, prec=True)
+        certify.add_argument("--type", required=True, dest="type_label")
+        certify.add_argument("--max-len", required=True, type=int)
+        certify.add_argument("--r", type=_q, default=Q(1))
+        certify.add_argument("--re-nu", type=_q, default=Q(0))
+        certify.add_argument("--nu0", type=_q, default=None, help="default: 2 h_dual + 1")
+        certify.add_argument("--c1", type=_q, default=Q(1))
+        certify.add_argument("--c2", type=_q, default=Q(1))
+        certify.add_argument("--c3", type=_q, default=Q(1))
+        certify.add_argument("--d", type=_q, default=None, dest="cap_d", help="default: smallest valid")
+        certify.add_argument("--big-d", type=_q, default=Q(1))
+        certify.add_argument("--csv", default=None, help="also write plot data (fixed column order)")
+    if wanted(l1):
+        _common_flags(l1, prec=True)
+        l1.add_argument("--n", required=True, type=_int_from(0))
+    if wanted(fourier):
+        _common_flags(fourier, prec=True)
+        fourier.add_argument("--range", required=True, help="r_min,r_max")
+        fourier.add_argument("--samples", type=int, default=8)
+    if wanted(convert):
+        _common_flags(convert, prec=True)
+        convert.add_argument("--c", required=True, type=_q)
+        convert.add_argument("--C", required=True, type=_q, dest="big_c")
+        convert.add_argument("--y", required=True, type=_q)
+    if wanted(reproduce):
+        _common_flags(reproduce, seed=True, prec=True)
+        reproduce.add_argument("--profile", choices=["small", "full"], default="small")
+        reproduce.add_argument("--out-dir", default=_env_default("out_dir", None))
     return top
 
 
@@ -341,10 +367,9 @@ def cmd_reproduce(args) -> Report:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv, config_path = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         args.config = config_path
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

@@ -27,8 +27,12 @@ The hot loops run on Python integers, most in fixed point scaled by 2^F:
   (_sigma_deriv_panel, F = working precision + 40): per node, Horner for P_N in
   x^2, the powers of 1/(1-x^2) and exp_fixed, summed exactly and converted
   to mpf once per panel, with a truncation far below the panel tolerances;
-* the root refinement of sign_change_roots: bisection on dyadic m / 2^k with
-  exact integer signs, then Newton's method at G = prec + 80;
+* the root pipeline behind l1_norm: Descartes isolation on integer Bernstein
+  coefficients, one de Casteljau pass per split (_isolated_intervals);
+  Newton's method on fixed-point Horner, safeguarded at max(64, k + 32) bits,
+  then at G = prec + 80 (sign_change_roots); and the
+  bracket signs, floored Horner at K + 64 bits with the exact value where
+  that is within its error (_bracket_sign);
 * the pointwise sigma_deriv_mp (behind l1_norm_extrema and the tests):
   Horner for P_N at F = working precision + 40, with the other factors in
   mpf;
@@ -49,8 +53,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache, partial
-from math import ceil, cos, floor, gcd, ldexp, log, log2, pi, sqrt
-from operator import add, mul, sub
+from math import ceil, comb, cos, floor, gcd, lcm, ldexp, log, log2, pi, sqrt
+from operator import add, mul, ne, sub
 from typing import NamedTuple
 
 from mpmath import iv, mp
@@ -160,14 +164,20 @@ def sigma_deriv_mp(n: int, x):
 # ---------------------------------------------------------------------------
 # exact root isolation for the sign changes of P_N on (0, 1)
 #
-# Classical Descartes/bisection isolation over the integer coefficients: the
-# variation count of the (0,1)-Moebius transform bounds the root count, zero
-# variations exclude roots, one variation certifies a single simple root, and
-# anything else splits at 1/2.  A cluster still unresolved at the depth cap
-# raises ArithmeticError: l1_norm's certificate counts one root per interval.
+# Descartes' rule in the Bernstein basis (Rouillier and Zimmermann, J. Comput.
+# Appl. Math. 162, 2004): the sign variations of p's Bernstein coefficients on
+# an interval bound its roots there, zero variations exclude roots, one
+# certifies a single simple root, and anything else splits the interval at its
+# midpoint, where one de Casteljau pass gives the coefficients of both halves.
+# On every interval the count equals that of the (0,1)-Moebius transform, so
+# the intervals are those of the classical Taylor-shift form.  A cluster still
+# unresolved at the depth cap raises ArithmeticError: l1_norm's certificate
+# counts one root per interval.
 
 
 def _shift_by_one(coeffs: list[int]) -> list[int]:
+    """The coefficients of p(x + 1), ascending: the Taylor shift by one, in
+    d (d + 1) / 2 integer additions."""
     out = list(coeffs)
     d = len(out) - 1
     for i in range(d):
@@ -176,71 +186,85 @@ def _shift_by_one(coeffs: list[int]) -> list[int]:
     return out
 
 
-def _variations_01(coeffs: list[int]) -> int:
-    """Sign variations of (1+x)^d p(1/(1+x)): upper bound for roots in (0,1)."""
-    rev = list(reversed(coeffs))
-    shifted = _shift_by_one(rev)
-    signs = [c for c in shifted if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
-
-
-def _isolate_01(coeffs: list[int], lo: Q, hi: Q, depth: int, out: list) -> None:
-    v = _variations_01(coeffs)
-    if v == 0:
-        return
-    if v == 1:
-        out.append((lo, hi))
-        return
-    if depth <= 0:
-        raise ArithmeticError(f"roots of P_n unresolved in [{lo}, {hi}]")
+def _bernstein_01(coeffs) -> list[int]:
+    """The Bernstein coefficients b_i of p = sum coeffs[i] x^i on [0, 1],
+    p = sum b_i C(d, i) x^i (1 - x)^(d - i), times the positive integer
+    lcm C(d, i): the Taylor shift of the reversed p is
+    (1 + x)^d p(1 / (1 + x)) = sum b_i C(d, i) x^(d - i)."""
     d = len(coeffs) - 1
-    left = [c << (d - k) for k, c in enumerate(coeffs)]  # 2^d p(x/2)
-    right = _shift_by_one(left)  # 2^d p((x+1)/2)
-    mid = (lo + hi) / 2
-    if sum(right) == 0:  # p(mid) == 0 exactly
+    scale = lcm(*(comb(d, i) for i in range(d + 1)))
+    return [c * (scale // comb(d, i)) for i, c in enumerate(reversed(_shift_by_one(coeffs[::-1])))]
+
+
+def _split_half(b: list[int]) -> tuple:
+    """The Bernstein coefficients of p on [0, 1/2] and on [1/2, 1], each
+    times 2^d, from those on [0, 1]: de Casteljau's pass without its
+    halvings, whose level r holds 2^r times the averages b^(r); the left half
+    takes the first entry of each level, the right half the last."""
+    left, right, row = [], [], b
+    for shift in range(len(b) - 1, -1, -1):
+        left.append(row[0] << shift)
+        right.append(row[-1] << shift)
+        row = list(map(add, row, row[1:]))
+    return left, right[::-1]
+
+
+def _deflate_bernstein_at_zero(b: list[int]) -> list[int]:
+    """p / x, repeated while p(0) = b_0 = 0, in Bernstein coefficients up to
+    a positive factor: of degree d - 1, the i-th is b_(i+1) d / (i + 1),
+    here times lcm(1..d) / d to stay an integer.  Reversed coefficients are
+    those of p(1 - x), so reversing before and after divides out 1 - x."""
+    while len(b) > 1 and b[0] == 0:
+        scale = lcm(*range(1, len(b)))
+        b = [c * (scale // i) for i, c in enumerate(b[1:], 1)]
+    return b
+
+
+def _isolate_bernstein(b: list[int], m: int, k: int, out: list) -> None:
+    """Append to out the isolating intervals of the roots of p in
+    [m / 2^k, (m + 1) / 2^k], from p's Bernstein coefficients b there,
+    splitting to depth k = 70 at most."""
+    signs = [c > 0 for c in b if c]
+    variations = sum(map(ne, signs, signs[1:]))
+    if variations == 1:
+        out.append((Q(m, 1 << k), Q(m + 1, 1 << k)))
+    if variations <= 1:
+        return
+    if k >= 70:
+        raise ArithmeticError(f"roots of P_n unresolved in [{Q(m, 1 << k)}, {Q(m + 1, 1 << k)}]")
+    left, right = _split_half(b)
+    if right[0] == 0:  # p vanishes at the midpoint
+        mid = Q(2 * m + 1, 2 << k)
         out.append((mid, mid))
         # remove the root from both halves so no later interval endpoint
         # carries an exact zero sign
-        right = _deflate_at_zero(right)
-        left = _deflate_at_one(left)
-    _isolate_01(left, lo, mid, depth - 1, out)
-    _isolate_01(right, mid, hi, depth - 1, out)
-
-
-def _deflate_at_zero(coeffs: list[int]) -> list[int]:
-    while len(coeffs) > 1 and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    return coeffs
-
-
-def _deflate_at_one(coeffs: list[int]) -> list[int]:
-    """Exact synthetic division by (x - 1), repeated while 1 stays a root."""
-    while len(coeffs) > 1 and sum(coeffs) == 0:
-        out = [0] * (len(coeffs) - 1)
-        acc = 0
-        for k in range(len(coeffs) - 1, 0, -1):
-            acc += coeffs[k]
-            out[k - 1] = acc
-        coeffs = out
-    return coeffs
+        left, right = _deflate_bernstein_at_zero(left[::-1])[::-1], _deflate_bernstein_at_zero(right)
+    _isolate_bernstein(left, 2 * m, k + 1, out)
+    _isolate_bernstein(right, 2 * m + 1, k + 1, out)
 
 
 @lru_cache(maxsize=None)
 def _deflated_poly(n: int) -> IntegerPolynomial:
-    """P_n with its x = 0 and x = 1 roots divided out; shares every interior
-    root of (0,1) with P_n and has nonzero sign at both interval ends."""
+    """P_n with its x = 0 roots divided out; shares every interior root of
+    (0,1) with P_n and has nonzero sign at both interval ends.  x = 1 is no
+    root: the recurrence gives P_{n+1}(1) = -2 P_n(1), so P_n(1) = (-2)^n."""
     poly = derivative_poly(n)
-    coeffs = _deflate_at_one(_deflate_at_zero(list(poly.coeffs)))
-    return IntegerPolynomial(tuple(coeffs), poly.scale)
+    zeros = next(i for i, c in enumerate(poly.coeffs) if c)
+    return IntegerPolynomial(poly.coeffs[zeros:], poly.scale)
 
 
 @lru_cache(maxsize=None)
 def _isolated_intervals(n: int) -> tuple:
     """Disjoint rational intervals in (0,1), each holding one root of P_n,
     simple unless the interval is a point; exact and complete.  The x = 0
-    root of odd orders is deflated away (the telescoping starts there)."""
-    out: list[tuple[Q, Q]] = []
-    _isolate_01(list(_deflated_poly(n).coeffs), Q(0), Q(1), 70, out)
+    root of odd orders is deflated away (the telescoping starts there).
+
+    Descartes' rule on the integer Bernstein coefficients of the deflated
+    P_n (_bernstein_01), halving by de Casteljau (_split_half) to depth at
+    most 70; every interval is [m / 2^k, (m + 1) / 2^k], or the point of an
+    exact root at a midpoint."""
+    out = []
+    _isolate_bernstein(_bernstein_01(_deflated_poly(n).coeffs), 0, 0, out)
     return tuple(sorted(out))
 
 
@@ -254,53 +278,96 @@ def _dyadic_value(coeffs, m: int, k: int) -> int:
     return acc
 
 
+def _fixed_horner(shifted, x: int, g: int) -> tuple:
+    """(p(x), p'(x)) on integers scaled by 2^g, for x scaled by 2^g with
+    |x| < 2^g and shifted the coefficients of p shifted left by g bits,
+    highest degree first: Horner with one floor per product, so p is off by
+    fewer than d and p' by fewer than d^2 units of 2^-g."""
+    p = dp = 0
+    for c in shifted:
+        dp = ((dp * x) >> g) + p
+        p = ((p * x) >> g) + c
+    return p, dp
+
+
+def _bracket_sign(coeffs, shifted, m: int, k: int) -> int:
+    """The exact sign of p(m / 2^k), 0 <= m < 2^k, with shifted the
+    coefficients of p shifted left by g = k + 64 bits, highest degree first:
+    floored Horner at x = m 2^64, which is m / 2^k exactly scaled by 2^g,
+    is off by at most d units of 2^-g, so a value beyond d + 1 units has p's
+    sign; within that, the exact _dyadic_value decides."""
+    x, g, acc = m << 64, k + 64, 0
+    for c in shifted:
+        acc = ((acc * x) >> g) + c
+    if abs(acc) <= len(shifted):
+        acc = _dyadic_value(coeffs, m, k)
+    return (acc > 0) - (acc < 0)
+
+
+def _newton_start(shifted, s_lo: bool, m: int, k: int, g: int) -> int:
+    """A root of p in [m / 2^k, (m + 1) / 2^k] to about g bits, as an integer
+    scaled by 2^g, g >= k: safeguarded Newton on _fixed_horner from the
+    midpoint, with s_lo the sign of p at the left end.  Each value of p
+    moves the bracket to keep the sign change inside, and a Newton step that
+    leaves the bracket, or is more than half the step before, is replaced by
+    a bisection, so the steps at least halve.  It stops once p is within
+    its floors' error of 0 (the sign is no longer known), or after a step
+    below 2^-(g/2), which leaves x within about 2^-g of the root."""
+    lo, hi = m << (g - k), (m + 1) << (g - k)
+    x, last = (lo + hi) >> 1, hi - lo
+    while hi - lo > 1:
+        p, dp = _fixed_horner(shifted, x, g)
+        if abs(p) <= len(shifted):
+            break
+        if (p > 0) == s_lo:
+            lo = x
+        else:
+            hi = x
+        nx = x - (p << g) // dp if dp else lo
+        if not lo < nx < hi or 2 * abs(nx - x) > last:
+            nx = (lo + hi) >> 1
+        last, x = abs(nx - x), nx
+        if last < 1 << (g // 2):
+            break
+    return x
+
+
 @lru_cache(maxsize=None)
 def sign_change_roots(n: int, prec: int) -> tuple:
     """Sign-change roots of P_n in (0, 1), as mpf at prec + 40 bits, all on
     the deflated polynomial (whose sign is nonzero at the interval ends).
 
-    Each isolating interval from the exact isolation is dyadic; it is halved
-    40 times on m / 2^k with exact integer signs (_dyadic_value).  Newton's
-    method then runs on integers scaled by 2^G, G = prec + 80: p and p' by
-    Horner with one floor per step, so p is off by fewer than d and p' by
-    fewer than d^2 units of 2^-G, and the iteration stops once a step is below 2^-(prec+20) or
-    after 8 steps."""
+    Each isolating interval [m / 2^k, (m + 1) / 2^k] from the exact
+    isolation is refined by Newton's method on integers (_fixed_horner):
+    safeguarded, with the exact sign at its left end, at g0 = max(64, k + 32)
+    bits for the deepest k (_newton_start); then at G = prec + 80 until a
+    step is below 2^-(prec+20), at most 8 steps.  At G, p is off by fewer
+    than d and p' by fewer than d^2 units of 2^-G, so the root is refined far
+    below the prec + 40 bits it is rounded to."""
     coeffs = _deflated_poly(n).coeffs
-    g = prec + 80
-    shifted = [c << g for c in reversed(coeffs)]
-    out = []
+    big_g, out, starts = prec + 80, [], []
     for lo, hi in _isolated_intervals(n):
         if lo == hi:
             out.append(lo)
             continue
         k = max(lo.denominator, hi.denominator).bit_length() - 1
-        m = int(lo * 2**k)  # lo = m / 2^k and hi = (m + 1) / 2^k
+        starts.append((int(lo * 2**k), k))  # lo = m / 2^k and hi = (m + 1) / 2^k
+    g = min(max([64] + [k + 32 for _, k in starts]), big_g)
+    low, high = ([c << s for c in reversed(coeffs)] for s in (g, big_g))
+    for m, k in starts:
         v_lo = _dyadic_value(coeffs, m, k)
-        assert v_lo != 0
-        s_lo = v_lo > 0
-        for _ in range(40):
-            m, k = 2 * m + 1, k + 1  # the midpoint
-            v_mid = _dyadic_value(coeffs, m, k)
-            if v_mid == 0:
-                break
-            if (v_mid > 0) != s_lo:
-                m -= 1
-        else:
-            # the midpoint of the final interval [m / 2^k, (m + 1) / 2^k]
-            m, k = 2 * m + 1, k + 1
-        x = m << (g - k)
+        if v_lo == 0:
+            raise ArithmeticError(f"P_{n} vanishes at the end {Q(m, 1 << k)} of an isolating interval")
+        x = _newton_start(low, v_lo > 0, m, k, g) << (big_g - g)
         for _ in range(8):
-            p = dp = 0
-            for c in shifted:
-                dp = ((dp * x) >> g) + p
-                p = ((p * x) >> g) + c
+            p, dp = _fixed_horner(high, x, big_g)
             if dp == 0:
                 break
-            step = (p << g) // dp
+            step = (p << big_g) // dp
             x -= step
-            if abs(step) < 1 << (g - prec - 20):
+            if abs(step) < 1 << (big_g - prec - 20):
                 break
-        out.append(Q(x, 1 << g))
+        out.append(Q(x, 1 << big_g))
     with mp.workprec(prec + 40):
         return tuple(mp.mpf(x.numerator) / x.denominator for x in sorted(out))
 
@@ -491,20 +558,25 @@ def _smooth_integral(n: int, power: int, precision_bits: int) -> tuple:
     return total, err
 
 
-def _root_value_iv(n: int, m: int, k: int):
+def _taylor_reach(n: int, k: int):
+    """w^2 M / 2 in mpmath.iv at iv.prec, for w = 2^(1-k) and
+    M = S j^j e^-j >= |sigma^(n+1)| on (-1, 1), j = 2n + 2: |P_{n+1}| is at
+    most its coefficient sum S there and u^-j e^(-1/u) <= j^j e^-j."""
+    high, j = derivative_poly(n + 1), 2 * n + 2
+    s = sum(map(abs, high.coeffs)) * high.scale
+    return iv.mpf(s) * iv.mpf(j) ** j * iv.exp(-j) * iv.mpf(2) ** (1 - 2 * k)
+
+
+def _root_value_iv(n: int, m: int, k: int, reach):
     """An mpmath.iv interval holding sigma^(n-1)(xi) for every zero xi of
     sigma^(n) in [a, a + w], a = (m - 1) / 2^k, w = 2^(1-k), 0 < m < 2^k:
     sigma^(n-1)(a) = P_{n-1}(a) u^(2-2n) e^(-1/u), u = 1 - a^2, with P_{n-1}(a)
-    exact (_dyadic_value) and the rest at iv.prec, widened by w^2 M / 2
-    (Taylor at xi) for M = S j^j e^-j >= |sigma^(n+1)|: on (-1, 1), |P_{n+1}|
-    is at most its coefficient sum S and u^-j e^(-1/u) <= j^j e^-j, j = 2n + 2."""
-    low, high = derivative_poly(n - 1), derivative_poly(n + 1)
-    a, j = m - 1, 2 * n + 2
+    exact (_dyadic_value) and the rest at iv.prec, widened by the Taylor term
+    at xi, reach = _taylor_reach(n, k)."""
+    low, a = derivative_poly(n - 1), m - 1
     u = iv.mpf((1 << (2 * k)) - a * a) / (1 << (2 * k))
     p = iv.mpf(_dyadic_value(low.coeffs, a, k)) * low.scale
     value = p * iv.mpf(2) ** (-k * low.degree) * u ** (2 - 2 * n) * iv.exp(-1 / u)
-    s = sum(map(abs, high.coeffs)) * high.scale
-    reach = iv.mpf(s) * iv.mpf(j) ** j * iv.exp(-j) * iv.mpf(2) ** (1 - 2 * k)
     return value + reach * iv.mpf([-1, 1])
 
 
@@ -515,11 +587,13 @@ def l1_norm(n: int, precision_bits: int = 256) -> dict:
     n >= 1: sigma^(n-1) is monotone between consecutive sign changes xi_k of
     P_n, so the norm is 2 sum |v_{k+1} - v_k| over v = sigma^(n-1) at 0,
     xi_1, ..., xi_m and 1 (where it is 0).  xi_k's bracket is its refined root
-    rounded to K = prec + 20 bits, plus and minus 2^-K: P_n's exact signs
-    differ at its ends and the brackets are disjoint (else ArithmeticError),
-    so each holds one of the roots, one per isolating interval.  The sum, in
-    mpmath.iv at prec + 60 bits, encloses the norm: norm is its midpoint,
-    abs_err bounds its distance to the true norm, ln_enclosure holds the ln.
+    (sign_change_roots) rounded to K = prec + 20 bits, plus and minus 2^-K:
+    P_n's exact signs (_bracket_sign) differ at its ends and the brackets are
+    disjoint (else ArithmeticError), so each holds one of the roots, one per
+    isolating interval.  The values of sigma^(n-1) come from _root_value_iv,
+    widened by one _taylor_reach per call.  The sum, in mpmath.iv at
+    prec + 60 bits, encloses the norm: norm is its midpoint, abs_err bounds
+    its distance to the true norm, ln_enclosure holds the ln.
 
     n = 0: sigma is integrated by l2_norm's panels (_smooth_integral); abs_err,
     twice the summed |GL48 - GL24|, is an estimate, and the sliver
@@ -533,12 +607,16 @@ def l1_norm(n: int, precision_bits: int = 256) -> dict:
             norm, abs_err, enclosure = 2 * half, 2 * err, None
         else:
             k, coeffs = precision_bits + 20, _deflated_poly(n).coeffs
+            shifted = [c << (k + 64) for c in reversed(coeffs)]
             ms = [(to_fixed(r._mpf_, k + 1) + 1) >> 1 for r in sign_change_roots(n, precision_bits)]
             if any(b - a < 2 for a, b in zip([0] + ms, ms)) or any(
-                    _dyadic_value(coeffs, m - 1, k) * _dyadic_value(coeffs, m + 1, k) >= 0 for m in ms):
+                    _bracket_sign(coeffs, shifted, m - 1, k) * _bracket_sign(coeffs, shifted, m + 1, k) >= 0
+                    for m in ms):
                 raise ArithmeticError(f"no certified brackets for the roots of P_{n}")
+            reach = _taylor_reach(n, k)
             # at 0, sigma^(n) vanishes for odd n and the odd sigma^(n-1) for even n
-            vals = [_root_value_iv(n, 1, k) if n % 2 else iv.mpf(0)] + [_root_value_iv(n, m, k) for m in ms]
+            vals = ([_root_value_iv(n, 1, k, reach) if n % 2 else iv.mpf(0)]
+                    + [_root_value_iv(n, m, k, reach) for m in ms])
             total = 2 * sum(abs(b - a) for a, b in zip(vals, vals[1:] + [iv.mpf(0)]))
             norm, ln = mp.mpf(total.mid), iv.log(total)
             abs_err, enclosure = mp.mpf(abs(total - norm).b), (mp.mpf(ln.a), mp.mpf(ln.b))

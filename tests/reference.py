@@ -10,11 +10,19 @@ is taken in Fractions.
 ``run_audit_reference`` is the Theorem 3.2 / Corollary 3.4 audit as a
 ``Fraction`` loop over the readable samplers and vectors of
 ``loopcert.inequalities``, to hold the integer kernels of ``run_audit`` to.
+
+``isolate_01`` and ``sign_change_roots_reference`` are the classical form of
+the root pipeline behind ``decay.l1_norm``: Descartes' rule on the
+(0,1)-Moebius transform with two Taylor shifts per node, and 40 exact
+bisections per root before Newton's method at prec + 80 bits.
 """
 
 import random
 from fractions import Fraction as Q
 
+from mpmath import mp
+
+from loopcert import decay
 from loopcert import inequalities as ineq
 from loopcert import weyl
 from loopcert.affine import AffineWeight, affine_pairing, affine_simple_coroots, affine_simple_roots
@@ -178,3 +186,123 @@ def run_audit_reference(rs: FiniteRootSystem, max_len: int, n_h1: int, n_siegel:
         rep.extremal_cases.append({"kind": "cor34_worst_margin", "margin": q_str(worst)})
     rep.records.append({"kostant_checked": len(kostant), "h1_samples_per_w": n_h1, "siegel_samples_per_w": n_siegel})
     return rep
+
+
+def shift_by_one(coeffs: list[int]) -> list[int]:
+    """The coefficients of p(x + 1), ascending, by repeated synthetic
+    division."""
+    out = list(coeffs)
+    d = len(out) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            out[j] += out[j + 1]
+    return out
+
+
+def deflate_at_zero(coeffs: list[int]) -> list[int]:
+    """p / x, repeated while 0 stays a root."""
+    while len(coeffs) > 1 and coeffs[0] == 0:
+        coeffs = coeffs[1:]
+    return coeffs
+
+
+def deflate_at_one(coeffs: list[int]) -> list[int]:
+    """Exact synthetic division by (x - 1), repeated while 1 stays a root."""
+    while len(coeffs) > 1 and sum(coeffs) == 0:
+        out = [0] * (len(coeffs) - 1)
+        acc = 0
+        for k in range(len(coeffs) - 1, 0, -1):
+            acc += coeffs[k]
+            out[k - 1] = acc
+        coeffs = out
+    return coeffs
+
+
+def variations_01(coeffs: list[int]) -> int:
+    """Sign variations of (1+x)^d p(1/(1+x)): upper bound for roots in (0,1)."""
+    shifted = shift_by_one(list(reversed(coeffs)))
+    signs = [c for c in shifted if c != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+
+def isolate_01(coeffs: list[int], lo: Q, hi: Q, depth: int, out: list) -> None:
+    """Vincent-Collins-Akritas isolation of the roots of p = sum coeffs[i] x^i
+    (p on [lo, hi] mapped to [0, 1]) into out.  An exact root at a midpoint,
+    where the right half 2^d p((x+1)/2) has a zero constant term, is a point
+    interval, deflated from both halves."""
+    v = variations_01(coeffs)
+    if v == 0:
+        return
+    if v == 1:
+        out.append((lo, hi))
+        return
+    if depth <= 0:
+        raise ArithmeticError(f"roots of P_n unresolved in [{lo}, {hi}]")
+    d = len(coeffs) - 1
+    left = [c << (d - k) for k, c in enumerate(coeffs)]  # 2^d p(x/2)
+    right = shift_by_one(left)  # 2^d p((x+1)/2)
+    mid = (lo + hi) / 2
+    if right[0] == 0:  # p(mid) == 0 exactly
+        out.append((mid, mid))
+        right = deflate_at_zero(right)
+        left = deflate_at_one(left)
+    isolate_01(left, lo, mid, depth - 1, out)
+    isolate_01(right, mid, hi, depth - 1, out)
+
+
+def isolated_intervals_reference(coeffs) -> tuple:
+    """The sorted isolating intervals of the roots in (0, 1) of
+    p = sum coeffs[i] x^i by isolate_01, to depth 70."""
+    out: list = []
+    isolate_01(list(coeffs), Q(0), Q(1), 70, out)
+    return tuple(sorted(out))
+
+
+def dyadic_value(coeffs, m: int, k: int) -> int:
+    """2^(k d) p(m / 2^k) for p = sum coeffs[i] x^i of degree d, exactly."""
+    d = len(coeffs) - 1
+    return sum(c * m**i << (k * (d - i)) for i, c in enumerate(coeffs))
+
+
+def sign_change_roots_reference(n: int, prec: int) -> tuple:
+    """decay.sign_change_roots by bisection: each isolating interval of P_n,
+    with its roots at 0 and 1 divided out, is halved 40 times on m / 2^k with
+    exact integer signs, and Newton's method then runs on integers scaled by
+    2^G, G = prec + 80 (Horner with one floor per product), until a step is
+    below 2^-(prec+20), at most 8 steps."""
+    coeffs = deflate_at_one(deflate_at_zero(list(decay.derivative_poly(n).coeffs)))
+    g = prec + 80
+    shifted = [c << g for c in reversed(coeffs)]
+    out = []
+    for lo, hi in isolated_intervals_reference(coeffs):
+        if lo == hi:
+            out.append(lo)
+            continue
+        k = max(lo.denominator, hi.denominator).bit_length() - 1
+        m = int(lo * 2**k)  # lo = m / 2^k and hi = (m + 1) / 2^k
+        s_lo = dyadic_value(coeffs, m, k) > 0
+        for _ in range(40):
+            m, k = 2 * m + 1, k + 1  # the midpoint
+            v_mid = dyadic_value(coeffs, m, k)
+            if v_mid == 0:
+                break
+            if (v_mid > 0) != s_lo:
+                m -= 1
+        else:
+            # the midpoint of the final interval [m / 2^k, (m + 1) / 2^k]
+            m, k = 2 * m + 1, k + 1
+        x = m << (g - k)
+        for _ in range(8):
+            p = dp = 0
+            for c in shifted:
+                dp = ((dp * x) >> g) + p
+                p = ((p * x) >> g) + c
+            if dp == 0:
+                break
+            step = (p << g) // dp
+            x -= step
+            if abs(step) < 1 << (g - prec - 20):
+                break
+        out.append(Q(x, 1 << g))
+    with mp.workprec(prec + 40):
+        return tuple(mp.mpf(x.numerator) / x.denominator for x in sorted(out))

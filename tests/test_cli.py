@@ -452,3 +452,47 @@ def test_kostant_sweep_report_unchanged(monkeypatch, capsys, tmp_path, argv, dig
     assert _sha256(capsys.readouterr().out) == digest
     if csv_digest:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+
+
+# sha256 of stdout + "\0" + stderr of each argv at an 80-column terminal,
+# captured from the parser that built every subcommand's flags; the three
+# usage errors: an unknown flag, a missing required flag, a flag of another
+# command
+HELP_AND_USAGE_SHA256 = {
+    ("--help",): (0, "f7dcf6a38818b097311bb5e837c3d4f298a644c797b756328c4a1170f244a48a"),
+    ("decay", "--help"): (0, "57e18500be849e0419df465272200db7d2f7aeb3a7e45fa14c27d465102f8ea5"),
+    ("weyl", "--help"): (0, "e5008108437898e2f2b60cdf32c315a63ceeeabff0990fb85bb976a8151b80e4"),
+    ("verify", "--help"): (0, "966302018d7c07ea6d724e21a76f99cbcd54c87329b035343006a2a4dc2242f4"),
+    ("decay", "l1", "--n", "3", "--bogus"): (2, "15f0496c727413734043ad0397862785645e704bf6c5c25df47d5816e86f15ca"),
+    ("decay", "l1"): (2, "52ae25299007fb841a1efc08246bbd011464117302ab71029867d43e24506b17"),
+    ("roots", "--prec", "64"): (2, "43ded5bd8923a2e9854bc34546981ab164da62fa55ffe35caa2f1ff0a545ccc3"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_AND_USAGE_SHA256), ids=" ".join)
+def test_help_and_usage_unchanged(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, _sha256(captured.out + "\0" + captured.err)) == HELP_AND_USAGE_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--type", "A2"],
+    ["weyl", "enumerate", "--type", "A2", "--max-len", "3", "--kostant"],
+    ["weyl", "census", "--type", "C2", "--max-len", "4", "--out", "c.csv"],
+    ["verify", "cor34", "--type", "A2", "--max-len", "8", "--samples", "10", "--seed", "1", "--t", "1/3"],
+    ["certify", "--type", "A2", "--max-len", "14", "--r", "80", "--re-nu", "-10", "--prec", "64"],
+    ["decay", "l1", "--n", "5", "--prec", "64", "--timing"],
+    ["decay", "fourier", "--range", "50,60", "--samples", "3"],
+    ["decay", "convert", "--c", "1", "--C", "1", "--y", "2"],
+    ["reproduce-all", "--profile", "small", "--out-dir", "out"],
+])
+def test_parser_for_argv_parses_like_the_full_parser(monkeypatch, argv):
+    # the parser built for argv alone gives the namespace of the one built
+    # for every command, environment defaults included
+    from loopcert.cli import build_parser
+
+    monkeypatch.setenv("LOOPCERT_SEED", "7")
+    monkeypatch.setenv("LOOPCERT_PREC", "96")
+    assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv)

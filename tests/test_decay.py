@@ -14,6 +14,7 @@ from mpmath.libmp.libelefun import exp_fixed
 
 from loopcert import decay
 from loopcert.cli import main
+import reference
 
 # sha256 of the report without its config and schema_version, as compact
 # sort_keys JSON
@@ -22,6 +23,14 @@ FOURIER_REPORT_SHA256 = "fd3cacd1a69b8f525f8e1b523c9109f1125de112e6973cbf202b537
 # grids), captured from the 30-radian grid of order 8 ceil((prec + 64) / 40)
 FOURIER_256_SHA256 = "e0be6214ba593161b0295aad6c164fb8907bf8a577a38aae2f005511824ccf0c"
 L1_REPORTS_SHA256 = "4605ac798a2a8764cc02eb901d7ee8f8bbbcce58fe574e7984dd15b18dd2c71f"
+# sha256 of the 22 `decay l1 --n N --prec P` report bodies (N = 1..22), as in
+# L1_REPORTS_SHA256, per precision, captured from the bisection refinement and
+# exact bracket signs
+L1_REPORTS_PREC_SHA256 = {
+    64: "7812927f1225f2553d76b21d24a0b32c9c4b34e2b341be788785c34fa046a32c",
+    128: "a907ba4f3ec5b9be68b1664e968ff86c3accc91eeb74166f93f508f9e8ec003e",
+    512: "759d7acf38358d401112b595f51f0f993c04918bc3fa78a07559d163b1cc9c9a",
+}
 # sha256 of [ln_norm, ln_norm_telescoping, ratio_to_(2N)^2N] of `decay l1 --n N`
 # for N = 0..20 at 256 bits, as compact JSON, from the adaptive quadrature
 L1_VALUE_STRINGS_SHA256 = "5d92b967ac03986e5f42db478ce2b34fca1ae9a20dfc1637ccb10034f506480d"
@@ -108,6 +117,8 @@ def test_parity_up_to_40():
     for n in range(41):
         poly = decay.derivative_poly(n)
         assert poly.degree <= 3 * n
+        # P_n(1) = (-2)^n: x = 1 is never a root, so _deflated_poly divides out x = 0 only
+        assert sum(poly.coeffs) * poly.scale == (-2) ** n
         for k, c in enumerate(poly.coeffs):
             if (k - n) % 2:
                 assert c == 0, (n, k)
@@ -151,6 +162,51 @@ def test_dyadic_value_matches_rational_evaluation():
             assert decay._dyadic_value(poly.coeffs, m, k) == exact * 2 ** (k * poly.degree), (n, m, k)
 
 
+@pytest.mark.parametrize("prec", [1, 53, 64, 128, 256, 512])
+def test_sign_change_roots_match_bisection_reference(prec):
+    # Newton from the safeguarded 64-bit start, then at prec + 80 bits, ends
+    # on the same mpf, bit for bit, as 40 exact bisections and Newton at
+    # prec + 80 bits
+    for n in range(1, 31):
+        assert decay.sign_change_roots(n, prec) == reference.sign_change_roots_reference(n, prec), n
+
+
+def test_bracket_signs_exact_fallback(monkeypatch):
+    # with every fixed-point sign reported as within its error, the brackets
+    # come from the exact _dyadic_value alone: the same brackets and norms
+    brackets = {}
+    real = decay._root_value_iv
+
+    def recording(n, m, k, reach):
+        brackets.setdefault(n, []).append((m, k))
+        return real(n, m, k, reach)
+
+    monkeypatch.setattr(decay, "_root_value_iv", recording)
+    cases = [(n, prec) for n in range(1, 13) for prec in (64, 256)]
+    expected = [decay.l1_norm(n, prec) for n, prec in cases]
+    fixed = dict(brackets)
+    brackets.clear()
+    # zero coefficients make every floored Horner value 0, within its error
+    sign = decay._bracket_sign
+    monkeypatch.setattr(decay, "_bracket_sign", lambda coeffs, shifted, m, k: sign(coeffs, [0] * len(shifted), m, k))
+    assert [decay.l1_norm(n, prec) for n, prec in cases] == expected
+    assert brackets == fixed
+
+
+def test_bracket_sign_matches_exact_sign():
+    # near each root, at the bracket ends and a unit away, the fixed-point
+    # sign (with its exact fallback) is the sign of the exact value
+    for n in (5, 13, 20):
+        coeffs = decay._deflated_poly(n).coeffs
+        for k in (20, 84, 276):
+            shifted = [c << (k + 64) for c in reversed(coeffs)]
+            for r in decay.sign_change_roots(n, 256):
+                m = int(mp.nint(mp.ldexp(r, k)))
+                for x in (m - 2, m - 1, m, m + 1, m + 2):
+                    exact = decay._dyadic_value(coeffs, x, k)
+                    assert decay._bracket_sign(coeffs, shifted, x, k) == (exact > 0) - (exact < 0), (n, k, x)
+
+
 def _reference_roots(n: int, prec: int) -> list:
     """The roots of the deflated P_n found by mpmath at 700 bits, one next to
     each refined root."""
@@ -168,9 +224,9 @@ def test_sign_change_roots_within_target(monkeypatch):
     brackets = []
     real = decay._root_value_iv
 
-    def recording(n, m, k):
+    def recording(n, m, k, reach):
         brackets.append((m, k))
-        return real(n, m, k)
+        return real(n, m, k, reach)
 
     monkeypatch.setattr(decay, "_root_value_iv", recording)
     for n in range(1, 21):
@@ -236,7 +292,7 @@ def test_root_value_holds_the_critical_value(monkeypatch, n):
     for xi in _reference_roots(n, 256):
         for k in (24, 276):
             with mp.workprec(700):
-                value = decay._root_value_iv(n, int(mp.nint(mp.ldexp(xi, k))), k)
+                value = decay._root_value_iv(n, int(mp.nint(mp.ldexp(xi, k))), k, decay._taylor_reach(n, k))
                 assert mp.mpf(value.a) <= decay.sigma_deriv_mp(n - 1, xi) <= mp.mpf(value.b), (n, float(xi), k)
 
 
@@ -439,6 +495,18 @@ def test_l1_reports_unchanged():
             bodies.append({k: v for k, v in doc.items() if k not in ("config", "schema_version")})
     assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == L1_VALUE_STRINGS_SHA256
     assert hashlib.sha256(json.dumps(bodies, sort_keys=True).encode()).hexdigest() == L1_REPORTS_SHA256
+
+
+@pytest.mark.parametrize("prec", sorted(L1_REPORTS_PREC_SHA256))
+def test_l1_reports_unchanged_at_other_precisions(prec):
+    bodies = []
+    for n in range(1, 23):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["decay", "l1", "--n", str(n), "--prec", str(prec)]) == 0
+        doc = json.loads(out.getvalue())
+        bodies.append({k: v for k, v in doc.items() if k not in ("config", "schema_version")})
+    assert hashlib.sha256(json.dumps(bodies, sort_keys=True).encode()).hexdigest() == L1_REPORTS_PREC_SHA256[prec]
 
 
 def test_fourier_envelope_evaluates_each_scan_point_once(monkeypatch):

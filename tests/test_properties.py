@@ -1,6 +1,7 @@
 """Property tests of the affine Weyl group engine over every type up to rank 4
-at short lengths, and of the integer audit kernels and ``run_audit`` against
-their Fraction reference.  ``derandomize=True`` fixes the examples per test,
+at short lengths, of the integer audit kernels and ``run_audit`` against
+their Fraction reference, and of the Bernstein root isolation of
+``decay`` against the classical Taylor-shift form.  ``derandomize=True`` fixes the examples per test,
 so the suite draws the same cases on every run."""
 
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopcert import decay
 from loopcert import inequalities as ineq
 from loopcert import weyl
 from loopcert.affine import AffineRoot, AffineWeight, CartanElement, affine_pairing
@@ -418,3 +420,52 @@ def test_run_audit_matches_reference_on_violations(label, monkeypatch):
         assert got == reference.run_audit_reference(*args).to_results()
         checks |= {v["check"] for v in got["violations"]}
     assert {"h1.growth1", "h3.omega_bounded", "h3.growth3"} <= checks
+
+
+# root isolation in the Bernstein basis against the Taylor-shift form of
+# tests/reference.py, on integer polynomials with known roots in (0, 1)
+MIDPOINTS = (Q(1, 2), Q(3, 4), Q(5, 8))
+
+
+@st.composite
+def isolation_cases(draw):
+    """(coefficients, roots): prod (q x - p) over distinct simple roots p/q in
+    (0, 1), some at the dyadic midpoints 1/2, 3/4 and 5/8 the isolation
+    splits at, times a factor with no root in (0, 1): (x + c), and
+    (q x - p)^2 + s^2, whose complex pair near the interval forces splits."""
+    roots = set(draw(st.lists(st.sampled_from(MIDPOINTS), max_size=2)))
+    roots |= set(draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=40)
+                               .filter(lambda r: 0 < r < 1), max_size=5)))
+    coeffs = [draw(st.sampled_from([-3, -1, 1, 2]))]
+    factors = [(-r.numerator, r.denominator) for r in roots] + [(draw(st.integers(1, 4)), 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        p, q, s = draw(st.integers(1, 39)), 40, draw(st.integers(1, 3))
+        factors.append((p * p + s * s, -2 * p * q, q * q))
+    for factor in factors:
+        out = [0] * (len(coeffs) + len(factor) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        coeffs = out
+    return coeffs, sorted(roots)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(case=isolation_cases())
+def test_bernstein_isolation_matches_reference(case):
+    coeffs, roots = case
+    out: list = []
+    decay._isolate_bernstein(decay._bernstein_01(coeffs), 0, 0, out)
+    intervals = tuple(sorted(out))
+    assert intervals == reference.isolated_intervals_reference(coeffs)
+    # one interval per root, each holding its root (a point interval only at
+    # an exact midpoint root)
+    assert len(intervals) == len(roots)
+    for (lo, hi), root in zip(intervals, roots):
+        assert lo <= root <= hi and (lo < root < hi or lo == hi == root), (lo, hi, root)
+
+
+def test_isolated_intervals_match_reference():
+    for n in range(1, 41):
+        expected = reference.isolated_intervals_reference(decay._deflated_poly(n).coeffs)
+        assert decay._isolated_intervals(n) == expected, n
