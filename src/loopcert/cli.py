@@ -309,16 +309,15 @@ def cmd_decay(args) -> Report:
         with mp.workprec(args.prec + 64):
             res = decay.l1_norm(args.n, args.prec)
             tele = decay.l1_norm_extrema(args.n, args.prec) if args.n >= 1 else None
+            lo, hi = res["ln_enclosure"]
             results = {
                 "n": args.n,
                 "ln_norm": mp.nstr(res["ln"], 30),
                 "abs_err": _round_out(res["abs_err"], 5, up=True),
                 "ln_norm_telescoping": None if tele is None else mp.nstr(tele, 30),
                 "ratio_to_(2N)^2N": mp.nstr(res["ln"] - 2 * args.n * mp.log(2 * args.n), 20) if args.n else None,
+                "ln_norm_enclosure": [_round_out(lo, 30, up=False), _round_out(hi, 30, up=True)],
             }
-            if res["ln_enclosure"]:
-                lo, hi = res["ln_enclosure"]
-                results["ln_norm_enclosure"] = [_round_out(lo, 30, up=False), _round_out(hi, 30, up=True)]
         return Report("decay_l1", _config_echo(args), results)
     if args.decay_command == "fourier":
         bounds = args.range.split(",")

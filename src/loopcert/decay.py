@@ -17,16 +17,15 @@ consecutive sign changes of P_N, so the integral of |sigma^(N)| telescopes to
 values of sigma^(N-1) at the exact roots, each held in a dyadic bracket
 checked by exact integer signs and evaluated in interval arithmetic
 (mpmath.iv; Moore, Kearfott and Cloud, Introduction to Interval Analysis,
-2009).  Its error is a rigorous bound.  For N = 0, and for L2 norms, adaptive
-Gauss-Legendre panels integrate the smooth integrand; that error
-(GL48 - GL24) is an estimate.
+2009).  For N = 0, and for L2 norms, one Gauss-Legendre order sums the
+smooth integrand on sigma_hat's graded panels (_norm_integral), bounded by
+each panel's Bernstein ellipse.  Every norm's error is a rigorous bound.
 
 The hot loops run on Python integers, most in fixed point scaled by 2^F:
 
-* the quadrature panels of l2_norm and of l1_norm at N = 0
-  (_sigma_deriv_panel, F = working precision + 40): per node, Horner for P_N in
-  x^2, the powers of 1/(1-x^2) and exp_fixed, summed exactly and converted
-  to mpf once per panel, with a truncation far below the panel tolerances;
+* the quadrature panels of l2_norm and of l1_norm at N = 0 (_sigma_deriv_panel,
+  F = working precision + 40): per node, Horner for P_N in x^2, the powers of
+  1/(1-x^2) and exp_fixed, summed exactly and converted to mpf once per panel;
 * the root pipeline behind l1_norm: Descartes isolation on integer Bernstein
   coefficients, one de Casteljau pass per split (_isolated_intervals);
   Newton's method on fixed-point Horner, safeguarded at max(64, k + 32) bits,
@@ -52,7 +51,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import ceil, comb, cos, floor, gcd, lcm, ldexp, log, log2, pi, sqrt
 from operator import add, mul, ne, sub
 from typing import NamedTuple
@@ -79,10 +78,7 @@ class IntegerPolynomial:
 def _content_reduce(raw: list[int], scale: int) -> IntegerPolynomial:
     while len(raw) > 1 and raw[-1] == 0:
         raw.pop()
-    g = 0
-    for c in raw:
-        g = gcd(g, abs(c))
-    g = g or 1
+    g = gcd(*raw) or 1
     return IntegerPolynomial(tuple(c // g for c in raw), scale * g)
 
 
@@ -114,10 +110,9 @@ def derivative_poly(n: int) -> IntegerPolynomial:
     return rep
 
 
-def _to_mpf(x):
-    if isinstance(x, Q):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
+def _to_mpf(x, ctx=mp):
+    """x as a number of ctx, mp or the interval context iv."""
+    return ctx.mpf(x.numerator) / x.denominator if isinstance(x, Q) else ctx.mpf(x)
 
 
 @lru_cache(maxsize=None)
@@ -369,7 +364,7 @@ def sign_change_roots(n: int, prec: int) -> tuple:
                 break
         out.append(Q(x, 1 << big_g))
     with mp.workprec(prec + 40):
-        return tuple(mp.mpf(x.numerator) / x.denominator for x in sorted(out))
+        return tuple(map(_to_mpf, sorted(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +456,14 @@ def _sigma_deriv_panel(n: int, power: int, a, b, order: int):
     the result is within |scale|^power (b - a)/2 sum_j w_j B_j units of the
     same rule done exactly at the nodes x_j, with B_j = e_j for power 1 and
     (2 |p_j| g_j + e_j) e_j for power 2, plus three roundings to the working
-    precision.  A value below 2^-F (near 1 - delta, where e^(-1/u)
-    underflows) is returned as 0 within that bound.
+    precision.  A value below 2^-F (near 1, where e^(-1/u) underflows) is
+    returned as 0 within that bound.
 
-    The integer nodes and weights are within 2 units of the exact
-    Gauss-Legendre ones, and x_j within 3 units of the exact node of [a, b],
-    which moves the result from the exact rule by at most
+    The integer nodes and weights are within 2 units of the stored
+    gauss_legendre ones, and x_j within 3 units of the stored node mapped to
+    [a, b], which moves the result from that rule by at most
     (b - a)/2 sum_j (2 |f_j| + 3 w_j |f'_j|) more units, to first order,
-    f = (sigma^(n))^power."""
+    f = (sigma^(n))^power.  _norm_integral bounds all of it."""
     f = mp.prec + 40
     coeffs, scale = _horner_table(n, f)
     coeffs = coeffs[::2]  # P_n has the parity of n: every other coefficient is 0
@@ -500,62 +495,71 @@ def _sigma_deriv_panel(n: int, power: int, a, b, order: int):
     return mp.ldexp(total * half2, -((power + 2) * f + 1)) * scale**power
 
 
-_MAX_DEPTH = 12
+def _norm_peak(n: int, m, c, rho):
+    """An mpmath.iv interval whose upper end bounds |sigma^(n)| on the box
+    |Re z - m| <= c (rho + 1/rho)/2, |Im z| <= c (rho - 1/rho)/2 around the
+    Bernstein ellipse E_rho of the panel with centre m and half-width c (iv
+    intervals; c = 0 gives the point m), for a box in |Re z| < 1.  There
+    |P_n(z)| <= S max(1, |z|)^d <= S (1 + Im(z)^2)^(d/2), S = scale sum |c_k|;
+    and with w = 1 - z^2, t = 1/|w|^2 and a = min(1 - Re(z)^2) <= Re w,
+    |w^(-2n) e^(-1/w)| = t^n e^(-t Re w) <= t^n e^(-a t), whose maximum over
+    the range of t is at n/a clamped to that range."""
+    poly = derivative_poly(n)
+    x2 = (m + c * (rho + 1 / rho) / 2 * iv.mpf([-1, 1])) ** 2
+    y2 = (c * (rho - 1 / rho) / 2) ** 2 * iv.mpf([0, 1])
+    low = iv.mpf((1 - x2).a)
+    t, top = 1 / ((1 - x2 + y2) ** 2 + 4 * x2 * y2), n / low
+    t = iv.mpf([min(max(v, t.a), t.b) for v in (top.a, top.b)])
+    return sum(map(abs, poly.coeffs)) * poly.scale * (1 + y2) ** (poly.degree / 2) * t**n * iv.exp(-low * t)
 
 
-def _adaptive_panel(panel, a, b, tol, order: int = 24, depth: int = 0, coarse=None):
-    """(value, error estimate, depth-cap hits) of the integral that
-    panel(a, b, order) approximates by GL(order): GL(2 order) where it is
-    within tol of GL(order), else bisected.  The estimate is the sum of
-    |GL(2 order) - GL(order)| over the accepted pieces, not a bound.  A piece
-    still off by more than tol at depth _MAX_DEPTH is accepted and counted as
-    a cap hit.  `coarse` is GL(order) on [a, b] when the caller has it
-    already."""
-    if coarse is None:
-        coarse = panel(a, b, order)
-    fine = panel(a, b, 2 * order)
-    err = abs(fine - coarse)
-    if err <= tol:
-        return fine, err, 0
-    if depth >= _MAX_DEPTH:
-        return fine, err, 1
-    mid = (a + b) / 2
-    left = _adaptive_panel(panel, a, mid, tol / 2, order, depth + 1)
-    right = _adaptive_panel(panel, mid, b, tol / 2, order, depth + 1)
-    return left[0] + right[0], left[1] + right[1], left[2] + right[2]
+def _norm_integral(n: int, power: int, precision_bits: int) -> tuple:
+    """(value, bound) for int_0^1 sigma^(n)^power, power 1 (for n = 0) or 2,
+    with bound >= |value - integral|: the sum of _sigma_deriv_panel over the
+    panels of _grid_breaks(1, cut) at P = max(64, precision_bits + 24n + 40)
+    bits, so that the 64-bit iv bound converts to mpf exactly.
 
+    One order, 4 ceil((1 + (precision_bits + 24n + 16) / (2 log2 rho)) / 4),
+    for every panel's rho = 2.5 + sqrt(5.25), whose ellipse reaches a
+    quarter of the way from the panel's end to 1 (checked by _panel_ellipse);
+    24 n bits cover the ellipse peaks over the integral (2^473 at n = 20).
+    The cut is the first k >= log2(4 n) where the sliver int_{1-d}^1 <=
+    d (S u^(-2n) e^(-1/u))^power, d = 2^-k, u = 1 - (1 - d)^2 (_norm_peak
+    at 1 - d: u^(-2n) e^(-1/u) grows on u <= 1/(2n)), is below
+    2^-(precision_bits + 4) of the sum so far.
 
-def _rough_pass(panel, bounds) -> tuple:
-    """GL24 on each panel between consecutive bounds, and the sum of their
-    absolute values, which anchors the panel tolerances."""
-    coarse = [panel(a, b, 24) for a, b in zip(bounds, bounds[1:])]
-    return coarse, mp.fsum(abs(c) for c in coarse)
-
-
-def _adaptive_sum(panel, bounds, coarse, tol) -> tuple:
-    """(sum of |integral|, error estimate, depth-cap hits) over the panels,
-    each refined from its rough-pass value."""
-    total = err = mp.mpf(0)
-    hits = 0
-    for a, b, c in zip(bounds, bounds[1:], coarse):
-        val, e, h = _adaptive_panel(panel, a, b, tol, coarse=c)
-        total += abs(val)
-        err += e
-        hits += h
-    return total, err, hits
-
-
-def _smooth_integral(n: int, power: int, precision_bits: int) -> tuple:
-    """(integral of sigma^(n)^power over [0, 1 - delta], error estimate) by
-    the adaptive rule on the panels 0, 1/2, 3/4, 7/8, 1 - delta at the
-    working precision; the integrand must have no kinks (power 2, or n = 0)."""
-    panel = partial(_sigma_deriv_panel, n, power)
-    delta = mp.mpf(1) / (2 * (precision_bits + 4 * n + 40))
-    bounds = [mp.mpf(0), mp.mpf(1) / 2, mp.mpf(3) / 4, mp.mpf(7) / 8, 1 - delta]
-    coarse, rough = _rough_pass(panel, bounds)
-    tol = max(rough, mp.mpf(2) ** (-precision_bits)) * mp.mpf(2) ** (-(precision_bits // 2) - 8) / 8
-    total, err, _ = _adaptive_sum(panel, bounds, coarse, tol)
-    return total, err
+    The bound adds, in mpmath.iv, the sliver and per panel, with M = peak^power
+    from _norm_peak on its ellipse and f = sigma^(n)^power: M times the Gauss
+    bound _ellipse_bound of f / M, with the rule's moment defect D; and in
+    units of 2^-(P + 40), as d <= 3n, scale g_j <= peak, |sigma^(n)(x_j)| <=
+    peak and q = (6n + _EXP_FIXED_ULPS + 12) peak + scale >= 1034 peak,
+    _sigma_deriv_panel's truncation c (2 + D) e (2 peak + e)^(power-1) <=
+    c (2 + D) q^power, its node and weight term c 2 order M +
+    3 (2 + D) M 2 rho / (rho - 1)^2 (Cauchy: |f'| <= M 2 rho / (c (rho - 1)^2)
+    on the panel), and its three roundings to P bits and the running sum's,
+    (3 + cut) c (2 + D) M 2^40: q^power (2 + D) (c 2^41 + 6 rho / (rho - 1)^2)
+    covers them.  ArithmeticError if the bound passes 2^-precision_bits of the
+    value."""
+    bits, rho0 = precision_bits + 24 * n + 16, 2.5 + sqrt(5.25)
+    order = 4 * ceil((1 + bits / (2 * log2(rho0))) / 4)
+    breaks = _grid_breaks(1, 64)  # the sum stops at the cut
+    with mp.workprec(max(bits + 24, 64)), PrecisionManager(iv, lambda _: 64, None):
+        defect = iv.ldexp(_gauss_defect(order, mp.prec), -mp.prec - 80)
+        total = bound = 0
+        for cut, (a, b) in enumerate(zip(breaks, breaks[1:]), 1):
+            total += _sigma_deriv_panel(n, power, _to_mpf(a), _to_mpf(b), order)
+            c, rho = (_to_mpf(v, iv) for v in _panel_ellipse(a, b, rho0))
+            peak = _norm_peak(n, _to_mpf((a + b) / 2, iv), c, rho)
+            q = (6 * n + _EXP_FIXED_ULPS + 12) * peak + derivative_poly(n).scale
+            fixed = q**power * (2 + defect) * (c * 2**41 + 6 * rho / (rho - 1) ** 2)
+            bound += peak**power * _ellipse_bound(c, rho, order, 1, defect) + iv.ldexp(fixed, -mp.prec - 40)
+            sliver = _to_mpf(1 - b, iv) * _norm_peak(n, _to_mpf(b, iv), 0, 1) ** power
+            if 4 * n <= 1 << cut and sliver.b <= mp.ldexp(total, -precision_bits - 4):
+                break
+        bound = mp.mpf((bound + sliver).b)
+        if not bound <= mp.ldexp(total, -precision_bits):
+            raise ArithmeticError(f"quadrature bound exceeds 2^-{precision_bits} of the norm at N={n}")
+        return total, bound
 
 
 def _taylor_reach(n: int, k: int):
@@ -581,8 +585,8 @@ def _root_value_iv(n: int, m: int, k: int, reach):
 
 
 def l1_norm(n: int, precision_bits: int = 256) -> dict:
-    """{"ln", "norm", "abs_err", "ln_enclosure": (lo, hi) or None}, in mpf,
-    for the L1 norm of sigma^(n) on (-1,1).
+    """{"ln", "norm", "abs_err", "ln_enclosure": (lo, hi)}, in mpf, for the
+    L1 norm of sigma^(n) on (-1,1).
 
     n >= 1: sigma^(n-1) is monotone between consecutive sign changes xi_k of
     P_n, so the norm is 2 sum |v_{k+1} - v_k| over v = sigma^(n-1) at 0,
@@ -595,16 +599,14 @@ def l1_norm(n: int, precision_bits: int = 256) -> dict:
     prec + 60 bits, encloses the norm: norm is its midpoint, abs_err bounds
     its distance to the true norm, ln_enclosure holds the ln.
 
-    n = 0: sigma is integrated by l2_norm's panels (_smooth_integral); abs_err,
-    twice the summed |GL48 - GL24|, is an estimate, and the sliver
-    (1 - delta, 1) left out holds less than e^-(precision_bits + 40).
+    n = 0: the norm is 2 int_0^1 sigma by _norm_integral, whose bound
+    makes abs_err rigorous too, and ln_enclosure the ln of norm +- abs_err.
 
     Raises ArithmeticError if abs_err / norm exceeds 2^(-precision_bits/2)."""
     with mp.workprec(precision_bits + 60), PrecisionManager(iv, lambda _: precision_bits + 60, None):
         if n == 0:
-            with mp.workprec(precision_bits + 40):
-                half, err = _smooth_integral(0, 1, precision_bits)
-            norm, abs_err, enclosure = 2 * half, 2 * err, None
+            half, err = _norm_integral(0, 1, precision_bits)
+            total = 2 * (iv.mpf([-1, 1]) * err + half)
         else:
             k, coeffs = precision_bits + 20, _deflated_poly(n).coeffs
             shifted = [c << (k + 64) for c in reversed(coeffs)]
@@ -618,9 +620,9 @@ def l1_norm(n: int, precision_bits: int = 256) -> dict:
             vals = ([_root_value_iv(n, 1, k, reach) if n % 2 else iv.mpf(0)]
                     + [_root_value_iv(n, m, k, reach) for m in ms])
             total = 2 * sum(abs(b - a) for a, b in zip(vals, vals[1:] + [iv.mpf(0)]))
-            norm, ln = mp.mpf(total.mid), iv.log(total)
-            abs_err, enclosure = mp.mpf(abs(total - norm).b), (mp.mpf(ln.a), mp.mpf(ln.b))
-        if not abs_err <= norm * mp.mpf(2) ** (-(precision_bits // 2)):
+        norm, ln = mp.mpf(total.mid), iv.log(total)
+        abs_err, enclosure = mp.mpf(abs(total - norm).b), (mp.mpf(ln.a), mp.mpf(ln.b))
+        if not abs_err <= mp.ldexp(norm, -(precision_bits // 2)):
             raise ArithmeticError(f"requested precision unreachable at N={n}")
         return {"ln": mp.log(norm), "norm": norm, "abs_err": abs_err, "ln_enclosure": enclosure}
 
@@ -631,12 +633,9 @@ def l1_norm_extrema(n: int, precision_bits: int = 256):
     if n < 1:
         raise ValueError("telescoping oracle needs n >= 1")
     with mp.workprec(precision_bits + 60):
-        roots = [mp.mpf(r) for r in sign_change_roots(n, precision_bits)]
-        pts = [mp.mpf(0)] + roots + [mp.mpf(1)]
-        vals = [sigma_deriv_mp(n - 1, x) for x in pts[:-1]] + [mp.mpf(0)]
-        half = mp.fsum(abs(v2 - v1) for v1, v2 in zip(vals, vals[1:]))
+        vals = [sigma_deriv_mp(n - 1, x) for x in (0, *sign_change_roots(n, precision_bits))] + [0]
         # [0,1] covers half the mass for even |sigma^(n)|
-        return mp.log(2 * half)
+        return mp.log(2 * mp.fsum(abs(b - a) for a, b in zip(vals, vals[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -708,44 +707,39 @@ def _gauss_defect(order: int, prec: int) -> int:
     return units
 
 
-def _panel_ellipse(a: Q, b: Q, order: int, r_max: int) -> tuple:
+def _panel_ellipse(a: Q, b: Q, rho: float) -> tuple:
     """(c, rho) for the panel [a, b], 0 <= a < b < 1: its half-width and the
-    Bernstein ellipse parameter _ellipse_bound uses there.  rho minimises
-    pi r_max c rho - (2 order - 2) ln rho, capped just inside the edge
-    m + c (rho + 1/rho)/2 = 1, m = (a + b)/2; the cap is checked in exact
-    rationals, so the ellipse stays in |Re x| < 1."""
+    Bernstein ellipse parameter _ellipse_bound uses there, the given rho
+    capped just inside the edge m + c (rho + 1/rho)/2 = 1, m = (a + b)/2;
+    the cap is checked in exact rationals, so the ellipse stays in
+    |Re x| < 1."""
     m, c = (a + b) / 2, (b - a) / 2
     q = float((1 - m) / c)
-    rho = Q(min(2 * (order - 1) / (pi * r_max * float(c)), q + sqrt(q * q - 1)) * (1 - 2.0**-20))
+    rho = Q(min(rho, q + sqrt(q * q - 1)) * (1 - 2.0**-20))
     if not (rho > 1 and m + c * (rho + 1 / rho) / 2 < 1):
         raise ArithmeticError(f"no Bernstein ellipse for the panel [{a}, {b}]")
     return c, rho
 
 
-def _ellipse_bound(c: Q, rho: Q, order: int, r_max: int, defect):
+def _ellipse_bound(c, rho, order: int, big_m, defect):
     """An mpmath.iv interval whose upper end bounds |int_a^b g - GL(g)| for
-    every g(x) = sigma(x) cos(2 pi r x) with |r| <= r_max, where GL is the
-    gauss_legendre rule of this order mapped to a panel [a, b] of half-width
-    c whose Bernstein ellipse E_rho lies in |Re x| < 1 (_panel_ellipse), and
-    defect is an iv interval holding the rule's moment defect D
-    (_gauss_defect).
+    every g analytic on the Bernstein ellipse E_rho of a panel [a, b] of
+    half-width c, with |g| <= big_m there and |g| <= 1 on [a, b], where GL
+    is the gauss_legendre rule of this order mapped to [a, b]; c, rho,
+    big_m and the rule's moment defect D (_gauss_defect) are iv intervals.
 
     With x = m + c t, m = (a + b)/2, the error is c times that of the rule
-    on t in [-1, 1].  On E_rho, 1 - Re(x)^2 + Im(x)^2 > 0, so
-    |sigma(x)| <= 1; and |Im x| <= c (rho - 1/rho)/2, so
-    |cos 2 pi r x| <= cosh(2 pi r Im x) <= M = e^(pi r_max c (rho - 1/rho)).
-    The Chebyshev coefficients of g in t then obey |a_k| <= 2 M rho^-k, and
-    |a_k| <= 2 from |g| <= 1 on the interval (Trefethen, Approximation Theory
-    and Approximation Practice, Thm 8.1).  The rule integrates T_k to within
-    D together for even k < 2 order, and within 2/(k^2 - 1) + 2 + D beyond,
-    so the error on [-1, 1] is at most
+    on t in [-1, 1].  The Chebyshev coefficients of g in t obey
+    |a_k| <= 2 M rho^-k, M = big_m, and |a_k| <= 2 from |g| <= 1 on the
+    interval (Trefethen, Approximation Theory and Approximation Practice,
+    Thm 8.1).  The rule integrates T_k to within D together for even
+    k < 2 order, and within 2/(k^2 - 1) + 2 + D beyond, so the error on
+    [-1, 1] is at most
 
         2 D + 2 M (32/15 + D) rho^(2 - 2 order) / (rho^2 - 1),
 
     the Gauss-rule bound of Trefethen (SIAM Rev. 50, 2008, Thm 4.5) when
     D = 0."""
-    rho, c = iv.mpf(rho.numerator) / rho.denominator, iv.mpf(c.numerator) / c.denominator
-    big_m = iv.exp(iv.pi * r_max * c * (rho - 1 / rho))
     return c * (2 * defect + 2 * big_m * (iv.mpf(32) / 15 + defect) * rho ** (2 - 2 * order) / (rho**2 - 1))
 
 
@@ -858,9 +852,15 @@ def _oscillation_grid(prec: int, r_max: int) -> _OscillationGrid:
     ulps = 2 * order * entry_ulps * len(rows) - (-2 * weighted >> f) + 1
     with mp.workprec(64), PrecisionManager(iv, lambda _: 64, None):
         truncation = mp.ldexp(2 * ulps, -f)
-        defect = iv.mpf(_gauss_defect(order, prec)) * iv.mpf(2) ** -(prec + 80)
-        ellipses = Counter(_panel_ellipse(a, b, order, r_max) for a, b in zip(breaks, breaks[1:]))
-        quadrature = sum(n * _ellipse_bound(c, rho, order, r_max, defect) for (c, rho), n in ellipses.items())
+        defect = iv.ldexp(_gauss_defect(order, prec), -prec - 80)
+        # rho minimises pi r_max c rho - (2 order - 2) ln rho; on E_rho, in |Re x| < 1, |sigma| <= 1
+        # and |cos 2 pi r x| <= cosh(2 pi r Im x) <= e^(pi r_max c (rho - 1/rho))
+        ellipses = Counter(_panel_ellipse(a, b, 4 * (order - 1) / (pi * r_max * float(b - a)))
+                           for a, b in zip(breaks, breaks[1:]))
+        quadrature = 0
+        for (c, rho), n in ellipses.items():
+            c, rho = _to_mpf(c, iv), _to_mpf(rho, iv)
+            quadrature += n * _ellipse_bound(c, rho, order, iv.exp(iv.pi * r_max * c * (rho - 1 / rho)), defect)
         d = iv.mpf(2) ** -cut
         sliver = 2 * d * iv.exp(-1 / (2 * d - d * d))
         bound = mp.mpf((iv.mpf(2 * ulps) * iv.mpf(2) ** -f + 2 * quadrature + sliver).b)
@@ -924,7 +924,7 @@ def _sigma_hat_bounded(r, precision_bits: int) -> tuple:
     f = precision_bits + 40
     with mp.workprec(f):
         r = _to_mpf(r)
-        if abs(r) > GRID_R_MAX:
+        if not abs(r) <= GRID_R_MAX:
             raise ValueError(f"fixed oscillation grid only covers |r| <= {GRID_R_MAX}")
         grid = _oscillation_grid(precision_bits, _SMALL_R_MAX if abs(r) <= _SMALL_R_MAX else GRID_R_MAX)
     width, cut = grid.width_exp, grid.cut_exp
@@ -1009,8 +1009,7 @@ def fourier_decay_fit(r_min, r_max, samples: int, precision_bits: int = 256) -> 
         raise ValueError(f"the fit needs --samples >= 2, got {samples}")
     with mp.workprec(precision_bits + 40):
         rs = [mp.mpf(r_min) * (mp.mpf(r_max) / r_min) ** (mp.mpf(k) / (samples - 1)) for k in range(samples)]
-        xs, ys = [], []
-        points = []
+        xs, ys, points = [], [], []
         for r in rs:
             r_peak, val = fourier_envelope(r, precision_bits)
             if val <= 0:
@@ -1044,6 +1043,8 @@ def parseval_check(n: int, precision_bits: int = 256, r_cut=None) -> dict:
     a calibrated estimate (reported, not proven), not a bound."""
     with mp.workprec(precision_bits + 40):
         r_cut = mp.mpf(r_cut if r_cut is not None else 40 + 14 * n)
+        if not 0 < r_cut <= GRID_R_MAX:  # sigma_hat's grid ends at GRID_R_MAX
+            raise ValueError(f"parseval_check needs 0 < r_cut <= {GRID_R_MAX}, got r_cut = {r_cut}")
         steps = int(mp.ceil(5 * r_cut / 2))  # 5 r_cut / 2 is exact in binary; 2/5 is not
         nodes = [r_cut * k / steps for k in range(steps + 1)]
         values = [sigma_hat(r, precision_bits) for r in nodes]
@@ -1063,11 +1064,11 @@ def parseval_check(n: int, precision_bits: int = 256, r_cut=None) -> dict:
 
 
 def l2_norm(n: int, precision_bits: int = 256):
-    """||sigma^(n)||_2 on (-1,1); the squared integrand is smooth (no kinks),
-    so root splitting is unnecessary."""
+    """||sigma^(n)||_2 on (-1,1), from _norm_integral's int_0^1 sigma^(n)^2,
+    which is within 2^-precision_bits of itself (else ArithmeticError)."""
+    half, _ = _norm_integral(n, 2, precision_bits)
     with mp.workprec(precision_bits + 40):
-        right, _ = _smooth_integral(n, 2, precision_bits)  # every panel value is positive
-        return mp.sqrt(2 * right)
+        return mp.sqrt(2 * half)
 
 
 # ---------------------------------------------------------------------------
@@ -1080,9 +1081,7 @@ def moment_to_pointwise(c: Q, big_c: Q, y: Q, precision_bits: int = 128) -> dict
     if not (c > 0 and big_c > 0 and y > 1):
         raise ValueError(f"need c > 0, C > 0 and y > 1, got c = {c}, C = {big_c}, y = {y}")
     with mp.workprec(precision_bits):
-        ln_c = mp.log(mp.mpf(c.numerator) / c.denominator)
-        bc = mp.mpf(big_c.numerator) / big_c.denominator
-        ln_y = mp.log(mp.mpf(y.numerator) / y.denominator)
+        ln_c, bc, ln_y = mp.log(_to_mpf(c)), _to_mpf(big_c), mp.log(_to_mpf(y))
 
         def g(nn):
             return ln_c - nn * ln_y + bc * nn * mp.log(bc * nn)

@@ -15,6 +15,11 @@ is taken in Fractions.
 the root pipeline behind ``decay.l1_norm``: Descartes' rule on the
 (0,1)-Moebius transform with two Taylor shifts per node, and 40 exact
 bisections per root before Newton's method at prec + 80 bits.
+
+``adaptive_panel``, ``rough_pass`` and ``adaptive_sum`` are the adaptive
+GL24/GL48 bisection that integrated ``l2_norm`` and the N = 0 L1 norm before
+their fixed graded panels, kept as an independent quadrature whose error
+(GL48 - GL24) is an estimate, not a bound.
 """
 
 import random
@@ -306,3 +311,48 @@ def sign_change_roots_reference(n: int, prec: int) -> tuple:
         out.append(Q(x, 1 << g))
     with mp.workprec(prec + 40):
         return tuple(mp.mpf(x.numerator) / x.denominator for x in sorted(out))
+
+
+MAX_DEPTH = 12
+
+
+def adaptive_panel(panel, a, b, tol, order: int = 24, depth: int = 0, coarse=None):
+    """(value, error estimate, depth-cap hits) of the integral that
+    panel(a, b, order) approximates by GL(order): GL(2 order) where it is
+    within tol of GL(order), else bisected.  The estimate is the sum of
+    |GL(2 order) - GL(order)| over the accepted pieces, not a bound.  A piece
+    still off by more than tol at depth MAX_DEPTH is accepted and counted as
+    a cap hit.  `coarse` is GL(order) on [a, b] when the caller has it
+    already."""
+    if coarse is None:
+        coarse = panel(a, b, order)
+    fine = panel(a, b, 2 * order)
+    err = abs(fine - coarse)
+    if err <= tol:
+        return fine, err, 0
+    if depth >= MAX_DEPTH:
+        return fine, err, 1
+    mid = (a + b) / 2
+    left = adaptive_panel(panel, a, mid, tol / 2, order, depth + 1)
+    right = adaptive_panel(panel, mid, b, tol / 2, order, depth + 1)
+    return left[0] + right[0], left[1] + right[1], left[2] + right[2]
+
+
+def rough_pass(panel, bounds) -> tuple:
+    """GL24 on each panel between consecutive bounds, and the sum of their
+    absolute values, which anchors the panel tolerances."""
+    coarse = [panel(a, b, 24) for a, b in zip(bounds, bounds[1:])]
+    return coarse, mp.fsum(abs(c) for c in coarse)
+
+
+def adaptive_sum(panel, bounds, coarse, tol) -> tuple:
+    """(sum of |integral|, error estimate, depth-cap hits) over the panels,
+    each refined from its rough-pass value."""
+    total = err = mp.mpf(0)
+    hits = 0
+    for a, b, c in zip(bounds, bounds[1:], coarse):
+        val, e, h = adaptive_panel(panel, a, b, tol, coarse=c)
+        total += abs(val)
+        err += e
+        hits += h
+    return total, err, hits

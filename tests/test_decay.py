@@ -93,9 +93,9 @@ def _l1_norm_quadrature(n: int, precision_bits: int = 256) -> tuple:
         panel = partial(decay._sigma_deriv_panel, n, 1)
         # norms grow like (2n)^(2n); the error target is relative, so anchor
         # the panel tolerances to a rough first-pass magnitude
-        coarse, rough = decay._rough_pass(panel, bounds)
+        coarse, rough = reference.rough_pass(panel, bounds)
         tol = max(rough, mp.mpf(2) ** (-precision_bits)) * target / (2 * len(bounds))
-        total, err, hits = decay._adaptive_sum(panel, bounds, coarse, tol)
+        total, err, hits = reference.adaptive_sum(panel, bounds, coarse, tol)
         return 2 * total + tail, 2 * (err + tail), hits
 
 
@@ -326,6 +326,82 @@ def test_l1_l2_norm_chain():
             assert l1 <= mp.sqrt(2) * l2 * (1 + mp.mpf("1e-30"))
 
 
+@lru_cache(maxsize=None)
+def _norm_reference(n: int, power: int) -> tuple:
+    """(int_0^1 sigma^(n)^power, error estimate) by mp.quad at 356 bits, 100
+    above the largest precision tested, split at 1 - 2^-k and 1 - 3 2^-(k+2)
+    for k < 12 and at 1, from the pointwise sigma_deriv_mp.  mp.quad's
+    tolerance is absolute, so the integrand is divided by a 53-bit first
+    pass."""
+    f = lambda x: decay.sigma_deriv_mp(n, x) ** power
+    with mp.workprec(53):
+        rough = mp.quad(f, [0, 1])
+    with mp.workprec(356):
+        points = sorted({1 - mp.ldexp(j, -k) for k in range(2, 14) for j in (4, 3)} | {mp.mpf(1)})
+        value, err = mp.quad(lambda x: f(x) / rough, points, method="gauss-legendre", error=True)
+        # and a few roundings at 356 bits
+        return value * rough, (err + mp.ldexp(value, -350)) * rough
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_norms_within_bound_of_quadrature_reference(monkeypatch, bits):
+    # the fixed graded panels of l2_norm and l1_norm(0) lie within their
+    # bound of an independent quadrature; l2_norm takes the root of the
+    # integral it summed at bits + 40
+    sums = []
+    real = decay._norm_integral
+    monkeypatch.setattr(decay, "_norm_integral", lambda *args: sums.append(real(*args)) or sums[-1])
+    for n in (0, 1, 4, 9, 20):
+        norm = decay.l2_norm(n, bits)
+        (value, bound), = sums
+        sums.clear()
+        ref, err = _norm_reference(n, 2)
+        with mp.workprec(400):
+            assert abs(value - ref) <= bound + err, n
+            assert bound <= mp.ldexp(value, -bits), n
+            assert abs(norm**2 / 2 - ref) <= bound + err + mp.ldexp(ref, -bits - 37), n
+    with mp.workprec(400):
+        res = decay.l1_norm(0, bits)
+        ref, err = _norm_reference(0, 1)
+        assert abs(res["norm"] - 2 * ref) <= res["abs_err"] + 2 * err
+        assert res["ln_enclosure"][0] <= mp.log(2 * ref) <= res["ln_enclosure"][1]
+
+
+@pytest.mark.parametrize("prec", [1, 8, 32])
+def test_l1_n0_abs_err_covers_the_256_bit_value(capsys, prec):
+    # at low precision the N = 0 report's abs_err is a bound: it covers the
+    # distance to the 256-bit norm, and the ln enclosure holds that norm's ln
+    exact = decay.l1_norm(0, 256)
+    assert main(["decay", "l1", "--n", "0", "--prec", str(prec)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    with mp.workprec(320):
+        assert abs(mp.exp(mp.mpf(doc["ln_norm"])) - exact["norm"]) <= mp.mpf(doc["abs_err"])
+        lo, hi = doc["ln_norm_enclosure"]
+        assert mp.mpf(lo) <= exact["ln"] <= mp.mpf(hi)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 16, 53, 64, 96, 128, 192, 256, 384, 512, 1024])
+def test_norm_quadrature_bound_at_every_precision(bits):
+    # the closed-form order and the graded panels of _grid_breaks(1, cut)
+    # keep the bound below 2^-bits of the value (else ArithmeticError): for
+    # every n <= 20 at 1 and 64 bits, and for n = 0, 3 and 20 at all of them
+    for n in range(21) if bits in (1, 64) else (0, 3, 20):
+        value, bound = decay._norm_integral(n, 2, bits)
+        assert 0 < bound <= mp.ldexp(value, -bits), n
+    value, bound = decay._norm_integral(0, 1, bits)
+    assert 0 < bound <= mp.ldexp(value, -bits)
+
+
+def test_norms_reject_unbounded_quadrature(monkeypatch):
+    # an inflated quadrature term passes 2^-precision_bits of the value, and
+    # both norms refuse it
+    monkeypatch.setattr(decay, "_ellipse_bound", lambda c, rho, order, big_m, defect: iv.mpf(2) ** -80)
+    with pytest.raises(ArithmeticError):
+        decay.l2_norm(2, 128)
+    with pytest.raises(ArithmeticError):
+        decay.l1_norm(0, 128)
+
+
 L1_REPORT_VALUES = {
     1: ("-0.306852819440054690582767878542", "1.4982e-95", "-0.306852819440054690582767878542"),
     8: ("25.5625084918900867560708756466", "3.9122e-83", "25.5625084918900867560708756466"),
@@ -414,10 +490,10 @@ def test_l1_norm_reports_no_depth_cap_hits():
 
 def test_adaptive_panel_counts_depth_cap_hits(monkeypatch):
     # with a tolerance no piece can meet, every piece at the cap is a hit
-    monkeypatch.setattr(decay, "_MAX_DEPTH", 3)
+    monkeypatch.setattr(reference, "MAX_DEPTH", 3)
     with mp.workprec(128):
         panel = lambda a, b, order: _panel_integral(mp.exp, a, b, order)
-        _, _, hits = decay._adaptive_panel(panel, mp.mpf(0), mp.mpf(1), mp.mpf(-1))
+        _, _, hits = reference.adaptive_panel(panel, mp.mpf(0), mp.mpf(1), mp.mpf(-1))
     assert hits == 2**3
 
 
@@ -520,6 +596,13 @@ def test_fourier_envelope_evaluates_each_scan_point_once(monkeypatch):
     monkeypatch.setattr(decay, "sigma_hat", counting)
     decay.fourier_envelope(50, 128)
     assert len(calls) == len(set(calls)) == 5
+
+
+@pytest.mark.parametrize("r", [512.01, float("inf"), float("-inf"), float("nan"), Q(51201, 100)])
+def test_sigma_hat_rejects_r_off_the_grid(r):
+    # the grids serve |r| <= GRID_R_MAX; NaN compares False both ways
+    with pytest.raises(ValueError, match="only covers"):
+        decay.sigma_hat(r, 64)
 
 
 def test_sigma_hat_zero_matches_l1():
@@ -701,7 +784,7 @@ def test_sigma_hat_rejects_unbounded_truncation(monkeypatch):
 def test_sigma_hat_rejects_unbounded_quadrature(monkeypatch):
     # an inflated quadrature term passes 2^-precision_bits just the same
     decay._oscillation_grid.cache_clear()
-    monkeypatch.setattr(decay, "_ellipse_bound", lambda c, rho, order, r_max, defect: iv.mpf(2) ** -80)
+    monkeypatch.setattr(decay, "_ellipse_bound", lambda c, rho, order, big_m, defect: iv.mpf(2) ** -80)
     try:
         with pytest.raises(ArithmeticError):
             decay.sigma_hat(Q(7, 2), 96)
@@ -739,6 +822,14 @@ def test_fourier_fit_small_window():
     with mp.workprec(160):
         target = mp.sqrt(2 * mp.pi)
         assert abs(fit["exponent_coeff"] - target) / target < mp.mpf("0.10")
+
+
+@pytest.mark.parametrize("r_cut", [0, -3, mp.mpf("nan"), 513, float("inf")])
+def test_parseval_rejects_a_cut_off_the_grid(r_cut):
+    # before any sigma_hat call: a cut past GRID_R_MAX would first sum the
+    # transform at every node up to it
+    with pytest.raises(ValueError, match="r_cut"):
+        decay.parseval_check(0, 64, r_cut=r_cut)
 
 
 def test_parseval_lower_precision():
