@@ -99,83 +99,101 @@ def _common_flags(p: argparse.ArgumentParser, seed: bool = False, prec: bool = F
         p.add_argument("--prec", type=_int_from(1), default=_env_default("prec", 256), help="precision bits")
 
 
+def _add_roots(p: argparse.ArgumentParser) -> None:
+    _common_flags(p)
+    p.add_argument("--type", required=True, dest="type_label")
+
+
+def _add_weyl(p: argparse.ArgumentParser) -> None:
+    wsub = p.add_subparsers(dest="weyl_command", required=True)
+    enum = wsub.add_parser("enumerate", help="JSON lines of elements by length")
+    _common_flags(enum)
+    enum.add_argument("--type", required=True, dest="type_label")
+    enum.add_argument("--max-len", required=True, type=int)
+    enum.add_argument("--kostant", action="store_true", help="restrict to minimal coset representatives")
+    census = wsub.add_parser("census", help="per-length counts as CSV")
+    _common_flags(census)
+    census.add_argument("--type", required=True, dest="type_label")
+    census.add_argument("--max-len", required=True, type=int)
+
+
+def _add_verify(p: argparse.ArgumentParser) -> None:
+    _common_flags(p, seed=True)
+    p.add_argument("lemma", choices=["lemma22", "lemma23", "lemma351", "thm32", "cor34"])
+    p.add_argument("--type", required=True, dest="type_label")
+    p.add_argument("--max-len", required=True, type=int)
+    # the audits' flags; unset here so cmd_verify can reject them on a sweep
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--r", type=_q, default=None)
+    p.add_argument("--t", type=_q, default=None)
+
+
+def _add_certify(p: argparse.ArgumentParser) -> None:
+    _common_flags(p, prec=True)
+    p.add_argument("--type", required=True, dest="type_label")
+    p.add_argument("--max-len", required=True, type=int)
+    p.add_argument("--r", type=_q, default=Q(1))
+    p.add_argument("--re-nu", type=_q, default=Q(0))
+    p.add_argument("--nu0", type=_q, default=None, help="default: 2 h_dual + 1")
+    p.add_argument("--c1", type=_q, default=Q(1))
+    p.add_argument("--c2", type=_q, default=Q(1))
+    p.add_argument("--c3", type=_q, default=Q(1))
+    p.add_argument("--d", type=_q, default=None, dest="cap_d", help="default: smallest valid")
+    p.add_argument("--big-d", type=_q, default=Q(1))
+    p.add_argument("--csv", default=None, help="also write plot data (fixed column order)")
+
+
+def _add_decay(p: argparse.ArgumentParser) -> None:
+    dsub = p.add_subparsers(dest="decay_command", required=True)
+    l1 = dsub.add_parser("l1", help="L1 norms of derivatives of the bump")
+    _common_flags(l1, prec=True)
+    l1.add_argument("--n", required=True, type=_int_from(0))
+    fourier = dsub.add_parser("fourier", help="envelope decay fit of the transform")
+    _common_flags(fourier, prec=True)
+    fourier.add_argument("--range", required=True, help="r_min,r_max")
+    fourier.add_argument("--samples", type=int, default=8)
+    convert = dsub.add_parser("convert", help="moment-to-pointwise conversion")
+    _common_flags(convert, prec=True)
+    convert.add_argument("--c", required=True, type=_q)
+    convert.add_argument("--C", required=True, type=_q, dest="big_c")
+    convert.add_argument("--y", required=True, type=_q)
+
+
+def _add_reproduce(p: argparse.ArgumentParser) -> None:
+    _common_flags(p, seed=True, prec=True)
+    p.add_argument("--profile", choices=["small", "full"], default="small")
+    p.add_argument("--out-dir", default=_env_default("out_dir", None))
+
+
+# command -> (help line, the builder of its flags and subcommands)
+COMMANDS = {
+    "roots": ("emit the finite root datum as JSON", _add_roots),
+    "weyl": ("affine Weyl group tools", _add_weyl),
+    "verify": ("run a lemma/theorem verification sweep", _add_verify),
+    "certify": ("entirety certificate over Kostant cells", _add_certify),
+    "decay": ("one-variable decay estimates", _add_decay),
+    "reproduce-all": ("run the acceptance suite", _add_reproduce),
+}
+
+
 def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The argument parser.  Every subcommand is listed, but only the command
-    that argv names (and, under weyl and decay, the subcommand it names) gets
-    its flags: argparse reads no other subparser when it parses argv.  With
-    no command word in argv, or one that names no command, every subparser
-    gets its flags.  The LOOPCERT_ environment defaults are read on each call."""
+    """The argument parser.  Only the command that argv names gets a parser
+    (under weyl and decay, with every subcommand); argparse dispatches to no
+    other, so the rest are registered by name and help line alone, for the
+    usage and error text.  With no command word in argv, or one that names
+    no command, every command is built.  The LOOPCERT_ environment defaults
+    are read on each call."""
     top = _Parser(prog="loopcert", description=__doc__)
     top.add_argument("--config", help="JSON file with default flag values")
     sub = top.add_subparsers(dest="command", required=True)
-    roots = sub.add_parser("roots", help="emit the finite root datum as JSON")
-    wsub = sub.add_parser("weyl", help="affine Weyl group tools").add_subparsers(dest="weyl_command", required=True)
-    enum = wsub.add_parser("enumerate", help="JSON lines of elements by length")
-    census = wsub.add_parser("census", help="per-length counts as CSV")
-    verify = sub.add_parser("verify", help="run a lemma/theorem verification sweep")
-    certify = sub.add_parser("certify", help="entirety certificate over Kostant cells")
-    dsub = sub.add_parser("decay", help="one-variable decay estimates").add_subparsers(dest="decay_command", required=True)
-    l1 = dsub.add_parser("l1", help="L1 norms of derivatives of the bump")
-    fourier = dsub.add_parser("fourier", help="envelope decay fit of the transform")
-    convert = dsub.add_parser("convert", help="moment-to-pointwise conversion")
-    reproduce = sub.add_parser("reproduce-all", help="run the acceptance suite")
-
     words = [tok for tok in argv if not tok.startswith("-")]
-    everything = not words or words[0] not in sub.choices
-
-    def wanted(p: argparse.ArgumentParser) -> bool:
-        path = p.prog.split()[1:]  # the command words after "loopcert"
-        return everything or words[:len(path)] == path
-
-    if wanted(roots):
-        _common_flags(roots)
-        roots.add_argument("--type", required=True, dest="type_label")
-    if wanted(enum):
-        _common_flags(enum)
-        enum.add_argument("--type", required=True, dest="type_label")
-        enum.add_argument("--max-len", required=True, type=int)
-        enum.add_argument("--kostant", action="store_true", help="restrict to minimal coset representatives")
-    if wanted(census):
-        _common_flags(census)
-        census.add_argument("--type", required=True, dest="type_label")
-        census.add_argument("--max-len", required=True, type=int)
-    if wanted(verify):
-        _common_flags(verify, seed=True)
-        verify.add_argument("lemma", choices=["lemma22", "lemma23", "lemma351", "thm32", "cor34"])
-        verify.add_argument("--type", required=True, dest="type_label")
-        verify.add_argument("--max-len", required=True, type=int)
-        verify.add_argument("--samples", type=int, default=100)
-        verify.add_argument("--r", type=_q, default=Q(1))
-        verify.add_argument("--t", type=_q, default=Q(1, 2))
-    if wanted(certify):
-        _common_flags(certify, prec=True)
-        certify.add_argument("--type", required=True, dest="type_label")
-        certify.add_argument("--max-len", required=True, type=int)
-        certify.add_argument("--r", type=_q, default=Q(1))
-        certify.add_argument("--re-nu", type=_q, default=Q(0))
-        certify.add_argument("--nu0", type=_q, default=None, help="default: 2 h_dual + 1")
-        certify.add_argument("--c1", type=_q, default=Q(1))
-        certify.add_argument("--c2", type=_q, default=Q(1))
-        certify.add_argument("--c3", type=_q, default=Q(1))
-        certify.add_argument("--d", type=_q, default=None, dest="cap_d", help="default: smallest valid")
-        certify.add_argument("--big-d", type=_q, default=Q(1))
-        certify.add_argument("--csv", default=None, help="also write plot data (fixed column order)")
-    if wanted(l1):
-        _common_flags(l1, prec=True)
-        l1.add_argument("--n", required=True, type=_int_from(0))
-    if wanted(fourier):
-        _common_flags(fourier, prec=True)
-        fourier.add_argument("--range", required=True, help="r_min,r_max")
-        fourier.add_argument("--samples", type=int, default=8)
-    if wanted(convert):
-        _common_flags(convert, prec=True)
-        convert.add_argument("--c", required=True, type=_q)
-        convert.add_argument("--C", required=True, type=_q, dest="big_c")
-        convert.add_argument("--y", required=True, type=_q)
-    if wanted(reproduce):
-        _common_flags(reproduce, seed=True, prec=True)
-        reproduce.add_argument("--profile", choices=["small", "full"], default="small")
-        reproduce.add_argument("--out-dir", default=_env_default("out_dir", None))
+    named = words[0] if words and words[0] in COMMANDS else None
+    for name, (help_line, add_flags) in COMMANDS.items():
+        if named in (None, name):
+            add_flags(sub.add_parser(name, help=help_line))
+        else:  # what add_parser records, without the parser
+            sub.choices[name] = None
+            sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), help_line))
     return top
 
 
@@ -185,7 +203,9 @@ def _apply_config_file(argv: list[str]) -> tuple[list[str], str | None]:
     the command line, which therefore always win.  A JSON ``true`` turns a
     switch such as ``timing`` on; ``false`` and ``null`` are refused (leaving
     the key out keeps the default), and argparse rejects a key the command
-    does not read.  Returns the new argv and the file's path as given."""
+    does not read, and a second ``--config`` is refused, so the first word
+    that is not a flag names the command.  Returns the new argv and the
+    file's path as given."""
     idx = next((i for i, tok in enumerate(argv) if tok == "--config" or tok.startswith("--config=")), None)
     if idx is None:
         return argv, None
@@ -195,6 +215,8 @@ def _apply_config_file(argv: list[str]) -> tuple[list[str], str | None]:
         path, rest = argv[idx + 1], argv[:idx] + argv[idx + 2 :]
     else:
         path, rest = argv[idx].partition("=")[2], argv[:idx] + argv[idx + 1 :]
+    if any(tok == "--config" or tok.startswith("--config=") for tok in rest):
+        raise UsageError("--config given more than once")
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise UsageError(f"{path}: the config file must hold a JSON object")
@@ -277,7 +299,18 @@ def cmd_weyl_census(args) -> Report:
     return Report("weyl_census", _config_echo(args), {"full": census["full"], "kostant": census["kostant"]})
 
 
+# the flags only the audits (thm32, cor34) read, with their defaults; a sweep
+# rejects them and echoes the defaults
+AUDIT_DEFAULTS = {"samples": 100, "r": Q(1), "t": Q(1, 2)}
+
+
 def cmd_verify(args) -> Report:
+    given = [f"--{key}" for key in AUDIT_DEFAULTS if getattr(args, key) is not None]
+    if given and args.lemma not in ("thm32", "cor34"):
+        raise UsageError(f"verify {args.lemma} is a sweep; it takes no {', '.join(given)}")
+    for key, value in AUDIT_DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
     rs = build_root_system_label(args.type_label)
     rep = ineq.verify(rs, args.lemma, args.max_len, args.samples, args.seed, args.r, args.t)
     report = Report("verify", _config_echo(args), rep.to_results(), failures=list(rep.violations))

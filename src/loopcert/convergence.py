@@ -132,71 +132,71 @@ def growth_census(rs: FiniteRootSystem, max_len: int) -> dict:
 def certify(rs: FiniteRootSystem, params: CertificateParams, max_len: int, prec: int = 256) -> dict:
     """Run the certificate sweep; see the module docstring for the verdict
     semantics.  All shell statistics are deterministic at fixed precision:
-    mp.fsum adds the terms' mantissas as exact integers and rounds once, so a
-    shell sum does not depend on the order of its cells."""
+    mp.fsum adds the terms' mantissas as exact integers and rounds once.  A
+    shell sums one term per cell in enumeration order, each the shared term
+    of the cell's (b,b) class, so the sum is the per-cell sum bit for bit."""
     params.validate(rs)
     with mp.workprec(prec):
-        layers = enumerate_kostant(rs, max_len)
         shells = []
-        partial = mp.mpf(0)
-        partials = []
-        for length, layer in enumerate(layers):
-            cells = [cell_bound(rs, w, params) for w in layer]
-            shell_sum = mp.fsum(mp.e**c.log_term for c in cells)
-            partial += shell_sum
-            max_cell = max(cells, key=lambda c: c.log_term, default=None)
-            shells.append(
-                {
-                    "length": length,
-                    "count": len(cells),
-                    "max_log_term": None if max_cell is None else max_cell.log_term,
-                    "shell_sum": shell_sum,
-                    "d_logterm_d_nu0": None if max_cell is None else -max_cell.p_w,
-                }
-            )
-            partials.append(partial)
+        for layer in enumerate_kostant(rs, max_len):
+            # the cells of a shell with equal (b,b) share N, p_w and log_term:
+            # one cell_bound and one exponential per class, first seen first
+            classes = {}
+            for w in layer:
+                if w.b_norm2 not in classes:
+                    cell = cell_bound(rs, w, params)
+                    classes[w.b_norm2] = cell, mp.e**cell.log_term
+            max_cell = max((cell for cell, _ in classes.values()), key=lambda c: c.log_term, default=None)
+            shells.append((len(layer), max_cell, mp.fsum(classes[w.b_norm2][1] for w in layer)))
+        return _certificate_report(params, max_len, shells)
 
-        maxima = [(s["length"], s["max_log_term"]) for s in shells if s["max_log_term"] is not None]
-        verdict, failures = _decay_verdict(maxima)
-        stabilized_at = _stabilized_at(partials)
-        fit = _quadratic_fit(maxima)
-        tail = _tail_bound(fit, shells, max_len)
 
-        report = {
-            "caveat": CERT_CAVEAT,
-            "params": {
-                "type": params.type_label,
-                "r": q_str(params.r),
-                "re_nu": q_str(params.re_nu),
-                "nu0": q_str(params.nu0),
-                "c1": q_str(params.c1),
-                "c2": q_str(params.c2),
-                "c3": q_str(params.c3),
-                "d": q_str(params.cap_d),
-                "big_d": q_str(params.big_d),
-                "a": q_str(params.a),
-            },
-            "max_len": max_len,
-            "shells": [
-                {
-                    "length": s["length"],
-                    "count": s["count"],
-                    "max_log_term": _nstr(s["max_log_term"]),
-                    "shell_sum": _nstr(s["shell_sum"]),
-                    "partial_sum": _nstr(partials[i]),
-                    "d_logterm_d_nu0": None if s["d_logterm_d_nu0"] is None else q_str(s["d_logterm_d_nu0"]),
-                }
-                for i, s in enumerate(shells)
-            ],
-            "partial_sum": _nstr(partial),
-            "log_partial_sum": _nstr(mp.log(partial)) if partial > 0 else None,
-            "stabilized_at": stabilized_at,
-            "tail_fit": fit,
-            "tail_bound_heuristic": tail,
-            "verdict": verdict,
-            "verdict_failures": failures,
-        }
-        return report
+def _certificate_report(params: CertificateParams, max_len: int, shells) -> dict:
+    """The report of a sweep from its shells by length: (cell count, the
+    first cell with the largest log_term or None, shell sum).  Runs at the
+    caller's working precision."""
+    partial = mp.mpf(0)
+    partials = []
+    for _, _, shell_sum in shells:
+        partial += shell_sum
+        partials.append(partial)
+    maxima = [(length, cell.log_term) for length, (_, cell, _) in enumerate(shells) if cell is not None]
+    verdict, failures = _decay_verdict(maxima)
+    fit = _quadratic_fit(maxima)
+    return {
+        "caveat": CERT_CAVEAT,
+        "params": {
+            "type": params.type_label,
+            "r": q_str(params.r),
+            "re_nu": q_str(params.re_nu),
+            "nu0": q_str(params.nu0),
+            "c1": q_str(params.c1),
+            "c2": q_str(params.c2),
+            "c3": q_str(params.c3),
+            "d": q_str(params.cap_d),
+            "big_d": q_str(params.big_d),
+            "a": q_str(params.a),
+        },
+        "max_len": max_len,
+        "shells": [
+            {
+                "length": length,
+                "count": count,
+                "max_log_term": None if cell is None else _nstr(cell.log_term),
+                "shell_sum": _nstr(shell_sum),
+                "partial_sum": _nstr(partials[length]),
+                "d_logterm_d_nu0": None if cell is None else q_str(-cell.p_w),
+            }
+            for length, (count, cell, shell_sum) in enumerate(shells)
+        ],
+        "partial_sum": _nstr(partial),
+        "log_partial_sum": _nstr(mp.log(partial)) if partial > 0 else None,
+        "stabilized_at": _stabilized_at(partials),
+        "tail_fit": fit,
+        "tail_bound_heuristic": _tail_bound(fit, [count for count, _, _ in shells], max_len),
+        "verdict": verdict,
+        "verdict_failures": failures,
+    }
 
 
 def _nstr(x, digits: int = 20):
@@ -252,7 +252,7 @@ def _quadratic_fit(maxima) -> dict | None:
     return {"const": _nstr(sol[0]), "lin": _nstr(sol[1]), "quad": _nstr(sol[2])}
 
 
-def _tail_bound(fit: dict | None, shells, max_len: int) -> str | None:
+def _tail_bound(fit: dict | None, counts, max_len: int) -> str | None:
     """Geometric extrapolation of the fitted quadratic past max_len; reported
     as a heuristic, never as a proof."""
     if fit is None:
@@ -264,7 +264,7 @@ def _tail_bound(fit: dict | None, shells, max_len: int) -> str | None:
         return None
     l0 = mp.mpf(max_len + 1)
     step_ratio = mp.e ** (quad * (2 * l0 + 1) + lin)
-    count_growth = mp.mpf(max(s["count"] for s in shells) + 2)
+    count_growth = mp.mpf(max(counts) + 2)
     if step_ratio >= 1:
         return None
     first = count_growth * mp.e ** (quad * l0 * l0 + lin * l0 + const)

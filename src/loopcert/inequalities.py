@@ -17,9 +17,10 @@ with rational values, so the final comparison is exact as well.
 
 ``run_audit`` works on Python ints from the draws to the last comparison.
 Per Kostant element, ``_H1Kernel`` and ``_H3Kernel`` draw the samples and
-check them on integer numerators, and ``_CorollaryKernel`` puts every
-corollary margin over one integer denominator; only the reported constants
-and the worst margin become ``Fraction``s.  ``sample_h1``, ``sample_siegel``,
+check them on integer numerators (the H1 checks once for the whole cone of
+coefficients when its sign certificate holds), and ``_CorollaryKernel`` puts
+every corollary margin over one integer denominator; only the reported
+constants and the worst margin become ``Fraction``s.  ``sample_h1``, ``sample_siegel``,
 ``h1_vector``, ``h3_vector`` and ``verify_corollary`` are the readable
 ``Fraction`` reference that the kernels, and the whole audit, are tested
 against.
@@ -293,6 +294,8 @@ def verify_corollary(
 
 H1_CHECKS = ("omega_nonneg", "lambda_sign", "sandwich", "growth1")
 _DRAW_BITS = DRAW_SCALE.bit_length()
+_U_WIDTH, _LAM_WIDTH = DRAW_SCALE - 1, 4 * LAMBDA_SCALE  # the Siegel draws' randrange widths
+_U_BITS, _LAM_BITS = _U_WIDTH.bit_length(), _LAM_WIDTH.bit_length()
 
 
 class _H1Kernel:
@@ -319,6 +322,20 @@ class _H1Kernel:
         self.sandwich = tuple(int(x * scale) for x in sandwich)
         self.growth = int(growth * scale)
         self.rho_den, self.lam_den = DRAW_SCALE, DRAW_SCALE * scale
+        self.certified = self._cone_certified()
+
+    def _cone_certified(self) -> bool:
+        """True when every nonnegative sample passes every check.  Each check
+        is linear in the coefficients, so it holds on the whole cone exactly
+        when it holds on each one-hot sample: coroot entries >= 0, h_iota
+        coefficients < 0, and the sandwich and growth1 columns >= 0."""
+        cols, lam_col = self.cols, self.lam
+        return (all(x >= 0 for col in cols for x in col)
+                and all(x < 0 for x in lam_col)
+                and all(lam_j + sum(s * col[j] for s, col in zip(self.sandwich, cols)) >= 0
+                        for j, lam_j in enumerate(lam_col))
+                and all(lam_j + self.growth * sum(col[j] for col in cols) >= 0
+                        for j, lam_j in enumerate(lam_col)))
 
     def draws(self, rng: random.Random, n: int):
         """The draws of sample_h1 for samples 0..n-1, one-hot at k % 8 == 7,
@@ -414,11 +431,22 @@ class _H3Kernel:
 
     def draws(self, rng: random.Random, n: int):
         """The draws of sample_siegel for n samples: (H_g,cl numerators over
-        den, <Lambda, H_g> * LAMBDA_SCALE)."""
+        den, <Lambda, H_g> * LAMBDA_SCALE).  randrange(1, DRAW_SCALE) and
+        randrange(-2 LAMBDA_SCALE, 2 LAMBDA_SCALE) draw getrandbits of the
+        width's bit length until the value is below the width; the loops below
+        make the same calls, as _H1Kernel.draws does."""
+        getrandbits, x0, dx, cols = rng.getrandbits, self.x0, self.dx, self.coweight_cols
         for _ in range(n):
-            xs = [self.x0 + rng.randrange(1, DRAW_SCALE) * self.dx for _ in self.coweight_cols]
-            yield (tuple(sum(map(mul, xs, col)) for col in self.coweight_cols),
-                   rng.randrange(-2 * LAMBDA_SCALE, 2 * LAMBDA_SCALE))
+            xs = []
+            for _ in cols:
+                u = getrandbits(_U_BITS)
+                while u >= _U_WIDTH:
+                    u = getrandbits(_U_BITS)
+                xs.append(x0 + (u + 1) * dx)
+            lam = getrandbits(_LAM_BITS)
+            while lam >= _LAM_WIDTH:
+                lam = getrandbits(_LAM_BITS)
+            yield tuple(sum(map(mul, xs, col)) for col in cols), lam - 2 * LAMBDA_SCALE
 
     def scan(self, samples) -> tuple[list[tuple[int, str]], int, list[tuple[int, int]]]:
         """Check the samples in order; a sample outside the Siegel set raises.
@@ -629,8 +657,11 @@ def run_audit(
     Every sample stays a Python int: the kernels draw with the generator
     calls of sample_h1 and sample_siegel, report failed checks in sample
     order, and keep the (<rho, H>, <Lambda, H>) numerators the corollary
-    reads.  C3 is one numerator over 2^SQRT_BITS times the rate's
-    denominator; each element's worst margin is one Fraction."""
+    reads.  When an element's H1 cone is certified (``_H1Kernel.certified``)
+    no H1 sample can fail, so only the samples the corollary reads are drawn;
+    each element has its own generator, so no other draw moves.  C3 is one
+    numerator over 2^SQRT_BITS times the rate's denominator; each element's
+    worst margin is one Fraction."""
     if with_corollary and n_siegel > 0 and n_h1 < 1:
         raise ValueError(f"the corollary pairs each Siegel sample with an H1 sample: need n_h1 >= 1, got {n_h1}")
     layers = enumerate_kostant(rs, max_len)
@@ -659,10 +690,12 @@ def run_audit(
     # pass reads H1 sample k % n_h1 for k < n_siegel, so only those are kept
     c3 = Q(0)
     samples = []
+    n_keep = n_siegel if with_corollary else 0
     for idx, w in enumerate(kostant):
         k1 = _H1Kernel(rs, w, c1)
-        failures, h1_kept = k1.scan(k1.draws(random.Random(derive_seed(seed, f"h1:{idx}")), n_h1),
-                                    n_siegel if with_corollary else 0)
+        # every sample of a certified cone passes: draw only those kept
+        n_draw = min(n_keep, n_h1) if k1.certified else n_h1
+        failures, h1_kept = k1.scan(k1.draws(random.Random(derive_seed(seed, f"h1:{idx}")), n_draw), n_keep)
         rep.violations += [{"check": f"h1.{name}", "sample": k, "w": _wid(w)} for k, name in failures]
         k3 = _H3Kernel(rs, w, r, t, envelope, rate)
         failures, w_c3, h3_kept = k3.scan(k3.draws(random.Random(derive_seed(seed, f"siegel:{idx}")), n_siegel))

@@ -11,6 +11,10 @@ is taken in Fractions.
 ``Fraction`` loop over the readable samplers and vectors of
 ``loopcert.inequalities``, to hold the integer kernels of ``run_audit`` to.
 
+``certify_reference`` is the entirety certificate with one ``cell_bound``
+and one exponential per cell, to hold ``convergence.certify``'s per-class
+terms to.
+
 ``isolate_01`` and ``sign_change_roots_reference`` are the classical form of
 the root pipeline behind ``decay.l1_norm``: Descartes' rule on the
 (0,1)-Moebius transform with two Taylor shifts per node, and 40 exact
@@ -27,6 +31,7 @@ from fractions import Fraction as Q
 
 from mpmath import mp
 
+from loopcert import convergence as conv
 from loopcert import decay
 from loopcert import inequalities as ineq
 from loopcert import weyl
@@ -191,6 +196,18 @@ def run_audit_reference(rs: FiniteRootSystem, max_len: int, n_h1: int, n_siegel:
         rep.extremal_cases.append({"kind": "cor34_worst_margin", "margin": q_str(worst)})
     rep.records.append({"kostant_checked": len(kostant), "h1_samples_per_w": n_h1, "siegel_samples_per_w": n_siegel})
     return rep
+
+
+def certify_reference(rs: FiniteRootSystem, params: conv.CertificateParams, max_len: int, prec: int = 256) -> dict:
+    """convergence.certify with a cell term per cell."""
+    params.validate(rs)
+    with mp.workprec(prec):
+        shells = []
+        for layer in weyl.enumerate_kostant(rs, max_len):
+            cells = [conv.cell_bound(rs, w, params) for w in layer]
+            max_cell = max(cells, key=lambda c: c.log_term, default=None)
+            shells.append((len(cells), max_cell, mp.fsum(mp.e**c.log_term for c in cells)))
+        return conv._certificate_report(params, max_len, shells)
 
 
 def shift_by_one(coeffs: list[int]) -> list[int]:

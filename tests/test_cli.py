@@ -309,6 +309,32 @@ def test_config_file_rules(tmp_path, capsys, cfg, argv, expected):
     assert json.loads(capsys.readouterr().out)["config"][key] == value
 
 
+def test_second_config_is_usage_error(tmp_path, capsys):
+    # build_parser reads the first word that is not a flag as the command; a
+    # second --config would hide its file name from that reading, so it is refused
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 3}))
+    assert main(["--config", str(path), "--config", "roots", *LEMMA23]) == 2
+    assert main([*LEMMA23, f"--config={path}", "--config", str(path)]) == 2
+    assert "--config given more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lemma", ["lemma22", "lemma23", "lemma351"])
+@pytest.mark.parametrize("flag, value", [("samples", "7"), ("r", "5"), ("t", "1/3")])
+def test_sweep_rejects_the_audit_flags(tmp_path, capsys, lemma, flag, value):
+    # the sweeps read no --samples, --r or --t, from the command line or from
+    # --config, and echo the audits' defaults
+    argv = ["verify", lemma, "--type", "A1", "--max-len", "2"]
+    assert main(argv + [f"--{flag}", value]) == 2
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({flag: value}))
+    assert main(argv + ["--config", str(path)]) == 2
+    assert f"verify {lemma} is a sweep; it takes no --{flag}" in capsys.readouterr().err
+    assert main(argv + ["--seed", "3"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["samples"], config["r"], config["t"], config["seed"]) == (100, "1", "1/2", 3)
+
+
 @pytest.mark.parametrize("lemma", ["thm32", "cor34"])
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_audit_needs_a_sample(tmp_path, lemma, samples):

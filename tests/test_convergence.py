@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as Q
 
 import pytest
@@ -9,7 +10,7 @@ from loopcert import inequalities as ineq
 from loopcert import weyl
 from loopcert.cartan import build_root_system_label
 from loopcert.linalg import vec
-from reference import from_word
+from reference import certify_reference, from_word
 
 
 def rs_of(label):
@@ -179,3 +180,35 @@ def test_nu0_sensitivity_reported():
     assert all(v is not None for v in sens)
     # d log_term / d nu0 = -p_w: negative once the quadratic term dominates
     assert Q(sens[-1]) > 0
+
+
+# certify evaluates one cell term per (length, (b,b)) class; the per-cell
+# loop of tests/reference.py must print the same report
+CLASS_LEN = {"A1": 30, "A2": 12, "C2": 12, "G2": 12, "A3": 6, "B3": 6}
+
+
+@pytest.mark.parametrize("label", sorted(CLASS_LEN))
+@pytest.mark.parametrize("prec", [64, 256])
+def test_certify_matches_per_cell_reference(label, prec):
+    rs = rs_of(label)
+    for r in (Q(16), Q(80)):
+        for re_nu in (Q(-10), Q(0), Q(2 * rs.dual_coxeter)):
+            params = conv.default_params(rs, r=r, re_nu=re_nu)
+            got = conv.certify(rs, params, CLASS_LEN[label], prec=prec)
+            assert json.dumps(got) == json.dumps(certify_reference(rs, params, CLASS_LEN[label], prec=prec))
+
+
+@pytest.mark.parametrize("label", sorted(CLASS_LEN))
+def test_certify_calls_cell_bound_once_per_class(label, monkeypatch):
+    rs = rs_of(label)
+    seen = []
+    real = conv.cell_bound
+
+    def counting(rs, w, params):
+        seen.append((w.length, w.b_norm2))
+        return real(rs, w, params)
+
+    monkeypatch.setattr(conv, "cell_bound", counting)
+    conv.certify(rs, conv.default_params(rs, r=Q(16)), CLASS_LEN[label])
+    classes = {(w.length, w.b_norm2) for layer in weyl.enumerate_kostant(rs, CLASS_LEN[label]) for w in layer}
+    assert len(seen) == len(set(seen)) == len(classes) and set(seen) == classes

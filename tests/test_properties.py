@@ -422,6 +422,63 @@ def test_run_audit_matches_reference_on_violations(label, monkeypatch):
     assert {"h1.growth1", "h3.omega_bounded", "h3.growth3"} <= checks
 
 
+# the H1 cone certificate: each check is linear in the coefficients, so it
+# holds on every nonnegative sample exactly when it holds on the zero sample
+# and on each one-hot sample
+@st.composite
+def integer_h1_kernels(draw):
+    """An _H1Kernel on random integer tables: 1 to 4 coroot rows over a
+    support of 0 to 6 flipped roots, sandwich weights, a growth factor and
+    h_iota coefficients, zero and negative entries included.  Half the draws
+    keep the coroot entries nonnegative; an h_iota coefficient is random or
+    the one that puts the sandwich or growth1 column of its root at exactly 0."""
+    size, rank = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    entry = st.integers(0, 3) if draw(st.booleans()) else st.integers(-1, 3)
+    kernel = object.__new__(ineq._H1Kernel)
+    kernel.cols = [tuple(draw(st.lists(entry, min_size=size, max_size=size))) for _ in range(rank)]
+    kernel.sandwich = tuple(draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)))
+    kernel.growth = draw(st.integers(-2, 4))
+    tight = [-min(sum(s * col[j] for s, col in zip(kernel.sandwich, kernel.cols)),
+                  kernel.growth * sum(col[j] for col in kernel.cols)) for j in range(size)]
+    kernel.lam = tuple(draw(st.one_of(st.just(x), st.integers(-6, 3))) for x in tight)
+    return kernel
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(kernel=integer_h1_kernels(), data=st.data())
+def test_h1_cone_certificate_is_exact(kernel, data):
+    size = len(kernel.lam)
+    corners = [[0] * size] + [[int(j == k) for j in range(size)] for k in range(size)]
+    certified = kernel._cone_certified()
+    assert certified == (kernel.scan(corners, 0)[0] == [])
+    if certified:
+        samples = data.draw(st.lists(st.lists(st.integers(0, ineq.DRAW_SCALE), min_size=size, max_size=size),
+                                     min_size=1, max_size=8))
+        assert kernel.scan(samples, 0)[0] == []
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2"])
+@pytest.mark.parametrize("with_corollary", [False, True], ids=["thm32", "cor34"])
+def test_run_audit_scans_every_sample_of_an_uncertified_cone(label, with_corollary, monkeypatch):
+    # with C1 = 1/10^6, growth1 fails on the cones of some elements: run_audit
+    # must then draw and check all their H1 samples, as the Fraction loop does
+    monkeypatch.setattr(ineq, "growth_constant_c1", lambda rs: Q(1, 10**6))
+    rs = build_root_system_label(label)
+    kostant = [w for layer in weyl.enumerate_kostant(rs, 6) for w in layer]
+    assert not all(ineq._H1Kernel(rs, w, Q(1, 10**6)).certified for w in kostant)
+    args = (rs, 6, 16, 4, 5, Q(1), Q(1, 2), with_corollary)
+    got = ineq.run_audit(*args).to_results()
+    assert got == reference.run_audit_reference(*args).to_results()
+    assert "h1.growth1" in {v["check"] for v in got["violations"]}
+
+
+@each_kernel_type
+def test_true_constants_certify_every_cone(label):
+    rs = build_root_system_label(label)
+    c1 = ineq.growth_constant_c1(rs)
+    assert all(ineq._H1Kernel(rs, w, c1).certified for layer in weyl.enumerate_kostant(rs, 6) for w in layer)
+
+
 # root isolation in the Bernstein basis against the Taylor-shift form of
 # tests/reference.py, on integer polynomials with known roots in (0, 1)
 MIDPOINTS = (Q(1, 2), Q(3, 4), Q(5, 8))
