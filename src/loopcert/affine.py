@@ -101,13 +101,6 @@ def affine_simple_roots(rs: FiniteRootSystem) -> tuple[AffineRoot, ...]:
     return tuple(simples)
 
 
-def affine_simple_coroots(rs: FiniteRootSystem) -> tuple[CartanElement, ...]:
-    """h_i = classical coroots for i <= l, and h_{l+1} = h_{-highest} + h_iota."""
-    out = [CartanElement(tuple(Q(1) if j == i else Q(0) for j in range(rs.rank)), Q(0), Q(0)) for i in range(rs.rank)]
-    out.append(coroot(rs, affine_simple_roots(rs)[rs.rank]))
-    return tuple(out)
-
-
 def coroot(rs: FiniteRootSystem, a: AffineRoot) -> CartanElement:
     """Coroot of a real root beta + n*iota: h_beta + (2/(beta,beta)) n h_iota."""
     if a.is_imaginary or not a.is_real(rs):

@@ -584,6 +584,24 @@ def _root_value_iv(n: int, m: int, k: int, reach):
     return value + reach * iv.mpf([-1, 1])
 
 
+def _telescoped_norm(n: int, prec: int, k: int):
+    """The mpmath.iv enclosure of the L1 norm of sigma^(n), n >= 1, from the
+    roots sign_change_roots(n, prec) in brackets at K = k bits (l1_norm)."""
+    coeffs = _deflated_poly(n).coeffs
+    shifted = [c << (k + 64) for c in reversed(coeffs)]
+    ms = [(to_fixed(r._mpf_, k + 1) + 1) >> 1 for r in sign_change_roots(n, prec)]
+    if any(b - a < 2 for a, b in zip([0] + ms, ms)) or any(
+            _bracket_sign(coeffs, shifted, m - 1, k) * _bracket_sign(coeffs, shifted, m + 1, k) >= 0 for m in ms):
+        raise ArithmeticError(f"no certified brackets for the roots of P_{n}")
+    reach = _taylor_reach(n, k)
+    # at 0, sigma^(n) vanishes for odd n and the odd sigma^(n-1) for even n
+    vals = [_root_value_iv(n, 1, k, reach) if n % 2 else iv.mpf(0)] + [_root_value_iv(n, m, k, reach) for m in ms]
+    return 2 * sum(abs(b - a) for a, b in zip(vals, vals[1:] + [iv.mpf(0)]))
+
+
+L1_DEEPER_BITS, L1_DEEPER_MAX = 32, 8  # bracket depth step of an l1_norm retry, and the most retries
+
+
 def l1_norm(n: int, precision_bits: int = 256) -> dict:
     """{"ln", "norm", "abs_err", "ln_enclosure": (lo, hi)}, in mpf, for the
     L1 norm of sigma^(n) on (-1,1).
@@ -597,7 +615,10 @@ def l1_norm(n: int, precision_bits: int = 256) -> dict:
     isolating interval.  The values of sigma^(n-1) come from _root_value_iv,
     widened by one _taylor_reach per call.  The sum, in mpmath.iv at
     prec + 60 bits, encloses the norm: norm is its midpoint, abs_err bounds
-    its distance to the true norm, ln_enclosure holds the ln.
+    its distance to the true norm, ln_enclosure holds the ln.  The Taylor
+    widening grows with n, so an enclosure that misses the target below is
+    computed again with K and the roots' precision L1_DEEPER_BITS deeper, up
+    to L1_DEEPER_MAX times.
 
     n = 0: the norm is 2 int_0^1 sigma by _norm_integral, whose bound
     makes abs_err rigorous too, and ln_enclosure the ln of norm +- abs_err.
@@ -606,25 +627,16 @@ def l1_norm(n: int, precision_bits: int = 256) -> dict:
     with mp.workprec(precision_bits + 60), PrecisionManager(iv, lambda _: precision_bits + 60, None):
         if n == 0:
             half, err = _norm_integral(0, 1, precision_bits)
-            total = 2 * (iv.mpf([-1, 1]) * err + half)
-        else:
-            k, coeffs = precision_bits + 20, _deflated_poly(n).coeffs
-            shifted = [c << (k + 64) for c in reversed(coeffs)]
-            ms = [(to_fixed(r._mpf_, k + 1) + 1) >> 1 for r in sign_change_roots(n, precision_bits)]
-            if any(b - a < 2 for a, b in zip([0] + ms, ms)) or any(
-                    _bracket_sign(coeffs, shifted, m - 1, k) * _bracket_sign(coeffs, shifted, m + 1, k) >= 0
-                    for m in ms):
-                raise ArithmeticError(f"no certified brackets for the roots of P_{n}")
-            reach = _taylor_reach(n, k)
-            # at 0, sigma^(n) vanishes for odd n and the odd sigma^(n-1) for even n
-            vals = ([_root_value_iv(n, 1, k, reach) if n % 2 else iv.mpf(0)]
-                    + [_root_value_iv(n, m, k, reach) for m in ms])
-            total = 2 * sum(abs(b - a) for a, b in zip(vals, vals[1:] + [iv.mpf(0)]))
-        norm, ln = mp.mpf(total.mid), iv.log(total)
-        abs_err, enclosure = mp.mpf(abs(total - norm).b), (mp.mpf(ln.a), mp.mpf(ln.b))
-        if not abs_err <= mp.ldexp(norm, -(precision_bits // 2)):
-            raise ArithmeticError(f"requested precision unreachable at N={n}")
-        return {"ln": mp.log(norm), "norm": norm, "abs_err": abs_err, "ln_enclosure": enclosure}
+            totals = [2 * (iv.mpf([-1, 1]) * err + half)]
+        else:  # computed lazily: a deeper pass only when the one before misses
+            totals = (_telescoped_norm(n, precision_bits + extra, precision_bits + 20 + extra)
+                      for extra in range(0, L1_DEEPER_BITS * L1_DEEPER_MAX + 1, L1_DEEPER_BITS))
+        for total in totals:
+            norm, ln = mp.mpf(total.mid), iv.log(total)
+            abs_err, enclosure = mp.mpf(abs(total - norm).b), (mp.mpf(ln.a), mp.mpf(ln.b))
+            if abs_err <= mp.ldexp(norm, -(precision_bits // 2)):
+                return {"ln": mp.log(norm), "norm": norm, "abs_err": abs_err, "ln_enclosure": enclosure}
+        raise ArithmeticError(f"requested precision unreachable at N={n}")
 
 
 def l1_norm_extrema(n: int, precision_bits: int = 256):

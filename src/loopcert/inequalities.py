@@ -16,10 +16,10 @@ envelope from the sample).  The composite corollary check runs entirely in the l
 with rational values, so the final comparison is exact as well.
 
 ``run_audit`` works on Python ints from the draws to the last comparison.
-Per Kostant element, ``_H1Kernel`` and ``_H3Kernel`` draw the samples and
-check them on integer numerators (the H1 checks once for the whole cone of
-coefficients when its sign certificate holds), and ``_CorollaryKernel`` puts
-every corollary margin over one integer denominator; only the reported
+Per Kostant element, ``_H1Kernel`` decides the H1 checks on the whole cone of
+coefficients and ``_H3Kernel`` the H3 checks on the whole box of draws, so the
+samples only measure C3 and feed the corollary, whose margins
+``_CorollaryKernel`` puts over one integer denominator; only the reported
 constants and the worst margin become ``Fraction``s.  ``sample_h1``, ``sample_siegel``,
 ``h1_vector``, ``h3_vector`` and ``verify_corollary`` are the readable
 ``Fraction`` reference that the kernels, and the whole audit, are tested
@@ -298,6 +298,18 @@ _U_WIDTH, _LAM_WIDTH = DRAW_SCALE - 1, 4 * LAMBDA_SCALE  # the Siegel draws' ran
 _U_BITS, _LAM_BITS = _U_WIDTH.bit_length(), _LAM_WIDTH.bit_length()
 
 
+def _cone_counterexamples(cols, lam_col, sandwich, growth: int) -> list[tuple[int, str]]:
+    """(j, check), in H1_CHECKS order, for each check the one-hot sample on
+    flipped root j fails.  The zero sample passes and each check is linear,
+    so an empty list proves all four on the whole cone."""
+    out = []
+    for j, lam in enumerate(lam_col):
+        omegas = [col[j] for col in cols]
+        ok = (min(omegas) >= 0, lam < 0, -sum(map(mul, sandwich, omegas)) <= lam, lam >= -growth * sum(omegas))
+        out += [(j, name) for name, good in zip(H1_CHECKS, ok) if not good]
+    return out
+
+
 class _H1Kernel:
     """h1_vector for one w on coefficient numerators over DRAW_SCALE.
 
@@ -305,37 +317,23 @@ class _H1Kernel:
     flipped set; the h_iota coefficients (2/(beta,beta)) n, the sandwich weights
     (2/(sigma_j,sigma_j)) kappa_j and the growth factor c1 (l+1) are scaled
     by one integer L.  Every check is homogeneous in the coefficients, so it
-    holds on the numerators exactly when it holds on the Fractions.  A sample
-    reaches the corollary as (<rho, H1>, <Lambda, H1>), numerators over
-    ``rho_den`` and ``lam_den``."""
+    holds on the numerators exactly when it holds on the Fractions;
+    ``counterexamples`` holds (flipped root, check) per failed one-hot sample.
+    A sample reaches the corollary as (<rho, H1>, <Lambda, H1>), numerators
+    over ``rho_den`` and ``lam_den``."""
 
     def __init__(self, rs: FiniteRootSystem, w: AffineWeylElement, c1: Q):
         self.support = neg_inverted_of_inverse(rs, w)
         coroots = [coroot(rs, g) for g in self.support]
         sandwich = [Q(2) / rs.root_norm2(sigma) * kap_j for sigma, kap_j in kappa(rs, w)]
-        ell = element_length(rs, w)
-        growth = c1 * (ell + 1)
+        growth = c1 * (element_length(rs, w) + 1)
         scale = lcm(growth.denominator, *(x.h_iota.denominator for x in coroots),
                     *(x.denominator for x in sandwich))
         self.cols = [tuple(int(x.classical[i]) for x in coroots) for i in range(rs.rank)]
         self.lam = tuple(int(x.h_iota * scale) for x in coroots)
-        self.sandwich = tuple(int(x * scale) for x in sandwich)
-        self.growth = int(growth * scale)
         self.rho_den, self.lam_den = DRAW_SCALE, DRAW_SCALE * scale
-        self.certified = self._cone_certified()
-
-    def _cone_certified(self) -> bool:
-        """True when every nonnegative sample passes every check.  Each check
-        is linear in the coefficients, so it holds on the whole cone exactly
-        when it holds on each one-hot sample: coroot entries >= 0, h_iota
-        coefficients < 0, and the sandwich and growth1 columns >= 0."""
-        cols, lam_col = self.cols, self.lam
-        return (all(x >= 0 for col in cols for x in col)
-                and all(x < 0 for x in lam_col)
-                and all(lam_j + sum(s * col[j] for s, col in zip(self.sandwich, cols)) >= 0
-                        for j, lam_j in enumerate(lam_col))
-                and all(lam_j + self.growth * sum(col[j] for col in cols) >= 0
-                        for j, lam_j in enumerate(lam_col)))
+        self.counterexamples = [(self.support[j], name) for j, name in _cone_counterexamples(
+            self.cols, self.lam, [int(x * scale) for x in sandwich], int(growth * scale))]
 
     def draws(self, rng: random.Random, n: int):
         """The draws of sample_h1 for samples 0..n-1, one-hot at k % 8 == 7,
@@ -358,43 +356,33 @@ class _H1Kernel:
                 nums.append(x)
             yield nums
 
-    def scan(self, samples, n_keep: int) -> tuple[list[tuple[int, str]], list[tuple[int, int]]]:
-        """Check the samples in order.  Returns the failures, (k, check) for
-        each failed check of sample k in H1_CHECKS order, and the
-        (<rho, H1>, <Lambda, H1>) numerators of the samples k < n_keep."""
-        cols, lam_col, sandwich, growth = self.cols, self.lam, self.sandwich, self.growth
+    def scan(self, samples) -> list[tuple[int, int]]:
+        """The (<rho, H1>, <Lambda, H1>) numerators of the samples, in order."""
+        cols, lam_col = self.cols, self.lam
         size = len(lam_col)
-        failures, kept = [], []
-        for k, nums in enumerate(samples):
+        kept = []
+        for nums in samples:
             if len(nums) != size or (size and min(nums) < 0):
                 raise ValueError("one nonnegative H1 coefficient per flipped root expected")
-            omegas = [sum(map(mul, nums, col)) for col in cols]
-            lam = sum(map(mul, nums, lam_col))
-            rho = sum(omegas)
-            ok = (
-                min(omegas) >= 0,
-                (lam < 0) if any(nums) else (lam == 0),
-                -sum(map(mul, sandwich, omegas)) <= lam,
-                lam >= -growth * rho,
-            )
-            if not all(ok):
-                failures += [(k, name) for name, good in zip(H1_CHECKS, ok) if not good]
-            if k < n_keep:
-                kept.append((rho, lam))
-        return failures, kept
+            kept.append((sum(sum(map(mul, nums, col)) for col in cols), sum(map(mul, nums, lam_col))))
+        return kept
 
 
 class _H3Kernel:
     """h3_vector for one w on Siegel samples held as integers.
 
     H_g,cl is a numerator vector over ``self.den`` = D K: the coordinates
-    x_j = hi + U_j step share the denominator D, the fundamental coweights
-    the denominator K.  The Siegel constraints, the envelope check, the
-    theta-pairing, h_iota and C3 = |<Lambda, H_g>| + sqrt_upper((H,H)) rate
-    all run on integers; C3 is a numerator over ``c3_den`` = 2^SQRT_BITS
-    times the denominator of the rate, which is the same for every w of an
-    audit.  w must be a Kostant representative: run_audit draws it from
-    enumerate_kostant, and h3_vector is the guarded entry point."""
+    x_j = x0 + U_j dx share the denominator D, the fundamental coweights
+    the denominator K.  Both checks hold for every draw 1 <= U_j < 2^24 unless
+    flagged: <omega_i, H3> is linear in U, so ``bad_corners`` lists the
+    corners U in {1, 2^24 - 1}^rank past E; each sample's C3 is
+    |<Lambda, H_g>| + sqrt_upper((H,H)) rate, so growth3 follows by
+    Cauchy-Schwarz when ``growth3_proved``: rate >= 0, rate^2 (l+1)^2 >= (b,b).
+    The Siegel constraints, <rho, H3>, h_iota and C3 run on integers; C3 is
+    a numerator over ``c3_den`` = 2^SQRT_BITS times the denominator of the
+    rate, the same for every w of an audit.  w must be a Kostant
+    representative: run_audit draws it from enumerate_kostant, and h3_vector
+    is the guarded entry point."""
 
     def __init__(self, rs: FiniteRootSystem, w: AffineWeylElement, r: Q, t: Q, envelope: dict, rate: Q):
         if r <= 0 or not 0 < t < 1:
@@ -406,7 +394,7 @@ class _H3Kernel:
         step = budget / (2 * ht * DRAW_SCALE)  # x_j = hi + U_j * step, U_j the uniform draw
         d_x = lcm(hi.denominator, step.denominator)
         self.x0, self.dx = int(hi * d_x), int(step * d_x)
-        self.coweight_cols = rs.coweight_cols
+        self.coweight_cols = cols = rs.coweight_cols
         self.den = d_x * rs.coweight_den
         a = rs.cartan.entries
         n = rs.rank
@@ -416,9 +404,8 @@ class _H3Kernel:
         self.lo_num, self.lo_den = lo.numerator * self.den, lo.denominator
         top = r - lo  # the affine constraint r - <theta, H> > lo
         self.top_num, self.top_den = top.numerator * self.den, top.denominator
-        e = envelope["E"]
-        self.e_num, self.e_den = e.numerator * self.den, e.denominator
-        self.cor = _coroot_matrix(rs, w.tilde)
+        cor = _coroot_matrix(rs, w.tilde)
+        self.rho_row = tuple(map(sum, zip(*cor)))  # <rho, H3> = sum_i (cor h)_i
         g_den = lcm(*(g.denominator for row in rs.coroot_form for g in row))
         self.gram = tuple(tuple(int(g * g_den) for g in row) for row in rs.coroot_form)
         self.gram_b = mat_vec_int(self.gram, w.b)
@@ -426,8 +413,16 @@ class _H3Kernel:
         self.rho_den, self.lam_den = self.den, LAMBDA_SCALE * self.form_den
         self.c3_den = rate.denominator << SQRT_BITS  # a multiple of LAMBDA_SCALE
         self.rate_num = rate.numerator
-        # growth3: h_iota >= -C3 (l+1), cross-multiplied by lam_den and c3_den
-        self.growth = (element_length(rs, w) + 1) * self.lam_den
+        # H3's classical part is th = m xs, with m = cor . coweight_cols
+        m = [[sum(c * col[j] for c, col in zip(row, cols)) for j in range(n)] for row in cor]
+        e = envelope["E"]
+        self.bad_corners = []
+        for mask in range(1 << n):
+            us = [_U_WIDTH if mask >> j & 1 else 1 for j in range(n)]
+            xs = [self.x0 + u * self.dx for u in us]
+            if max(abs(sum(map(mul, row, xs))) for row in m) * e.denominator > e.numerator * self.den:
+                self.bad_corners.append(us)
+        self.growth3_proved = rate >= 0 and rate * rate * (element_length(rs, w) + 1) ** 2 >= w.b_norm2
 
     def draws(self, rng: random.Random, n: int):
         """The draws of sample_siegel for n samples: (H_g,cl numerators over
@@ -448,34 +443,28 @@ class _H3Kernel:
                 lam = getrandbits(_LAM_BITS)
             yield tuple(sum(map(mul, xs, col)) for col in cols), lam - 2 * LAMBDA_SCALE
 
-    def scan(self, samples) -> tuple[list[tuple[int, str]], int, list[tuple[int, int]]]:
-        """Check the samples in order; a sample outside the Siegel set raises.
-        Returns the failures, (k, check) for each failed check of sample k,
-        the largest C3 numerator (0 for no sample), and the
-        (<rho, H3>, <Lambda, H3>) numerators of every sample."""
+    def scan(self, samples) -> tuple[int, list[tuple[int, int]]]:
+        """Check that each sample lies in the Siegel set (else raise) and
+        return the largest C3 numerator (0 for no sample) and the
+        (<rho, H3>, <Lambda, H3>) numerators of every sample, in order."""
         lo_num, lo_den, top_num, top_den = self.lo_num, self.lo_den, self.top_num, self.top_den
-        e_num, e_den, form_den, hh_den = self.e_num, self.e_den, self.form_den, self.form_den * self.den
-        c3_den, c3_lam, rate_num = self.c3_den, self.c3_den // LAMBDA_SCALE, self.rate_num
-        failures, kept = [], []
+        form_den, hh_den = self.form_den, self.form_den * self.den
+        c3_lam, rate_num = self.c3_den // LAMBDA_SCALE, self.rate_num
+        kept = []
         c3_max = 0
-        for k, (h, lam) in enumerate(samples):
+        for h, lam in samples:
             for row in self.simple_rows:
                 if sum(map(mul, row, h)) * lo_den <= lo_num:
                     raise ValueError("Siegel constraint violated on a classical simple root")
             if sum(map(mul, self.theta_row, h)) * top_den >= top_num:
                 raise ValueError("Siegel constraint violated on the affine simple root")
-            th = [sum(map(mul, row, h)) for row in self.cor]
-            h_iota = lam * form_den + sum(map(mul, h, self.gram_b)) * LAMBDA_SCALE
             hh = sum(x * sum(map(mul, row, h)) for x, row in zip(h, self.gram))
             c3 = abs(lam) * c3_lam + sqrt_upper_num(hh, hh_den) * rate_num
             if c3 > c3_max:
                 c3_max = c3
-            if max(map(abs, th)) * e_den > e_num:
-                failures.append((k, "omega_bounded"))
-            if h_iota * c3_den < -c3 * self.growth:
-                failures.append((k, "growth3"))
-            kept.append((sum(th), h_iota))
-        return failures, c3_max, kept
+            kept.append((sum(map(mul, self.rho_row, h)),
+                         lam * form_den + sum(map(mul, h, self.gram_b)) * LAMBDA_SCALE))
+        return c3_max, kept
 
 
 class _CorollaryKernel:
@@ -654,14 +643,13 @@ def run_audit(
     enumerate_kostant has already tested every element, so the H2 and H3
     passes skip the is_kostant guards of h2_vector and h3_vector.
 
-    Every sample stays a Python int: the kernels draw with the generator
-    calls of sample_h1 and sample_siegel, report failed checks in sample
-    order, and keep the (<rho, H>, <Lambda, H>) numerators the corollary
-    reads.  When an element's H1 cone is certified (``_H1Kernel.certified``)
-    no H1 sample can fail, so only the samples the corollary reads are drawn;
-    each element has its own generator, so no other draw moves.  C3 is one
-    numerator over 2^SQRT_BITS times the rate's denominator; each element's
-    worst margin is one Fraction."""
+    The H1 and H3 checks are decided per element by the kernels'
+    certificates, whatever the seed and sample counts.  The samples stay
+    Python ints, drawn with the generator calls of sample_h1 and
+    sample_siegel; only the min(n_siegel, n_h1) H1 samples the corollary
+    reads are drawn (none for thm32).  C3 is one numerator over 2^SQRT_BITS
+    times the rate's denominator; each element's worst margin is one
+    Fraction."""
     if with_corollary and n_siegel > 0 and n_h1 < 1:
         raise ValueError(f"the corollary pairs each Siegel sample with an H1 sample: need n_h1 >= 1, got {n_h1}")
     layers = enumerate_kostant(rs, max_len)
@@ -686,20 +674,21 @@ def run_audit(
             c2 = checks["ratio"]
             c2_case = _wid(w)
 
-    # pass 2: seeded H1/H3 samples per element -> empirical C3; the corollary
-    # pass reads H1 sample k % n_h1 for k < n_siegel, so only those are kept
+    # pass 2: H1/H3 certificates and seeded samples per element -> empirical
+    # C3; the corollary reads H1 sample k % n_h1 for k < n_siegel
     c3 = Q(0)
     samples = []
-    n_keep = n_siegel if with_corollary else 0
+    n_keep = min(n_siegel, n_h1) if with_corollary else 0
     for idx, w in enumerate(kostant):
         k1 = _H1Kernel(rs, w, c1)
-        # every sample of a certified cone passes: draw only those kept
-        n_draw = min(n_keep, n_h1) if k1.certified else n_h1
-        failures, h1_kept = k1.scan(k1.draws(random.Random(derive_seed(seed, f"h1:{idx}")), n_draw), n_keep)
-        rep.violations += [{"check": f"h1.{name}", "sample": k, "w": _wid(w)} for k, name in failures]
+        rep.violations += [{"check": f"h1.{name}", "gamma": [list(g.classical_part), g.n], "w": _wid(w)}
+                           for g, name in k1.counterexamples]
+        h1_kept = k1.scan(k1.draws(random.Random(derive_seed(seed, f"h1:{idx}")), n_keep))
         k3 = _H3Kernel(rs, w, r, t, envelope, rate)
-        failures, w_c3, h3_kept = k3.scan(k3.draws(random.Random(derive_seed(seed, f"siegel:{idx}")), n_siegel))
-        rep.violations += [{"check": f"h3.{name}", "sample": k, "w": _wid(w)} for k, name in failures]
+        rep.violations += [{"check": "h3.omega_bounded", "corner": us, "w": _wid(w)} for us in k3.bad_corners]
+        if not k3.growth3_proved:
+            rep.violations.append({"check": "h3.growth3", "w": _wid(w)})
+        w_c3, h3_kept = k3.scan(k3.draws(random.Random(derive_seed(seed, f"siegel:{idx}")), n_siegel))
         c3 = max(c3, Q(w_c3, k3.c3_den))
         samples.append((w, k1, k3, h1_kept, h3_kept))
 

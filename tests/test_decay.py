@@ -585,6 +585,20 @@ def test_l1_reports_unchanged_at_other_precisions(prec):
     assert hashlib.sha256(json.dumps(bodies, sort_keys=True).encode()).hexdigest() == L1_REPORTS_PREC_SHA256[prec]
 
 
+def test_l1_past_n22_at_64_bits_retries_deeper_brackets():
+    # at K = prec + 20 the Taylor widening misses the 2^-32 target for every
+    # N >= 23; the deeper retry certifies them, inside the 256-bit enclosure
+    for n in range(23, 31):
+        docs = []
+        for prec in (64, 256):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["decay", "l1", "--n", str(n), "--prec", str(prec)]) == 0, (n, prec)
+            docs.append(json.loads(out.getvalue()))
+        (lo64, hi64), (lo256, hi256) = ([Q(x) for x in doc["ln_norm_enclosure"]] for doc in docs)
+        assert max(lo64, lo256) <= min(hi64, hi256), n
+
+
 def test_fourier_envelope_evaluates_each_scan_point_once(monkeypatch):
     calls = []
     real = decay.sigma_hat

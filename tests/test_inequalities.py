@@ -253,13 +253,12 @@ def test_h1_kernel_rejects_bad_input():
     kost = [w for layer in weyl.enumerate_by_length(rs, 4) for w in layer if weyl.is_kostant(rs, w)]
     kernel = ineq._H1Kernel(rs, kost[-1], ineq.growth_constant_c1(rs))
     nums = [1] * len(kernel.support)
-    failures, kept = kernel.scan([nums], 1)
-    assert failures == [] and len(kept) == 1
+    assert kernel.counterexamples == [] and len(kernel.scan([nums])) == 1
     nums[0] = -1
     with pytest.raises(ValueError):
-        kernel.scan([nums], 0)
+        kernel.scan([nums])
     with pytest.raises(ValueError):
-        kernel.scan([[1] * (len(kernel.support) + 1)], 0)
+        kernel.scan([[1] * (len(kernel.support) + 1)])
     with pytest.raises(ValueError):
         ineq._H1Kernel(rs, weyl.generator(rs, 1), Q(1))
 
@@ -268,7 +267,7 @@ def test_h3_kernel_rejects_bad_input():
     rs = rs_of("A1")
     env = ineq.siegel_envelope(rs, Q(1), Q(1, 2))
     kernel = ineq._H3Kernel(rs, a1_w2(), Q(1), Q(1, 2), env, Q(1))
-    _, _, kept = kernel.scan([((kernel.den // 2,), 0)])  # H_cl = h_1 / 2, the A1 example above
+    _, kept = kernel.scan([((kernel.den // 2,), 0)])  # H_cl = h_1 / 2, the A1 example above
     assert [(Q(rho, kernel.rho_den), Q(lam, kernel.lam_den)) for rho, lam in kept] == [(Q(-1, 2), Q(1))]
     # in A1 the Siegel set is ln(t)/2 < H_cl < (1 - ln(t))/2, about (-0.347, 0.847):
     # the kernel rejects exactly the H_cl that SiegelSample.validate rejects

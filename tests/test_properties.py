@@ -4,6 +4,7 @@ their Fraction reference, and of the Bernstein root isolation of
 ``decay`` against the classical Taylor-shift form.  ``derandomize=True`` fixes the examples per test,
 so the suite draws the same cases on every run."""
 
+import json
 import random
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -310,8 +311,9 @@ def test_h1_kernel_matches_reference(label, data):
     nums = data.draw(h1_numerators(len(kernel.support)))
     sample = ineq.H1Sample(w, tuple((g, Q(c, ineq.DRAW_SCALE)) for g, c in zip(kernel.support, nums)))
     h1, checks = ineq.h1_vector(rs, sample)
-    failures, kept = kernel.scan([nums], 1)
-    assert failures == [(0, name) for name, ok in checks.items() if not ok]
+    # a check the sample fails is failed by some one-hot sample of the cone
+    assert {name for name, ok in checks.items() if not ok} <= {name for _, name in kernel.counterexamples}
+    kept = kernel.scan([nums])
     assert [(Q(rho, kernel.rho_den), Q(lam, kernel.lam_den)) for rho, lam in kept] == [(ineq.rho_pair(h1), h1.h_iota)]
     # the kernel draws what sample_h1 draws, from the same generator state,
     # one-hot at k % 8 == 7 as run_audit asks
@@ -323,8 +325,8 @@ def test_h1_kernel_matches_reference(label, data):
                                        for draw in drawn]
 
 
-AUDIT_RT = pytest.mark.parametrize("r,t", [(Q(1), Q(1, 2)), (Q(1), Q(1, 3)), (Q(3, 2), Q(1, 2)), (Q(3, 2), Q(1, 3))],
-                                   ids=["r1-t1/2", "r1-t1/3", "r3/2-t1/2", "r3/2-t1/3"])
+AUDIT_RT_PAIRS = [(Q(1), Q(1, 2)), (Q(1), Q(1, 3)), (Q(3, 2), Q(1, 2)), (Q(3, 2), Q(1, 3))]
+AUDIT_RT = pytest.mark.parametrize("r,t", AUDIT_RT_PAIRS, ids=["r1-t1/2", "r1-t1/3", "r3/2-t1/2", "r3/2-t1/3"])
 
 
 @each_kernel_type
@@ -334,11 +336,9 @@ AUDIT_RT = pytest.mark.parametrize("r,t", [(Q(1), Q(1, 2)), (Q(1), Q(1, 3)), (Q(
 def test_h3_kernel_matches_reference(label, r, t, data):
     rs = build_root_system_label(label)
     w = data.draw(st.sampled_from(_kostant(label)))
-    # a shrunk envelope and rate make omega_bounded and growth3 fail too; 1/192
-    # gives the rate a denominator that is not a power of two
+    # a shrunk rate (1/192: a denominator that is not a power of two) moves C3
     shrink = data.draw(st.sampled_from((Q(1), Q(1, 64), Q(1, 192))))
-    envelope = dict(ineq.siegel_envelope(rs, r, t))
-    envelope["E"] *= shrink
+    envelope = ineq.siegel_envelope(rs, r, t)
     rate = _rate(label) * shrink
     kernel = ineq._H3Kernel(rs, w, r, t, envelope, rate)
     seed = data.draw(st.integers(0, 2**64 - 1))
@@ -347,13 +347,73 @@ def test_h3_kernel_matches_reference(label, r, t, data):
     refs = [ineq.sample_siegel(rs, rng, r, t) for _ in drawn]
     assert [ref.h_g for ref in refs] == [CartanElement(tuple(Q(x, kernel.den) for x in h), Q(lam, ineq.LAMBDA_SCALE),
                                                        Q(0)) for h, lam in drawn]
-    failures, c3, kept = kernel.scan(drawn)
+    c3, kept = kernel.scan(drawn)
     expected = [ineq.h3_vector(rs, w, ref, envelope, rate) for ref in refs]
-    assert failures == [(k, name) for k, (_, checks) in enumerate(expected)
-                        for name in ("omega_bounded", "growth3") if not checks[name]]
     assert Q(c3, kernel.c3_den) == max(checks["c3"] for _, checks in expected)
     assert [(Q(rho, kernel.rho_den), Q(lam, kernel.lam_den)) for rho, lam in kept] == [
         (ineq.rho_pair(h3), h3.h_iota) for h3, _ in expected]
+
+
+def _siegel_at(rs, us, r, t):
+    """The Siegel sample with uniforms us and <Lambda, H_g> = 0, by sample_siegel."""
+    return ineq.sample_siegel(rs, reference.FixedDraws([*us, 0]), r, t)
+
+
+CORNER_VALUES = (1, ineq.DRAW_SCALE - 1)
+
+
+@each_kernel_type
+@AUDIT_RT
+@PROPERTY
+@given(data=st.data())
+def test_h3_box_certificate_is_exact(label, r, t, data):
+    # with E and the rate shrunk by 1/64 or 1/192, a corner of the draw box is
+    # flagged exactly when h3_vector fails omega_bounded there; with no
+    # flagged corner and growth3 proved, every sample_siegel draw passes both
+    rs = build_root_system_label(label)
+    w = data.draw(st.sampled_from(_kostant(label)))
+    shrink = data.draw(st.sampled_from((Q(1), Q(1, 64), Q(1, 192))))
+    envelope = dict(ineq.siegel_envelope(rs, r, t))
+    envelope["E"] *= shrink
+    rate = _rate(label) * shrink
+    kernel = ineq._H3Kernel(rs, w, r, t, envelope, rate)
+    corners = [[CORNER_VALUES[mask >> j & 1] for j in range(rs.rank)] for mask in range(1 << rs.rank)]
+    assert kernel.bad_corners == [
+        us for us in corners if not ineq.h3_vector(rs, w, _siegel_at(rs, us, r, t), envelope, rate)[1]["omega_bounded"]]
+    assert kernel.growth3_proved == (rate * rate * (w.length + 1) ** 2 >= w.b_norm2)
+    rng = random.Random(data.draw(st.integers(0, 2**64 - 1)))
+    for _ in range(20):
+        checks = ineq.h3_vector(rs, w, ineq.sample_siegel(rs, rng, r, t), envelope, rate)[1]
+        assert checks["omega_bounded"] or kernel.bad_corners
+        assert checks["growth3"] or not kernel.growth3_proved
+
+
+def test_h3_certificates_at_their_boundaries():
+    # E at the largest corner value |<omega_i, H3>| passes, a hair below it
+    # flags that corner; a rate with rate (l+1) = ||b|| exactly proves growth3,
+    # a hair below does not.  In C2 the element with b the coroot of a short
+    # root has (b,b) = 4, a square
+    rs = build_root_system_label("C2")
+    r, t = Q(1), Q(1, 2)
+    envelope = ineq.siegel_envelope(rs, r, t)
+    eps = Q(1, 10**30)
+    for w in _kostant("C2"):
+        kernel = ineq._H3Kernel(rs, w, r, t, envelope, _rate("C2"))
+        peak = {}
+        for mask in range(4):
+            us = [CORNER_VALUES[mask >> j & 1] for j in range(2)]
+            h3, _ = ineq.h3_vector(rs, w, _siegel_at(rs, us, r, t), envelope, _rate("C2"))
+            peak[tuple(us)] = max(map(abs, h3.classical))
+        top = max(peak.values())
+        assert ineq._H3Kernel(rs, w, r, t, {"E": top}, Q(1)).bad_corners == []
+        below = ineq._H3Kernel(rs, w, r, t, {"E": top - eps}, Q(1)).bad_corners
+        assert below == [list(us) for us, v in peak.items() if v > top - eps] and below
+    squares = [w for w in _kostant("C2") if w.b_norm2 == 4]
+    assert squares
+    for w in squares:
+        exact = Q(2, w.length + 1)
+        assert ineq._H3Kernel(rs, w, r, t, envelope, exact).growth3_proved
+        assert not ineq._H3Kernel(rs, w, r, t, envelope, exact - eps).growth3_proved
 
 
 @each_kernel_type
@@ -402,81 +462,121 @@ def test_run_audit_matches_reference(label, r, t, with_corollary):
     assert ineq.run_audit(*args).to_results() == reference.run_audit_reference(*args).to_results()
 
 
-@pytest.mark.parametrize("label", ["A2", "C2", "G2"])
-def test_run_audit_matches_reference_on_violations(label, monkeypatch):
-    # E, C1 and the rate shrunk (the rate by 1/192, so its denominator is not
-    # a power of two) make h1.growth1, h3.omega_bounded, h3.growth3 and cor34
-    # fail: both audits must list the same violations in the same order; with
-    # 10 Siegel samples on 4 H1 samples the corollary wraps k % n_h1
+def _shrink_audit_constants(monkeypatch):
+    """E and C1 shrunk by 1/64 and the rate by 1/192 (a denominator that is
+    not a power of two): h1.growth1, h3.omega_bounded, h3.growth3 and cor34
+    then fail."""
     envelope, c1, rate = ineq.siegel_envelope, ineq.growth_constant_c1, ineq.b_norm_rate
     monkeypatch.setattr(ineq, "siegel_envelope", lambda rs, r, t: {**envelope(rs, r, t),
                                                                    "E": envelope(rs, r, t)["E"] / 64})
     monkeypatch.setattr(ineq, "growth_constant_c1", lambda rs: c1(rs) / 64)
     monkeypatch.setattr(ineq, "b_norm_rate", lambda rs, layers: rate(rs, layers) / 192)
+
+
+def _without_h1_h3(results: dict) -> dict:
+    return {**results, "violations": [v for v in results["violations"] if v["check"].split(".")[0] not in ("h1", "h3")]}
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2"])
+def test_run_audit_matches_reference_on_violations(label, monkeypatch):
+    # under shrunk constants both audits list the same cor34 violations in the
+    # same order, and the same constants; with 10 Siegel samples on 4 H1
+    # samples the corollary wraps k % n_h1.  The H1/H3 records are
+    # certificates here and samples there (test_run_audit_certificate_violations)
+    _shrink_audit_constants(monkeypatch)
     checks = set()
     for n_h1, n_siegel in ((16, 4), (4, 10)):
         args = (build_root_system_label(label), AUDIT_LEN[label], n_h1, n_siegel, 5, Q(1), Q(1, 2), True)
         got = ineq.run_audit(*args).to_results()
-        assert got == reference.run_audit_reference(*args).to_results()
+        assert _without_h1_h3(got) == _without_h1_h3(reference.run_audit_reference(*args).to_results())
         checks |= {v["check"] for v in got["violations"]}
-    assert {"h1.growth1", "h3.omega_bounded", "h3.growth3"} <= checks
+    assert {"h1.growth1", "h3.omega_bounded", "h3.growth3", "cor34"} <= checks
 
 
 # the H1 cone certificate: each check is linear in the coefficients, so it
 # holds on every nonnegative sample exactly when it holds on the zero sample
 # and on each one-hot sample
 @st.composite
-def integer_h1_kernels(draw):
-    """An _H1Kernel on random integer tables: 1 to 4 coroot rows over a
-    support of 0 to 6 flipped roots, sandwich weights, a growth factor and
-    h_iota coefficients, zero and negative entries included.  Half the draws
-    keep the coroot entries nonnegative; an h_iota coefficient is random or
-    the one that puts the sandwich or growth1 column of its root at exactly 0."""
+def integer_h1_tables(draw):
+    """_H1Kernel's integer tables, random: 1 to 4 coroot rows over a support
+    of 0 to 6 flipped roots, sandwich weights, a growth factor and h_iota
+    coefficients, zero and negative entries included.  Half the draws keep
+    the coroot entries nonnegative; an h_iota coefficient is random or the
+    one that puts the sandwich or growth1 column of its root at exactly 0."""
     size, rank = draw(st.integers(0, 6)), draw(st.integers(1, 4))
     entry = st.integers(0, 3) if draw(st.booleans()) else st.integers(-1, 3)
-    kernel = object.__new__(ineq._H1Kernel)
-    kernel.cols = [tuple(draw(st.lists(entry, min_size=size, max_size=size))) for _ in range(rank)]
-    kernel.sandwich = tuple(draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)))
-    kernel.growth = draw(st.integers(-2, 4))
-    tight = [-min(sum(s * col[j] for s, col in zip(kernel.sandwich, kernel.cols)),
-                  kernel.growth * sum(col[j] for col in kernel.cols)) for j in range(size)]
-    kernel.lam = tuple(draw(st.one_of(st.just(x), st.integers(-6, 3))) for x in tight)
-    return kernel
+    cols = [tuple(draw(st.lists(entry, min_size=size, max_size=size))) for _ in range(rank)]
+    sandwich = tuple(draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)))
+    growth = draw(st.integers(-2, 4))
+    tight = [-min(sum(s * col[j] for s, col in zip(sandwich, cols)), growth * sum(col[j] for col in cols))
+             for j in range(size)]
+    lam = tuple(draw(st.one_of(st.just(x), st.integers(-6, 3))) for x in tight)
+    return cols, lam, sandwich, growth
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
-@given(kernel=integer_h1_kernels(), data=st.data())
-def test_h1_cone_certificate_is_exact(kernel, data):
-    size = len(kernel.lam)
-    corners = [[0] * size] + [[int(j == k) for j in range(size)] for k in range(size)]
-    certified = kernel._cone_certified()
-    assert certified == (kernel.scan(corners, 0)[0] == [])
-    if certified:
+@given(tables=integer_h1_tables(), data=st.data())
+def test_h1_cone_certificate_is_exact(tables, data):
+    size = len(tables[1])
+    one_hot = [[int(j == k) for j in range(size)] for k in range(size)]
+    assert reference.h1_failed_checks(*tables, [0] * size) == []
+    found = ineq._cone_counterexamples(*tables)
+    assert found == [(k, name) for k in range(size) for name in reference.h1_failed_checks(*tables, one_hot[k])]
+    if not found:
         samples = data.draw(st.lists(st.lists(st.integers(0, ineq.DRAW_SCALE), min_size=size, max_size=size),
                                      min_size=1, max_size=8))
-        assert kernel.scan(samples, 0)[0] == []
+        assert all(reference.h1_failed_checks(*tables, nums) == [] for nums in samples)
+
+
+def _certificate_violations(rep) -> set:
+    return {json.dumps(v, sort_keys=True) for v in rep.to_results()["violations"] if v["check"] != "cor34"}
 
 
 @pytest.mark.parametrize("label", ["A2", "C2", "G2"])
 @pytest.mark.parametrize("with_corollary", [False, True], ids=["thm32", "cor34"])
-def test_run_audit_scans_every_sample_of_an_uncertified_cone(label, with_corollary, monkeypatch):
-    # with C1 = 1/10^6, growth1 fails on the cones of some elements: run_audit
-    # must then draw and check all their H1 samples, as the Fraction loop does
-    monkeypatch.setattr(ineq, "growth_constant_c1", lambda rs: Q(1, 10**6))
+def test_run_audit_certificate_violations(label, with_corollary, monkeypatch):
+    # under shrunk constants some H1 cones and H3 boxes fail: each reported
+    # violation is confirmed by the Fraction reference (a one-hot H1 sample or
+    # a corner Siegel sample failing its check, or (b,b) > rate^2 (l+1)^2),
+    # and the set is the same for every seed and sample count
+    _shrink_audit_constants(monkeypatch)
     rs = build_root_system_label(label)
-    kostant = [w for layer in weyl.enumerate_kostant(rs, 6) for w in layer]
-    assert not all(ineq._H1Kernel(rs, w, Q(1, 10**6)).certified for w in kostant)
-    args = (rs, 6, 16, 4, 5, Q(1), Q(1, 2), with_corollary)
-    got = ineq.run_audit(*args).to_results()
-    assert got == reference.run_audit_reference(*args).to_results()
-    assert "h1.growth1" in {v["check"] for v in got["violations"]}
+    layers = weyl.enumerate_kostant(rs, AUDIT_LEN[label])
+    by_id = {json.dumps(ineq._wid(w), sort_keys=True): w for layer in layers for w in layer}
+    runs = [ineq.run_audit(rs, AUDIT_LEN[label], n_h1, n_siegel, seed, Q(1), Q(1, 2), with_corollary)
+            for seed in (1, 2, 3) for n_h1, n_siegel in ((16, 4), (4, 10))]
+    found = _certificate_violations(runs[0])
+    assert all(_certificate_violations(rep) == found for rep in runs[1:])
+    envelope, rate = ineq.siegel_envelope(rs, Q(1), Q(1, 2)), ineq.b_norm_rate(rs, layers)
+    for v in map(json.loads, found):
+        w = by_id[json.dumps(v["w"], sort_keys=True)]
+        group, name = v["check"].split(".")
+        if group == "h1":
+            pick = weyl.neg_inverted_of_inverse(rs, w).index(AffineRoot(tuple(v["gamma"][0]), v["gamma"][1]))
+            _, checks = ineq.h1_vector(rs, ineq.sample_h1(rs, w, reference.FixedDraws([pick]), one_hot=True))
+            assert not checks[name], v
+        elif name == "omega_bounded":
+            _, checks = ineq.h3_vector(rs, w, _siegel_at(rs, v["corner"], Q(1), Q(1, 2)), envelope, rate)
+            assert not checks[name], v
+        else:
+            assert group == "h3" and name == "growth3" and rate * rate * (w.length + 1) ** 2 < w.b_norm2, v
+    assert {"h1.growth1", "h3.omega_bounded", "h3.growth3"} <= {json.loads(v)["check"] for v in found}
 
 
 @each_kernel_type
 def test_true_constants_certify_every_cone(label):
+    # no H1 or H3 counterexample with the audit's own constants, at every
+    # (r, t) of AUDIT_RT
     rs = build_root_system_label(label)
-    c1 = ineq.growth_constant_c1(rs)
-    assert all(ineq._H1Kernel(rs, w, c1).certified for layer in weyl.enumerate_kostant(rs, 6) for w in layer)
+    layers = weyl.enumerate_kostant(rs, 6)
+    c1, rate = ineq.growth_constant_c1(rs), ineq.b_norm_rate(rs, layers)
+    kostant = [w for layer in layers for w in layer]
+    assert all(ineq._H1Kernel(rs, w, c1).counterexamples == [] for w in kostant)
+    for r, t in AUDIT_RT_PAIRS:
+        envelope = ineq.siegel_envelope(rs, r, t)
+        for w in kostant:
+            k3 = ineq._H3Kernel(rs, w, r, t, envelope, rate)
+            assert k3.bad_corners == [] and k3.growth3_proved, (r, t, w)
 
 
 # root isolation in the Bernstein basis against the Taylor-shift form of
