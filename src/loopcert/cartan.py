@@ -15,7 +15,7 @@ Conventions (documented here once, asserted in tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import lcm
@@ -27,6 +27,7 @@ from .linalg import (
     bilinear,
     leading_principal_minors,
     mat_inverse,
+    scaled,
     vec,
     vec_add,
     vec_scale,
@@ -192,7 +193,9 @@ class FiniteRootSystem:
     fundamental_coweights: tuple[Vec, ...]
     rho: Vec
     d: tuple[Q, ...]  # (alpha_i, alpha_i)/2 per simple root
-    coroot_form: Mat  # (h_i, h_j)
+    # (h_i, h_j) = coroot_form_nums[i][j] / coroot_form_den, the least common denominator
+    coroot_form_nums: tuple[tuple[int, ...], ...]
+    coroot_form_den: int
     positive_root_set: frozenset
     root_norms: dict  # root -> (beta, beta), over the positive and negative roots
     sym: tuple[int, ...]  # integer symmetrizer, proportional to d, min 1
@@ -209,27 +212,44 @@ class FiniteRootSystem:
     # b = sum_i <alpha_i, b> omega_i^vee: b_k = sum_i <alpha_i, b> coweight_cols[k][i] / coweight_den
     coweight_cols: tuple[tuple[int, ...], ...]
     coweight_den: int
+    # root keys: roots[y] + n iota has the integer key n * len(roots) + root_rank[y],
+    # root_rank[y] the position of roots[y] in ranked_roots (tuple order), so key
+    # order is (n, classical part) order; negation reverses tuple order, so the
+    # negated root has key len(roots) - 1 - key
+    root_rank: tuple[int, ...]  # indexed by the signed index y
+    ranked_roots: tuple[tuple[int, ...], ...]
+    # filled by weyl: one AffineRoot per root key, and the tables and inverted
+    # root keys after each memoized word prefix
+    affine_roots: dict = field(default_factory=dict, repr=False)
+    prefix_states: dict = field(default_factory=dict, repr=False)
 
     @property
     def label(self) -> str:
         return f"{self.series}{self.rank}"
 
     def pairing(self, lam: Vec, h: Vec) -> Q:
-        """<lam, h> for lam in simple-root and h in simple-coroot coordinates."""
+        """<lam, h> for lam in simple-root and h in simple-coroot coordinates,
+        both exact rationals (ints or Fractions)."""
         if len(lam) != self.rank or len(h) != self.rank:
             raise RootSystemError("rank mismatch in pairing")
-        a = self.cartan.entries
+        lam_nums, lam_den = scaled(lam)
+        h_nums, h_den = scaled(h)
         # <alpha_i, h_j> = a[j][i], so <lam, h> = sum_j h_j * (A lam)_j
-        return sum((Q(h[j]) * sum((Q(a[j][i]) * lam[i] for i in range(self.rank)), Q(0))
-                    for j in range(self.rank)), Q(0))
+        total = sum(x * sum(map(mul, row, lam_nums)) for x, row in zip(h_nums, self.cartan.entries) if x)
+        return Q(total, lam_den * h_den)
 
     def weight_form(self, lam: Vec, mu: Vec) -> Q:
         """(lam, mu) on h^* in simple-root coordinates."""
         return bilinear(self.form, vec(lam), vec(mu))
 
     def coroot_pair_form(self, g: Vec, h: Vec) -> Q:
-        """(g, h) on h in simple-coroot coordinates."""
-        return bilinear(self.coroot_form, vec(g), vec(h))
+        """(g, h) on h in simple-coroot coordinates, both exact rationals."""
+        if len(g) != self.rank or len(h) != self.rank:
+            raise RootSystemError("rank mismatch in coroot pair form")
+        g_nums, g_den = scaled(g)
+        h_nums, h_den = scaled(h)
+        total = sum(x * sum(map(mul, row, h_nums)) for x, row in zip(g_nums, self.coroot_form_nums) if x)
+        return Q(total, self.coroot_form_den * g_den * h_den)
 
     def root_norm2(self, beta) -> Q:
         """(beta, beta) for a root beta; raises on anything else."""
@@ -248,11 +268,6 @@ class FiniteRootSystem:
         if any(x.denominator != 1 for x in out):
             raise RootSystemError(f"coroot of {beta} is not integral")
         return out
-
-    def coweight_vector(self, h: Vec) -> Vec:
-        """Image of a coroot-coordinate vector under the form identification
-        h -> h^*, in simple-root coordinates (nu(h_j) = alpha_j / d_j)."""
-        return tuple(Q(h[j]) / self.d[j] for j in range(self.rank))
 
 
 def build_root_system(series: str, rank: int) -> FiniteRootSystem:
@@ -321,6 +336,7 @@ def build_root_system(series: str, rank: int) -> FiniteRootSystem:
     d = tuple(Q(2 * x, theta_quad) for x in sym)
     form = tuple(tuple(d[i] * a[i][j] for j in range(rank)) for i in range(rank))
     coroot_form = tuple(tuple(Q(a[i][j]) / d[j] for j in range(rank)) for i in range(rank))
+    coroot_form_den = lcm(*(g.denominator for row in coroot_form for g in row))
 
     a_inv = mat_inverse(tuple(tuple(Q(e) for e in row) for row in a))
     # <omega_i, h_j> = delta_ij  =>  omega_i coords form column i of A^{-1}
@@ -359,6 +375,8 @@ def build_root_system(series: str, rank: int) -> FiniteRootSystem:
     generators.append((tuple(root_index[x] for x in images), shifts))
 
     coweight_den = lcm(*(c.denominator for row in coweights for c in row))
+    ranked = tuple(sorted(roots))
+    rank_of = {r: k for k, r in enumerate(ranked)}
 
     return FiniteRootSystem(
         series=series,
@@ -371,7 +389,8 @@ def build_root_system(series: str, rank: int) -> FiniteRootSystem:
         fundamental_coweights=coweights,
         rho=rho,
         d=d,
-        coroot_form=coroot_form,
+        coroot_form_nums=tuple(tuple(int(g * coroot_form_den) for g in row) for row in coroot_form),
+        coroot_form_den=coroot_form_den,
         positive_root_set=frozenset(ordered),
         root_norms=root_norms,
         sym=sym,
@@ -383,6 +402,8 @@ def build_root_system(series: str, rank: int) -> FiniteRootSystem:
         generators=tuple(generators),
         coweight_cols=tuple(zip(*(tuple(int(c * coweight_den) for c in row) for row in coweights))),
         coweight_den=coweight_den,
+        root_rank=tuple(map(rank_of.__getitem__, roots)),
+        ranked_roots=ranked,
     )
 
 

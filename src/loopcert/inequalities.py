@@ -406,10 +406,9 @@ class _H3Kernel:
         self.top_num, self.top_den = top.numerator * self.den, top.denominator
         cor = _coroot_matrix(rs, w.tilde)
         self.rho_row = tuple(map(sum, zip(*cor)))  # <rho, H3> = sum_i (cor h)_i
-        g_den = lcm(*(g.denominator for row in rs.coroot_form for g in row))
-        self.gram = tuple(tuple(int(g * g_den) for g in row) for row in rs.coroot_form)
+        self.gram = rs.coroot_form_nums
         self.gram_b = mat_vec_int(self.gram, w.b)
-        self.form_den = self.den * g_den  # (H_cl, b) = <H, gram_b> / form_den, (H,H) = H.gram.H / (form_den den)
+        self.form_den = self.den * rs.coroot_form_den  # (H_cl, b) = <H, gram_b> / form_den, (H,H) = H.gram.H / (form_den den)
         self.rho_den, self.lam_den = self.den, LAMBDA_SCALE * self.form_den
         self.c3_den = rate.denominator << SQRT_BITS  # a multiple of LAMBDA_SCALE
         self.rate_num = rate.numerator

@@ -8,7 +8,7 @@ frozen dataclasses and be hashed.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import isqrt
+from math import isqrt, lcm
 
 Vec = tuple[Q, ...]
 Mat = tuple[tuple[Q, ...], ...]
@@ -16,6 +16,13 @@ Mat = tuple[tuple[Q, ...], ...]
 
 def vec(entries) -> Vec:
     return tuple(Q(e) for e in entries)
+
+
+def scaled(x) -> tuple[tuple[int, ...], int]:
+    """(nums, den) with x = nums / den for exact rationals x (ints or
+    Fractions), den the least common denominator."""
+    den = lcm(*(e.denominator for e in x))
+    return tuple(e.numerator * (den // e.denominator) for e in x), den
 
 
 def zero_vec(n: int) -> Vec:

@@ -32,6 +32,18 @@ reduced words (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.4.4).
 Consumers that read only the representatives enumerate them directly
 (:func:`enumerate_kostant`); the full census counts are the W_fin convolution
 of the Kostant counts (:func:`full_layer_sizes`).
+
+The exact oracles run on Python ints, with Fraction and AffineRoot only at
+the boundary.  An affine root roots[y] + n iota has the integer key
+n len(roots) + rs.root_rank[y], whose order is the (n, classical part)
+order of the reported inverted sets; negation maps key to
+len(roots) - 1 - key.  The scan sorts one list of key ranges, the flipped
+set reverses it, and the word construction extends the memoized state of
+the word's longest known prefix (``rs.prefix_states``, at most
+PREFIX_MEMO_CAP prefixes).  Keys are decoded through ``rs.affine_roots``,
+one AffineRoot per key.  The actions on weights and Cartan elements scale
+their rational inputs to integer numerators and build each output
+coefficient as one Fraction.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from operator import add, invert, mul, neg
 
 from .affine import AffineRoot, AffineWeight, CartanElement
 from .cartan import FiniteRootSystem, RootSystemError, Weight
-from .linalg import mat_vec, vec, vec_add, vec_scale
+from .linalg import scaled
 
 IntVec = tuple[int, ...]
 IntMat = tuple[tuple[int, ...], ...]
@@ -158,13 +170,21 @@ def inverse(rs: FiniteRootSystem, w: AffineWeylElement) -> AffineWeylElement:
 
 
 def mat_vec_int(m: IntMat, x: IntVec) -> IntVec:
-    return tuple(sum(m[i][j] * x[j] for j in range(len(x))) for i in range(len(m)))
+    return tuple(sum(map(mul, row, x)) for row in m)
 
 
 def pair_int(rs: FiniteRootSystem, beta, h) -> int:
     """<beta, h> for integer root and coroot-coordinate vectors."""
     a = rs.cartan.entries
     return sum(h[j] * sum(a[j][i] * beta[i] for i in range(rs.rank)) for j in range(rs.rank))
+
+
+def _fraction_sum(*terms: tuple[int, int]) -> Q:
+    """The sum of num/den over (num, den) terms as one Fraction."""
+    den = 1
+    for _, d in terms:
+        den *= d
+    return Q(sum(n * (den // d) for n, d in terms), den)
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +208,35 @@ def act_on_weight(rs: FiniteRootSystem, w: AffineWeylElement, lam: AffineWeight)
     """Action on the full dual space, dual to :func:`act_on_cartan`.
 
     The Lambda coefficient is invariant; the classical part picks up
-    -lam_Lambda nu(tilde b) and the iota coefficient gains
-    <lam_cl, b> - lam_Lambda (b,b)/2.
+    -lam_Lambda nu(tilde b), nu(h_j) = alpha_j / d_j, and the iota
+    coefficient gains <lam_cl, b> - lam_Lambda (b,b)/2.  Coefficients are
+    exact rationals; each output coefficient is one Fraction built from
+    integer numerators.
     """
-    cor = _coroot_matrix(rs, w.tilde)
-    tb = mat_vec_int(cor, w.b)
-    cl = mat_vec(w.tilde, lam.classical.coords)
-    if lam.lam != 0:
-        cl = vec_add(cl, vec_scale(-lam.lam, rs.coweight_vector(vec(tb))))
-    iota = lam.iota + rs.pairing(lam.classical.coords, vec(w.b)) - lam.lam * w.b_norm2 / 2
-    return AffineWeight(Weight(cl), iota, lam.lam)
+    tb = mat_vec_int(_coroot_matrix(rs, w.tilde), w.b)
+    nums, den = scaled(lam.classical.coords)
+    lam_l, bb = lam.lam, w.b_norm2
+    classical = tuple(_fraction_sum((t, den), (-lam_l.numerator * s * d.denominator, lam_l.denominator * d.numerator))
+                      for t, s, d in zip(mat_vec_int(w.tilde, nums), tb, rs.d))
+    pair = sum(map(mul, w.b, mat_vec_int(rs.cartan.entries, nums)))  # <lam_cl, b> den
+    iota = _fraction_sum((lam.iota.numerator, lam.iota.denominator), (pair, den),
+                         (-lam_l.numerator * bb.numerator, 2 * lam_l.denominator * bb.denominator))
+    return AffineWeight(Weight(classical), iota, lam_l)
 
 
 def act_on_cartan(rs: FiniteRootSystem, w: AffineWeylElement, x: CartanElement) -> CartanElement:
-    """w (m h_iota + h + r D) = [-r(b,b)/2 + (h,b) + m] h_iota - r tilde(b) + tilde(h) + r D."""
+    """w (m h_iota + h + r D) = [-r(b,b)/2 + (h,b) + m] h_iota - r tilde(b) + tilde(h) + r D,
+    on exact rational coefficients, each output coefficient one Fraction
+    built from integer numerators."""
     cor = _coroot_matrix(rs, w.tilde)
-    h, m, r = x.classical, x.h_iota, x.d
-    hb = rs.coroot_pair_form(h, vec(w.b))
-    tb = vec(mat_vec_int(cor, w.b))
-    th = tuple(sum((Q(cor[i][j]) * h[j] for j in range(rs.rank)), Q(0)) for i in range(rs.rank))
-    classical = vec_add(vec_scale(-r, tb), th)
-    return CartanElement(classical, -r * w.b_norm2 / 2 + hb + m, r)
+    nums, den = scaled(x.classical)
+    m, r, bb = x.h_iota, x.d, w.b_norm2
+    classical = tuple(Q(r.denominator * t - r.numerator * s * den, r.denominator * den)
+                      for t, s in zip(mat_vec_int(cor, nums), mat_vec_int(cor, w.b)))
+    hb = sum(map(mul, nums, mat_vec_int(rs.coroot_form_nums, w.b)))  # (h, b) den coroot_form_den
+    h_iota = _fraction_sum((-r.numerator * bb.numerator, 2 * r.denominator * bb.denominator),
+                           (hb, den * rs.coroot_form_den), (m.numerator, m.denominator))
+    return CartanElement(classical, h_iota, r)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +359,7 @@ def reduced_word(rs: FiniteRootSystem, w: AffineWeylElement) -> tuple[int, ...]:
 # inverted root sets
 
 
-def _root_key(a: AffineRoot):
-    return (a.n, a.classical_part)
+PREFIX_MEMO_CAP = 1 << 14  # word prefixes rs.prefix_states holds before it is emptied
 
 
 @dataclass(frozen=True)
@@ -340,22 +367,75 @@ class InvertedRootSet:
     roots: tuple[AffineRoot, ...]
 
 
+def _decode(rs: FiniteRootSystem, keys) -> tuple[AffineRoot, ...]:
+    """The roots of root keys (see FiniteRootSystem.root_rank), one shared
+    AffineRoot per key in ``rs.affine_roots``.  Keys of inverted sets have
+    |n| <= l(w) + 2, so the cache holds at most len(roots) (2 l + 5) roots
+    for the longest l asked."""
+    cache = rs.affine_roots
+    out = []
+    for key in keys:
+        a = cache.get(key)
+        if a is None:
+            n, r = divmod(key, len(rs.roots))
+            a = cache[key] = AffineRoot(rs.ranked_roots[r], n)
+        out.append(a)
+    return tuple(out)
+
+
+def _prefix_state(rs: FiniteRootSystem, word: tuple[int, ...]) -> tuple[IntVec, IntVec, IntVec]:
+    """(full perm, full shift, keys) of the product of ``word``, keys the root
+    keys of prefix_{k-1}(a_{m_k}) in letter order.  Every prefix's state is
+    memoized in ``rs.prefix_states``: a word one letter past a known prefix,
+    as a BFS element past its parent, costs one table composition, and a
+    cold word is filled forward from its longest known prefix."""
+    memo = rs.prefix_states
+    k = len(word)
+    while k and word[:k] not in memo:
+        k -= 1
+    if k:
+        perm, shift, keys = memo[word[:k]]
+    else:
+        e = identity_element(rs)
+        perm, shift, keys = *_full(e.perm, e.shift), ()
+    size, rank = len(rs.roots), rs.root_rank
+    for end in range(k + 1, len(word) + 1):
+        letter = word[end - 1]
+        x, n = _simple_image(rs, perm, shift, letter)
+        keys += (n * size + rank[x],)
+        perm, shift = _full(*_compose((perm, shift), *rs.generators[letter - 1]))
+        if len(memo) >= PREFIX_MEMO_CAP:
+            memo.clear()
+        memo[word[:end]] = perm, shift, keys
+    return perm, shift, keys
+
+
 def inverted_roots_word(rs: FiniteRootSystem, w: AffineWeylElement) -> InvertedRootSet:
     """Reduced-word construction: with w = g_{m_1} ... g_{m_r}, the inverted
     set is {prefix_{k-1}(a_{m_k})} where prefix_k is the product of the first
     k letters."""
     word = reduced_word(rs, w)
-    prefix = identity_element(rs)
-    perm, shift = prefix.perm, prefix.shift
-    out = []
-    for letter in word:
-        x, n = _simple_image(rs, perm, shift, letter)
-        out.append(AffineRoot(rs.roots[x], n))
-        perm, shift = _compose(_full(perm, shift), *rs.generators[letter - 1])
-    roots = tuple(sorted(out, key=_root_key))
-    if len(set(roots)) != len(word):
+    keys = _prefix_state(rs, word)[2]
+    if len(set(keys)) != len(word):
         raise RootSystemError("word construction produced repeated inverted roots")
-    return InvertedRootSet(roots)
+    return InvertedRootSet(_decode(rs, sorted(keys)))
+
+
+def _scan_keys(rs: FiniteRootSystem, w: AffineWeylElement) -> list[int]:
+    """The sorted root keys of :func:`inverted_roots_scan`."""
+    ell = element_length(rs, w)
+    size, rank = len(rs.roots), rs.root_rank
+    stop = ell + 3
+    keys = []
+    for y, s in zip(w.perm, w.shift):
+        lo, lo_neg = (0, 1) if y >= 0 else (1, 0)  # n >= 1 on negative classical roots
+        r, r_neg = rank[y], rank[~y]
+        keys.extend(range(lo * size + r, min(s, stop) * size + r, size))
+        keys.extend(range(lo_neg * size + r_neg, min(1 - s, stop) * size + r_neg, size))
+    if len(keys) != ell:
+        raise ScanBoundError(f"scan found {len(keys)} inverted roots, expected {ell}")
+    keys.sort()
+    return keys
 
 
 def inverted_roots_scan(rs: FiniteRootSystem, w: AffineWeylElement) -> InvertedRootSet:
@@ -366,27 +446,16 @@ def inverted_roots_scan(rs: FiniteRootSystem, w: AffineWeylElement) -> InvertedR
     w(beta_k) = roots[y] + s iota, so w^{-1}(roots[y] + n iota) =
     beta_k + (n - s) iota is negative iff n < s, and
     w^{-1}(roots[~y] + n iota) = -beta_k + (n + s) iota iff n <= -s: the
-    inverted n of each root form a range read off the tables."""
-    ell = element_length(rs, w)
-    roots = rs.roots
-    stop = ell + 3
-    out = []
-    for y, s in zip(w.perm, w.shift):
-        lo, lo_neg = (0, 1) if y >= 0 else (1, 0)  # n >= 1 on negative classical roots
-        out.extend(AffineRoot(roots[y], n) for n in range(lo, min(s, stop)))
-        out.extend(AffineRoot(roots[~y], n) for n in range(lo_neg, min(1 - s, stop)))
-    if len(out) != ell:
-        raise ScanBoundError(f"scan found {len(out)} inverted roots, expected {ell}")
-    return InvertedRootSet(tuple(sorted(out, key=_root_key)))
-
-
-def _negated(roots) -> tuple[AffineRoot, ...]:
-    return tuple(sorted((a.negate() for a in roots), key=_root_key))
+    inverted n of each root form a range of keys read off the tables."""
+    return InvertedRootSet(_decode(rs, _scan_keys(rs, w)))
 
 
 def neg_inverted_of_inverse(rs: FiniteRootSystem, w: AffineWeylElement) -> tuple[AffineRoot, ...]:
-    """Delta_{-, w^{-1}} = w . Delta_{w^{-1}} = -Delta_w: support of the H1 coefficients."""
-    return _negated(inverted_roots_scan(rs, w).roots)
+    """Delta_{-, w^{-1}} = w . Delta_{w^{-1}} = -Delta_w: support of the H1
+    coefficients.  The negated root of a key has key len(roots) - 1 - key,
+    which reverses key order, so the negated set needs no second sort."""
+    top = len(rs.roots) - 1
+    return _decode(rs, [top - key for key in reversed(_scan_keys(rs, w))])
 
 
 # ---------------------------------------------------------------------------

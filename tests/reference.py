@@ -8,6 +8,14 @@ an integer matrix on simple-root coordinates, b in simple-coroot coordinates,
 w(beta + n iota) = tilde(beta) + (n + <beta, b>) iota.  The classical inverse
 is taken in Fractions.
 
+The ``*_reference`` forms of ``inverted_roots_word``, ``inverted_roots_scan``
+and ``neg_inverted_of_inverse`` build one AffineRoot per inverted root (the
+word path one table composition per letter) and sort by (n, classical
+part); those of ``act_on_cartan``, ``act_on_weight``, ``pairing`` and
+``coroot_pair_form`` are the Fraction vector formulas.  They hold the
+integer-key and integer-numerator forms of ``loopcert`` to the same values
+and types.
+
 ``run_audit_reference`` is the Theorem 3.2 / Corollary 3.4 audit as a
 ``Fraction`` loop over the readable samplers and vectors of
 ``loopcert.inequalities``, to hold the integer kernels of ``run_audit`` to.
@@ -43,9 +51,9 @@ from loopcert import convergence as conv
 from loopcert import decay
 from loopcert import inequalities as ineq
 from loopcert import weyl
-from loopcert.affine import AffineWeight, CartanElement, affine_pairing, affine_simple_roots, coroot
-from loopcert.cartan import FiniteRootSystem, RootSystemError
-from loopcert.linalg import mat_inverse, vec_add, vec_scale
+from loopcert.affine import AffineRoot, AffineWeight, CartanElement, affine_pairing, affine_simple_roots, coroot
+from loopcert.cartan import FiniteRootSystem, RootSystemError, Weight
+from loopcert.linalg import bilinear, mat_inverse, mat_vec, vec, vec_add, vec_scale
 from loopcert.reports import derive_seed, q_str
 
 
@@ -149,6 +157,84 @@ def ref_inverse_simple_images(rs: FiniteRootSystem, w):
 def ref_is_kostant(rs: FiniteRootSystem, w) -> bool:
     return all(n > 0 or (n == 0 and beta in rs.positive_root_set)
                for beta, n in ref_inverse_simple_images(rs, w))
+
+
+def _root_key(a: AffineRoot):
+    return (a.n, a.classical_part)
+
+
+def inverted_roots_word_reference(rs: FiniteRootSystem, w) -> weyl.InvertedRootSet:
+    """The word construction one table composition per letter, sorted by
+    (n, classical part) as AffineRoots."""
+    word = weyl.reduced_word(rs, w)
+    e = weyl.identity_element(rs)
+    perm, shift = e.perm, e.shift
+    out = []
+    for letter in word:
+        x, n = weyl._simple_image(rs, perm, shift, letter)
+        out.append(AffineRoot(rs.roots[x], n))
+        perm, shift = weyl._compose(weyl._full(perm, shift), *rs.generators[letter - 1])
+    roots = tuple(sorted(out, key=_root_key))
+    if len(set(roots)) != len(word):
+        raise RootSystemError("word construction produced repeated inverted roots")
+    return weyl.InvertedRootSet(roots)
+
+
+def inverted_roots_scan_reference(rs: FiniteRootSystem, w) -> weyl.InvertedRootSet:
+    """The scan construction as one AffineRoot per inverted n, sorted by
+    (n, classical part)."""
+    ell = weyl.element_length(rs, w)
+    stop = ell + 3
+    out = []
+    for y, s in zip(w.perm, w.shift):
+        lo, lo_neg = (0, 1) if y >= 0 else (1, 0)
+        out.extend(AffineRoot(rs.roots[y], n) for n in range(lo, min(s, stop)))
+        out.extend(AffineRoot(rs.roots[~y], n) for n in range(lo_neg, min(1 - s, stop)))
+    if len(out) != ell:
+        raise weyl.ScanBoundError(f"scan found {len(out)} inverted roots, expected {ell}")
+    return weyl.InvertedRootSet(tuple(sorted(out, key=_root_key)))
+
+
+def negated(roots) -> tuple[AffineRoot, ...]:
+    return tuple(sorted((a.negate() for a in roots), key=_root_key))
+
+
+def neg_inverted_of_inverse_reference(rs: FiniteRootSystem, w) -> tuple[AffineRoot, ...]:
+    return negated(inverted_roots_scan_reference(rs, w).roots)
+
+
+def pairing_reference(rs: FiniteRootSystem, lam, h) -> Q:
+    """<lam, h> = sum_j h_j (A lam)_j in Fractions."""
+    if len(lam) != rs.rank or len(h) != rs.rank:
+        raise RootSystemError("rank mismatch in pairing")
+    a = rs.cartan.entries
+    return sum((Q(h[j]) * sum((Q(a[j][i]) * lam[i] for i in range(rs.rank)), Q(0)) for j in range(rs.rank)), Q(0))
+
+
+def coroot_pair_form_reference(rs: FiniteRootSystem, g, h) -> Q:
+    """(g, h) through the Fraction Gram matrix (h_i, h_j) = a[i][j] / d_j."""
+    gram = tuple(tuple(Q(a_ij) / rs.d[j] for j, a_ij in enumerate(row)) for row in rs.cartan.entries)
+    return bilinear(gram, vec(g), vec(h))
+
+
+def act_on_weight_reference(rs: FiniteRootSystem, w, lam: AffineWeight) -> AffineWeight:
+    """weyl.act_on_weight in Fraction vector arithmetic."""
+    tb = weyl.mat_vec_int(weyl._coroot_matrix(rs, w.tilde), w.b)
+    cl = mat_vec(w.tilde, lam.classical.coords)
+    if lam.lam != 0:
+        cl = vec_add(cl, vec_scale(-lam.lam, tuple(Q(x) / d for x, d in zip(tb, rs.d))))
+    iota = lam.iota + pairing_reference(rs, lam.classical.coords, vec(w.b)) - lam.lam * w.b_norm2 / 2
+    return AffineWeight(Weight(cl), iota, lam.lam)
+
+
+def act_on_cartan_reference(rs: FiniteRootSystem, w, x: CartanElement) -> CartanElement:
+    """weyl.act_on_cartan in Fraction vector arithmetic."""
+    cor = weyl._coroot_matrix(rs, w.tilde)
+    h, m, r = x.classical, x.h_iota, x.d
+    hb = coroot_pair_form_reference(rs, h, vec(w.b))
+    tb = vec(weyl.mat_vec_int(cor, w.b))
+    th = tuple(sum((Q(cor[i][j]) * h[j] for j in range(rs.rank)), Q(0)) for i in range(rs.rank))
+    return CartanElement(vec_add(vec_scale(-r, tb), th), -r * w.b_norm2 / 2 + hb + m, r)
 
 
 def run_audit_reference(rs: FiniteRootSystem, max_len: int, n_h1: int, n_siegel: int, seed: int,

@@ -100,6 +100,15 @@ def test_affine_pairing_examples():
         affine_pairing(rs_of("A2"), iota(rs_of("A1")), degree(rs_of("A2")))
 
 
+@pytest.mark.parametrize("bad", [(1,), (1, 0, 0)])
+def test_affine_pairing_rejects_a_rank_mismatch(bad):
+    rs = rs_of("A2")
+    with pytest.raises(RootSystemError):
+        affine_pairing(rs, AffineWeight(Weight(vec(bad)), Q(1), Q(0)), degree(rs))
+    with pytest.raises(RootSystemError):
+        affine_pairing(rs, iota(rs), CartanElement(vec(bad), Q(0), Q(1)))
+
+
 def test_decompose_examples():
     rs = rs_of("A2")
     # X = X_cl + <Lambda, X> h_iota + <iota, X> D, read off the internal basis

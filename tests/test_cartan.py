@@ -63,6 +63,17 @@ def test_pairing_rank_mismatch():
         rs.pairing(vec((1,)), vec((1, 0)))
 
 
+@pytest.mark.parametrize("bad", [(1,), (1, 0, 0)])
+def test_pairings_reject_a_rank_mismatch(bad):
+    # too short or too long on either side: the integer forms must not truncate
+    rs = build_root_system_label("A2")
+    good = vec((1, 2))
+    for form in (rs.pairing, rs.coroot_pair_form):
+        for args in ((vec(bad), good), (good, vec(bad))):
+            with pytest.raises(RootSystemError):
+                form(*args)
+
+
 def test_weight_in_simple_roots():
     rs = build_root_system_label("A2")
     assert rs.fundamental_weights[0] == (Q(2, 3), Q(1, 3))

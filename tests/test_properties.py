@@ -17,7 +17,7 @@ from loopcert import decay
 from loopcert import inequalities as ineq
 from loopcert import weyl
 from loopcert.affine import AffineRoot, AffineWeight, CartanElement, affine_pairing
-from loopcert.cartan import RootSystemError, Weight, build_root_system_label
+from loopcert.cartan import RootSystemError, Weight, build_root_system, build_root_system_label, parse_type
 from loopcert.linalg import SQRT_BITS, mat_inverse, sqrt_upper, sqrt_upper_num, vec
 import reference
 from reference import from_pair, from_word
@@ -140,6 +140,76 @@ def test_action_duality(label, data):
     lhs = affine_pairing(rs, lam, weyl.act_on_cartan(rs, w, x))
     rhs = affine_pairing(rs, weyl.act_on_weight(rs, weyl.inverse(rs, w), lam), x)
     assert lhs == rhs
+
+
+def _inverted_sets(rs, w):
+    return (weyl.inverted_roots_scan(rs, w), weyl.inverted_roots_word(rs, w), weyl.neg_inverted_of_inverse(rs, w))
+
+
+def _inverted_sets_reference(rs, w):
+    return (reference.inverted_roots_scan_reference(rs, w), reference.inverted_roots_word_reference(rs, w),
+            reference.neg_inverted_of_inverse_reference(rs, w))
+
+
+@each_type
+@PROPERTY
+@given(data=st.data())
+def test_inverted_sets_match_reference(label, data):
+    # the root-key paths against the AffineRoot-sorted ones, by repr: a BFS
+    # element (stored word), a drawn word and the same word with a cancelling
+    # pair appended, which is never reduced (no stored word: reduced_word peels)
+    rs = build_root_system_label(label)
+    word = data.draw(words(label))
+    letter = data.draw(st.integers(1, rs.rank + 1))
+    padded = from_word(rs, word + (letter, letter))
+    assert padded.word is None
+    for w in (data.draw(st.sampled_from(_enumerated(label)))[1], from_word(rs, word), padded):
+        assert repr(_inverted_sets(rs, w)) == repr(_inverted_sets_reference(rs, w))
+
+
+exact = st.one_of(st.integers(-8, 8), rationals)
+
+
+@each_type
+@PROPERTY
+@given(data=st.data())
+def test_actions_and_pairings_match_reference(label, data):
+    # the integer-numerator actions and forms against the Fraction ones, by
+    # repr, so the types of the coefficients match too; ints and Fractions mixed
+    rs = build_root_system_label(label)
+    w = from_word(rs, data.draw(words(label)))
+    coords = st.lists(exact, min_size=rs.rank, max_size=rs.rank).map(tuple)
+    lam = AffineWeight(Weight(data.draw(coords)), data.draw(exact), data.draw(exact))
+    x = CartanElement(data.draw(coords), data.draw(exact), data.draw(exact))
+    g, h = data.draw(coords), data.draw(coords)
+    assert repr(weyl.act_on_cartan(rs, w, x)) == repr(reference.act_on_cartan_reference(rs, w, x))
+    assert repr(weyl.act_on_weight(rs, w, lam)) == repr(reference.act_on_weight_reference(rs, w, lam))
+    assert repr(rs.pairing(g, h)) == repr(reference.pairing_reference(rs, g, h))
+    assert repr(rs.coroot_pair_form(g, h)) == repr(reference.coroot_pair_form_reference(rs, g, h))
+
+
+@pytest.mark.parametrize("label", ["A2", "C3", "G2"])
+def test_inverted_sets_do_not_depend_on_call_order(label, monkeypatch):
+    # each order on its own fresh context, whose word-prefix memo starts empty:
+    # the longest element before and after its prefixes, scan before and after
+    # word, and with a memo bound small enough to empty it mid-sweep
+    def sweep(order, cap=weyl.PREFIX_MEMO_CAP):
+        monkeypatch.setattr(weyl, "PREFIX_MEMO_CAP", cap)
+        rs = build_root_system(*parse_type(label))
+        elements = [w for layer in weyl.enumerate_by_length(rs, MAX_LEN[label]) for w in layer]
+        out = {}
+        for w in (elements if order == "prefixes first" else elements[::-1]):
+            if order == "word first":
+                word = weyl.inverted_roots_word(rs, w)
+                out[w.word] = (weyl.inverted_roots_scan(rs, w), word, weyl.neg_inverted_of_inverse(rs, w))
+            else:
+                out[w.word] = _inverted_sets(rs, w)
+        return repr(sorted(out.items()))
+
+    expected = sweep("prefixes first")
+    assert sweep("longest first") == sweep("word first") == sweep("prefixes first", cap=3) == expected
+    rs = build_root_system_label(label)
+    assert expected == repr(sorted((w.word, _inverted_sets_reference(rs, w)) for _, w in _enumerated(label)))
 
 
 @each_type
