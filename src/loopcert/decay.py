@@ -35,12 +35,14 @@ The hot loops run on Python integers, most in fixed point scaled by 2^F:
 * the pointwise sigma_deriv_mp (behind l1_norm_extrema and the tests):
   Horner for P_N at F = working precision + 40, with the other factors in
   mpf;
-* the Newton iteration behind the Gauss-Legendre tables (F = prec + 60),
-  from double-precision seeds;
+* Halley's method behind the Gauss-Legendre tables, from double-precision
+  seeds, each step at about three times the bits its iterate has, up to
+  F = prec + 60;
 * the sigma_hat grid, its angle doublings and phase recurrence
   (F = precision_bits + 40), the cosines and sines of each call's phases
   (cos_sin_fixed at F + 20), and the moment defect of its Gauss-Legendre
-  rule (F = precision_bits + 80).
+  rule (F = precision_bits + 80), one Chebyshev recurrence run over all
+  the nodes at once.
 
 Each docstring states its truncation error; values cross into mpf only at
 the ends.
@@ -392,38 +394,73 @@ def _legendre_seed(n: int, k: int) -> float:
     return x - p1 * (x * x - 1) / (n * (x * p1 - p0))
 
 
+_SEED_BITS = 48  # the bits a seed of _legendre_seed is taken to carry, until a step measures them
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int, prec: int) -> tuple:
-    """Nodes and weights on [-1,1], ascending, as mpf at prec + 40 bits.
+    """Nodes and weights on [-1,1], ascending, as mpf at prec + 40 bits;
+    ValueError for n < 1.
 
-    Newton iteration on P_n from the double-precision seeds of
-    _legendre_seed, run on Python integers scaled by 2^F, F = prec + 60: the
-    recurrence for P_n and P_n' floors once per product and quotient, so its
-    values are off by O(n^2) units of 2^-F, far below the 2^-(prec+20) step
-    at which the iteration stops.  The weight 2 / ((1 - x^2) P_n'(x)^2) is
-    taken from a fresh P_n' at the final node."""
+    Each positive node comes from the double-precision seed of
+    _legendre_seed by Halley's method on P_n, in Python integers scaled by
+    2^g: P_n and P_n' from _legendre_fixed, P_n'' from the Legendre equation
+    (1 - x^2) P'' = 2x P' - n(n+1) P, and the step 2 P P' / (2 P'^2 - P P'').
+    A step triples the bits an iterate has, so it runs at g = 3b + 24 bits,
+    capped at F = prec + 60, for an iterate of b bits: _SEED_BITS for the
+    seed, then min(3 (g - L), g) - 24 after a step of L bits at g.  The
+    iteration stops after a step at F below 2^-(F/3 + 16); that is 2 or 3
+    evaluations of P_n per node at the workloads' precisions.
+
+    Node error.  At F the recurrence floors once per product and quotient,
+    so P_n, P_n' and P_n'' are off by O(n^2) units of 2^-F, times |P_n'|,
+    near a node.  A Halley step from e away from the root lands within
+    C e^3 of it, C = |P''^2 / (4 P'^2) - P''' / (6 P')| < n^4 / 16 at the
+    nodes; the last step, below 2^-(F/3 + 16), started within
+    2^-((F - 2)/3 + 15), so C e^3 is below one unit of 2^-F for n < 2^11.
+    The node then lies within O(n^2) units of 2^-F of the root, 20 bits
+    below what is stored.
+
+    Weight error.  The weight is 2 / ((1 - x^2) P_n'(x)^2), with P_n'(x)
+    carried from the last step's start x0 by Taylor:
+    P'(x0) + h P''(x0) + h^2 P'''(x0) / 2, h = x - x0, with P''' from the
+    derivative of the equation, (1 - x^2) P''' = 4x P'' - (n(n+1) - 2) P'.
+    The remainder is at most |h|^3 max |P''''| / 6 < 2^-(F + 46) n^8 / 630
+    (Markov's inequality, |P_n| <= 1), and |P_n'| >= 1 at a node (its weight
+    is at most 2), so P_n'(x) carries a relative error below 2^-(F - 20) for
+    n < 2^9.4, besides the O(n^2) units of the recurrence.  The middle node
+    of an odd n is 0, with P_n'(0) from one evaluation.
+
+    No bound downstream takes these tables as exact: _gauss_defect measures
+    the moment defect of the rule as stored, and every quadrature bound
+    carries it."""
+    if n < 1:
+        raise ValueError(f"a Gauss-Legendre rule needs n >= 1 nodes, not {n}")
     f = prec + 60
-    one = 1 << f
-    eps = 1 << (f - prec - 20)
-
-    def node_weight(x):
-        _, dp = _legendre_fixed(n, x, f)
-        w = (2 << (4 * f)) // ((one - ((x * x) >> f)) * dp * dp)
-        return mp.ldexp(mp.mpf(x), -f), mp.ldexp(mp.mpf(w), -f)
-
-    nodes = []  # the positive half, descending
+    nn = n * (n + 1)
+    points = []  # (node, P_n' there) on the positive half, descending, scaled by 2^F
     for k in range(1, n // 2 + 1):
-        x = int(ldexp(_legendre_seed(n, k), 53)) << (f - 53)
-        for _ in range(60):
-            p, dp = _legendre_fixed(n, x, f)
-            dx = (p << f) // dp
-            x -= dx
-            if abs(dx) < eps:
+        x, g, bits = int(ldexp(_legendre_seed(n, k), 53)), 53, _SEED_BITS
+        while True:
+            shift = min(max(3 * bits + 24, g), f) - g
+            x, g = x << shift, g + shift
+            p, dp = _legendre_fixed(n, x, g)
+            u = (1 << g) - ((x * x) >> g)
+            ddp = ((((x * dp) >> (g - 1)) - nn * p) << g) // u
+            step = (p * dp << (g + 1)) // (2 * dp * dp - p * ddp)
+            x0, x = x, x - step
+            if g == f and abs(step) >> (f - f // 3 - 16) == 0:
                 break
-        nodes.append(x)
+            bits = min(3 * (g - abs(step).bit_length()), g) - 24
+        dddp = ((((x0 * ddp) >> (f - 2)) - (nn - 2) * dp) << f) // u
+        points.append((x, dp - ((step * ddp) >> f) + ((step * step * dddp) >> (2 * f + 1))))
+    if n % 2 == 1:
+        points.append((0, _legendre_fixed(n, 0, f)[1]))
+    one = 1 << f
     with mp.workprec(prec + 40):
-        right = [node_weight(x) for x in nodes]
-        middle = [node_weight(0)] if n % 2 == 1 else []
+        rule = [(mp.mpf((x, -f)), mp.mpf(((2 << (4 * f)) // ((one - ((x * x) >> f)) * dp * dp), -f)))
+                for x, dp in points]
+        right, middle = rule[:n // 2], rule[n // 2:]
         return tuple([(-x, w) for x, w in right] + middle + right[::-1])
 
 
@@ -695,27 +732,36 @@ def _gauss_defect(order: int, prec: int) -> int:
 
     of the nodes t_j and weights w_j of gauss_legendre(order, prec) as they
     are stored (D = 0 for the exact Gauss rule; odd k cancel on the mirrored
-    nodes, and order is even).
+    nodes and on a middle node at 0).
 
-    T_k(t_j) runs by the three-term recurrence on Python integers scaled by
-    2^F, F = prec + 80, from t_j floored to F bits.  It is off by at most
-    2 k^2 units: k^2 for the floored node (|T_k'| <= k^2) and k^2 / 2 for the
-    floors of the recurrence (carried by |U_m| <= m + 1).  With the floored
-    weights and the two final floors, each computed moment is within
-    4 k^2 + order + 4 <= 21 order^2 units, which is added per k."""
+    On Python integers scaled by 2^F, F = prec + 80, over the nodes t_j >= 0
+    at once: T_{2i}(t_j) = T_i(s_j), s_j = 2 t_j^2 - 1, by the three-term
+    recurrence T_{i+1} = 2 s T_i - T_{i-1}, weighted by 2 w_j for a positive
+    node (it stands for its mirror too) and w_j for the middle one.
+
+    Per moment i, in units of 2^-F.  The node floored to F bits moves s by
+    less than 4 units, and the floor of 2 t^2 by less than 1 more, so s_j is
+    within 5 units below 2 t_j^2 - 1, in [-1, 1], where |T_i'| <= i^2:
+    5 i^2.  Each step of the recurrence floors once, and a floor at step m
+    reaches T_i times U_{i-1-m}(s_j), |U_{i-1-m}| <= i - m: i (i - 1) / 2 in
+    all.  So each T_i(s_j) is within 5.5 i^2, and the weights, which sum to 2
+    within 2^-20, give 11.1 i^2; each of the m <= order weights floored to F
+    bits adds 1 unit times |T_i| <= 1 + 2^-20, and the final floor of the sum
+    and that of the exact moment 1 unit each: at most 12 i^2 + order + 4
+    units, which is added per i."""
     f = prec + 80
-    moments = [0] * order  # sum_j w_j T_{2i}(t_j) over the positive nodes, scaled by 2^(2F)
+    s_nodes, weights = [], []
     for t, w in gauss_legendre(order, prec)[order // 2:]:
-        x, wi = to_fixed(t._mpf_, f), to_fixed(w._mpf_, f)
-        even, odd = 1 << f, x
-        for i in range(order):
-            moments[i] += wi * even
-            even = ((x * odd) >> (f - 1)) - even
-            odd = ((x * even) >> (f - 1)) - odd
+        x = to_fixed(t._mpf_, f)
+        s_nodes.append(((x * x) >> (f - 1)) - (1 << f))
+        weights.append(to_fixed(w._mpf_, f if x == 0 else f + 1))
+    two_s = [2 * s for s in s_nodes]
+    prev, cur = [1 << f] * len(s_nodes), s_nodes
     units = 0
-    for i, s in enumerate(moments):
+    for i in range(order):
         exact = (2 << f) // (1 - 4 * i * i)  # int T_{2i} = 2 / (1 - 4 i^2)
-        units += abs((s >> (f - 1)) - exact) + 21 * order * order
+        units += abs((sum(map(mul, weights, prev)) >> f) - exact) + 12 * i * i + order + 4
+        prev, cur = cur, [((a * c) >> f) - b for a, c, b in zip(two_s, cur, prev)]
     return units
 
 

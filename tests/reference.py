@@ -34,6 +34,12 @@ the root pipeline behind ``decay.l1_norm``: Descartes' rule on the
 bisections per root (neither depends on the precision, so they are cached
 per n) before Newton's method at prec + 80 bits.
 
+``gauss_legendre_reference`` is the Newton construction of the
+Gauss-Legendre tables that ``decay.gauss_legendre``'s Halley steps replaced,
+kept to hold them to the same mpf, and ``moment_defect_reference`` is the
+exact moment defect of a stored rule in Fractions, to hold
+``decay._gauss_defect``'s bound to.
+
 ``adaptive_panel``, ``rough_pass`` and ``adaptive_sum`` are the adaptive
 GL24/GL48 bisection that integrated ``l2_norm`` and the N = 0 L1 norm before
 their fixed graded panels, kept as an independent quadrature whose error
@@ -43,6 +49,7 @@ their fixed graded panels, kept as an independent quadrature whose error
 import random
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import ldexp
 from operator import mul
 
 from mpmath import mp
@@ -470,6 +477,55 @@ def sign_change_roots_reference(n: int, prec: int) -> tuple:
         out.append(Q(x, 1 << g))
     with mp.workprec(prec + 40):
         return tuple(mp.mpf(x.numerator) / x.denominator for x in sorted(out))
+
+
+def gauss_legendre_reference(n: int, prec: int) -> tuple:
+    """Nodes and weights on [-1,1], ascending, as mpf at prec + 40 bits, by
+    Newton's method on P_n from the seeds of decay._legendre_seed, on
+    integers scaled by 2^F, F = prec + 60, until a step is below
+    2^-(prec + 20); each weight 2 / ((1 - x^2) P_n'(x)^2) from a fresh P_n'
+    at the final node."""
+    f = prec + 60
+    one = 1 << f
+    eps = 1 << (f - prec - 20)
+
+    def node_weight(x):
+        _, dp = decay._legendre_fixed(n, x, f)
+        w = (2 << (4 * f)) // ((one - ((x * x) >> f)) * dp * dp)
+        return mp.ldexp(mp.mpf(x), -f), mp.ldexp(mp.mpf(w), -f)
+
+    nodes = []  # the positive half, descending
+    for k in range(1, n // 2 + 1):
+        x = int(ldexp(decay._legendre_seed(n, k), 53)) << (f - 53)
+        for _ in range(60):
+            p, dp = decay._legendre_fixed(n, x, f)
+            dx = (p << f) // dp
+            x -= dx
+            if abs(dx) < eps:
+                break
+        nodes.append(x)
+    with mp.workprec(prec + 40):
+        right = [node_weight(x) for x in nodes]
+        middle = [node_weight(0)] if n % 2 == 1 else []
+        return tuple([(-x, w) for x, w in right] + middle + right[::-1])
+
+
+def moment_defect_reference(rule) -> Q:
+    """sum over even k < 2 n of |int_{-1}^{1} T_k - sum_j w_j T_k(t_j)| for
+    the n-node rule ((t_j, w_j), ...) of mpf, exactly.  With each node a_j 2^-e
+    and each weight b_j 2^-e, e one common exponent, T_k(t_j) 2^(k e) is the
+    integer c_k = 2 a_j c_{k-1} - 4^e c_{k-2}, c_0 = 1, c_1 = a_j."""
+    parts = [x._mpf_ for point in rule for x in point]
+    e = -min(exp for _, _, exp, _ in parts)
+    ints = [(-1) ** sign * (man << (exp + e)) for sign, man, exp, _ in parts]
+    nodes, weights = ints[::2], ints[1::2]
+    prev, cur = [1] * len(nodes), nodes
+    defect = Q(0)
+    for k in range(0, 2 * len(rule), 2):
+        defect += abs(Q(2, 1 - k * k) - Q(sum(map(mul, weights, prev)), 1 << ((k + 1) * e)))
+        prev = [2 * a * c - (b << 2 * e) for a, c, b in zip(nodes, cur, prev)]
+        cur = [2 * a * c - (b << 2 * e) for a, c, b in zip(nodes, prev, cur)]
+    return defect
 
 
 MAX_DEPTH = 12

@@ -5,7 +5,7 @@ import json
 import random
 from fractions import Fraction as Q
 from functools import lru_cache, partial
-from math import pi
+from math import ceil, log2, pi, sqrt
 
 import pytest
 from mpmath import iv, mp
@@ -439,6 +439,73 @@ def test_gauss_legendre_against_mpmath(n, degree):
         tol = mp.ldexp(1, -(prec + 30))
         for (x, w), (rx, rw) in zip(rule, ref):
             assert abs(x - rx) <= tol and abs(w - rw) <= tol, (x, rx)
+
+
+# the tables the benchmark workloads, the pinned reports and reproduce-all
+# build: the oscillation grids at 128 and 256 bits and the norms at 256
+WORKLOAD_TABLES = ((72, 128), (96, 256), (64, 296), (68, 320), (72, 344), (80, 368), (84, 392))
+TABLE_BITS = (1, 2, 4, 8, 16, 32, 53, 64, 96, 128, 192, 256, 384, 512, 1024)
+# where the Newton reference is not the nearest table: its last step, below
+# 2^-(prec + 20), leaves the outermost node pair's weights 23, 46 and 182
+# units off in the last stored place
+REFERENCE_OFF = {(48, 1), (48, 2), (48, 4)}
+
+
+def _norm_table(n: int, bits: int) -> tuple:
+    """The (order, prec) of _norm_integral(n, power, bits)'s table, by the
+    closed form of its docstring."""
+    b = bits + 24 * n + 16
+    return 4 * ceil((1 + b / (2 * log2(2.5 + sqrt(5.25)))) / 4), max(b + 24, 64)
+
+
+def _unit(x, prec: int):
+    """One unit in the last place of the mpf x stored at prec + 40 bits."""
+    return mp.ldexp(1, int(mp.floor(mp.log(abs(x), 2))) + 1 - (prec + 40)) if x else mp.ldexp(1, -(prec + 40))
+
+
+def _assert_table_matches_reference(order: int, prec: int):
+    rule = decay.gauss_legendre(order, prec)
+    ref = reference.gauss_legendre_reference(order, prec)
+    assert (rule == ref) == ((order, prec) not in REFERENCE_OFF), (order, prec)
+    if rule != ref:
+        # within one unit of the rule computed 200 bits deeper
+        with mp.workprec(prec + 300):
+            for (x, w), (tx, tw) in zip(rule, reference.gauss_legendre_reference(order, prec + 200)):
+                assert abs(x - tx) <= _unit(x, prec) and abs(w - tw) <= _unit(w, prec), (order, prec)
+
+
+@pytest.mark.parametrize("bits", TABLE_BITS)
+def test_grid_and_norm_tables_match_newton_reference(bits):
+    # the Halley tables equal the Newton construction's, mpf for mpf, for the
+    # oscillation grid's order and every norm order the quadrature tests use
+    _assert_table_matches_reference(decay._grid_order(bits, 2 * pi * decay._SMALL_R_MAX / 8), bits)
+    for n in range(21) if bits in (1, 64) else (0, 3, 20):
+        _assert_table_matches_reference(*_norm_table(n, bits))
+
+
+def test_workload_and_small_tables_match_newton_reference():
+    for order, prec in WORKLOAD_TABLES:
+        _assert_table_matches_reference(order, prec)
+    for order in range(1, 13):
+        for prec in (8, 64):
+            _assert_table_matches_reference(order, prec)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_gauss_legendre_rejects_fewer_than_one_node(n):
+    with pytest.raises(ValueError):
+        decay.gauss_legendre(n, 64)
+
+
+@pytest.mark.parametrize("prec", [16, 64, 128])
+def test_gauss_defect_bounds_the_exact_defect(prec):
+    # the bound covers the stored rule's exact moment defect (in Fractions)
+    # and stays within 2^-20 of it, for odd orders too, whose middle node
+    # counts once
+    for order in range(2, 25):
+        exact = reference.moment_defect_reference(decay.gauss_legendre(order, prec))
+        bound = Q(decay._gauss_defect(order, prec), 1 << (prec + 80))
+        assert 0 < exact <= bound <= exact * (1 + Q(1, 1 << 20)), order
 
 
 def test_gauss_legendre_exact_on_even_powers():
